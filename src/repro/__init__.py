@@ -36,7 +36,7 @@ from repro.core.experiments import (
 )
 from repro.core.metrics import PerformanceMetrics, compute_performance_metrics
 from repro.core.report import render_grouped_bars, render_series, render_table, to_csv
-from repro.core.runner import BenchmarkSuite, SuiteResult
+from repro.core.runner import SuiteResult
 from repro.core.workloads import PAPER_WORKLOADS, WorkloadSpec, workload_by_name
 from repro.netsim.scenario import BASELINE, BUILTIN_SCENARIOS, ScenarioSpec, get_scenario, register_scenario
 from repro.services.registry import (
@@ -57,7 +57,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "BenchmarkSuite",
     "SuiteResult",
     "CapabilityProber",
     "CapabilityMatrix",

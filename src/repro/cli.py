@@ -1,30 +1,35 @@
 """Command line interface: ``cloudbench``.
 
-Sub-commands map one-to-one to the paper's artifacts::
+Every campaign command runs through one engine
+(:mod:`repro.core.campaign`).  ``all`` runs the whole campaign, and each
+per-artifact subcommand is an alias for ``all --stages <stage> --jobs 1``
+that accepts every flag of ``all``::
 
     cloudbench capabilities                 # Table 1
     cloudbench idle --minutes 16            # Fig. 1
-    cloudbench datacenters --resolvers 500  # Fig. 2 / §3.2
-    cloudbench connections                  # Fig. 3
+    cloudbench datacenters --resolvers 300  # Fig. 2 / §3.2
+    cloudbench connections                  # Fig. 3 (stage syn_series)
     cloudbench delta                        # Fig. 4
     cloudbench compression                  # Fig. 5
     cloudbench performance --repetitions 5  # Fig. 6
-    cloudbench all                          # everything above
+    cloudbench all                          # everything above, plus the load stage
     cloudbench bench --compare BENCH.json   # perf metrics of the engine itself
 
-Results are printed as ASCII tables; ``--csv PATH`` additionally writes the
-raw rows to a CSV file.  For ``all``, every completed stage is written to
-its own stage-tagged CSV (``results.csv`` becomes ``results.idle.csv``,
-``results.performance.csv``, ...), not just the performance rows.
+Their plan flags all default to one table: the field defaults of
+:class:`~repro.core.campaign.CampaignConfig`.
 
-``cloudbench all`` runs through the parallel campaign engine
-(:mod:`repro.core.campaign`): every (stage, service, unit) cell — e.g.
-*performance × dropbox × 1x100kB* — is an independent simulation, fanned
-out over ``--jobs N`` worker processes (default: one per CPU).  Results are
+Results are printed as ASCII tables; ``--csv PATH`` additionally writes the
+raw rows, one stage-tagged CSV per stage (``results.csv`` becomes
+``results.idle.csv``, ``results.performance.csv``, ...), or ``PATH`` itself
+when the campaign plans a single stage.
+
+Every (stage, service, unit) cell — e.g. *performance × dropbox × 1x100kB*
+— is an independent simulation, fanned out over ``--jobs N`` worker
+processes (for ``all``, one per CPU by default).  Results are
 bit-identical for any ``--jobs`` value given the same ``--seed``; a
 per-cell wall-clock table quantifies the speedup, ``--stages`` selects a
 subset of campaign stages, and ``--json PATH`` writes the machine-readable
-per-cell results and timings.
+per-cell results.
 
 ``--cache-dir DIR`` attaches the persistent result store
 (:mod:`repro.core.store`): cells already computed for the same (stage,
@@ -54,20 +59,19 @@ document*: per-cell rows only, no wall clocks or cache provenance, so any
 two executions of the same campaign — sequential, parallel, or sharded
 across machines — serialize byte-identically.  ``all --timings-json``
 writes the run-specific execution record (timings, worker count, cache
-hits) that ``--json`` used to include.
+hits).
 
-Seed sweeps (:mod:`repro.core.sweep`) make repetition a plan dimension:
-``--seeds 7,8,10..12`` (on ``all``, ``shard`` and ``merge``) plans the
-same campaign grid once per seed and reduces the per-seed results into
-cross-seed statistics — mean, stddev, median, quartiles/IQR, extrema, n —
-per (stage, service, unit, metric).  A multi-seed ``all`` prints one
-aggregate table per stage, ``--csv`` writes per-stage aggregate CSVs and
-``--json`` writes the deterministic *sweep document* (per-seed documents
-plus aggregates), which shards and merges exactly like the single-seed
-document: byte-identical across ``--jobs N``, multi-runner ``shard`` +
-``merge`` and cache-resumed executions, and independent of seed order.
-With a single seed everything stays byte-identical to the pre-sweep
-output.
+Every campaign is a seed sweep (:mod:`repro.core.sweep`):
+``--seeds 7,8,10..12`` plans the same campaign grid once per seed and
+reduces the per-seed results into cross-seed statistics — mean, stddev,
+median, quartiles/IQR, extrema, n — per (stage, service, unit, metric).
+A multi-seed campaign prints one aggregate table per stage, ``--csv``
+writes per-stage aggregate CSVs and ``--json`` writes the deterministic
+*sweep document* (per-seed documents plus aggregates), byte-identical
+across ``--jobs N``, multi-runner ``shard`` + ``merge`` and cache-resumed
+executions, and independent of seed order.  The default single ``--seed``
+is a sweep of one: its tables, CSVs and document keep their single-seed
+form.
 """
 
 from __future__ import annotations
@@ -75,26 +79,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.campaign import (
-    STAGES,
-    CampaignConfig,
-    CampaignRunner,
-    default_jobs,
-    suite_stage_rows,
-    syn_series_services,
-)
+from repro.core.campaign import STAGES, CampaignConfig, CampaignRunner
 from repro.core.store import DEFAULT_CACHE_DIR, ResultStore
-from repro.core.experiments.compression import CompressionExperiment
-from repro.core.experiments.datacenters import DataCenterExperiment
-from repro.core.experiments.delta import DeltaEncodingExperiment
-from repro.core.experiments.idle import IdleExperiment
-from repro.core.experiments.performance import PerformanceExperiment
-from repro.core.experiments.synseries import SynSeriesExperiment
-from repro.core.capabilities import CapabilityProber
-from repro.core.report import render_grouped_bars, render_table, to_csv, write_json
-from repro.core.workloads import PAPER_WORKLOADS
+from repro.core.report import render_table, to_csv, write_json
+from repro.core.sweep import SweepResult
 from repro.dist import DEFAULT_LEASE_TIMEOUT, CampaignMerger, ShardWorker, parse_shard_spec
 from repro.errors import ConfigurationError, DistributionError
 from repro.netsim.scenario import ScenarioSpec, get_scenario, register_scenarios_from_file, registered_scenarios
@@ -109,9 +99,24 @@ from repro.perf import (
 )
 from repro.randomness import DEFAULT_SEED
 from repro.services.registry import SERVICE_NAMES, register_services_from_file
-from repro.units import minutes, parse_duration, parse_populations, parse_seeds, unit_sort_key
+from repro.units import format_population, minutes, parse_duration, parse_populations, parse_seeds, unit_sort_key
 
 __all__ = ["main", "build_parser"]
+
+#: The one defaults table every campaign command's plan flags read.
+_DEFAULTS = CampaignConfig()
+
+#: Per-artifact subcommands: command -> (campaign stage, help).  Each is an
+#: alias for ``all --stages <stage> --jobs 1``.
+_STAGE_ALIASES = {
+    "capabilities": ("capabilities", "Table 1: capability matrix"),
+    "idle": ("idle", "Fig. 1: background traffic while idle"),
+    "datacenters": ("datacenters", "Fig. 2 / Sec. 3.2: front-end discovery"),
+    "connections": ("syn_series", "Fig. 3: TCP connections for 100x10kB"),
+    "delta": ("delta", "Fig. 4: delta encoding tests"),
+    "compression": ("compression", "Fig. 5: compression tests"),
+    "performance": ("performance", "Fig. 6: start-up, completion, overhead"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,35 +181,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("capabilities", help="Table 1: capability matrix")
-
-    idle = subparsers.add_parser("idle", help="Fig. 1: background traffic while idle")
-    idle.add_argument("--minutes", type=float, default=16.0, help="idle observation window (minutes)")
-
-    datacenters = subparsers.add_parser("datacenters", help="Fig. 2 / Sec. 3.2: front-end discovery")
-    datacenters.add_argument("--resolvers", type=int, default=500, help="number of open resolvers to fan out over")
-
-    subparsers.add_parser("connections", help="Fig. 3: TCP connections for 100x10kB")
-
-    subparsers.add_parser("delta", help="Fig. 4: delta encoding tests")
-
-    subparsers.add_parser("compression", help="Fig. 5: compression tests")
-
-    performance = subparsers.add_parser("performance", help="Fig. 6: start-up, completion, overhead")
-    performance.add_argument("--repetitions", type=int, default=3, help="repetitions per (service, workload)")
-
-    def add_campaign_options(sub: argparse.ArgumentParser) -> None:
-        # Shared by all/shard/merge: flags that define the campaign *plan*.
-        # Workers and the merger must agree on these (and on --services /
-        # --seed) or they address different store keys.
-        sub.add_argument("--repetitions", type=int, default=2, help="repetitions per (service, workload)")
-        sub.add_argument("--minutes", type=float, default=16.0, help="idle observation window (minutes)")
-        sub.add_argument("--resolvers", type=int, default=300, help="number of open resolvers to fan out over")
+    def add_campaign_options(sub: argparse.ArgumentParser, *, stages: bool = True) -> None:
+        # Shared by all, its stage aliases, shard and merge: flags that
+        # define the campaign *plan*.  Workers and the merger must agree on
+        # these (and on --services / --seed) or they address different
+        # store keys.
         sub.add_argument(
-            "--stages",
-            default=None,
-            help=f"comma-separated subset of campaign stages to run (default: all of {','.join(STAGES)})",
+            "--repetitions", type=int, default=_DEFAULTS.repetitions, help="repetitions per (service, workload)"
         )
+        sub.add_argument(
+            "--minutes",
+            type=float,
+            default=_DEFAULTS.idle_duration / minutes(1),
+            help="idle observation window (minutes)",
+        )
+        sub.add_argument(
+            "--resolvers", type=int, default=_DEFAULTS.resolver_count, help="number of open resolvers to fan out over"
+        )
+        if stages:
+            sub.add_argument(
+                "--stages",
+                default=None,
+                help=f"comma-separated subset of campaign stages to run (default: all of {','.join(STAGES)})",
+            )
         sub.add_argument(
             "--seeds",
             default=None,
@@ -219,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "population sizes the `load` stage plans one cell per, e.g. "
-                "'1k,10k,100k' or '500,1M' (default: 1k,10k)"
+                "'1k,10k,100k' or '500,1M' (default: "
+                f"{','.join(format_population(size) for size in _DEFAULTS.load_populations)})"
             ),
         )
         sub.add_argument(
@@ -243,48 +243,58 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
 
+    def add_run_options(sub: argparse.ArgumentParser) -> None:
+        # `all` and its stage aliases: execution, store and output flags.
+        sub.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help="worker processes for the campaign cells (default: one per CPU; 1 for the stage aliases)",
+        )
+        sub.add_argument(
+            "--json",
+            dest="json_path",
+            default=None,
+            help=(
+                "write the deterministic per-cell results document to this JSON file "
+                "(byte-identical across --jobs values and across sharded runs merged "
+                "with `cloudbench merge`)"
+            ),
+        )
+        sub.add_argument(
+            "--timings-json",
+            dest="timings_json_path",
+            default=None,
+            help="write the run-specific execution record (wall clocks, cache hits) to this JSON file",
+        )
+        sub.add_argument(
+            "--cache-dir",
+            dest="cache_dir",
+            default=None,
+            help=(
+                "persistent result store: cells already computed for the same "
+                "(stage, service, unit, seed, config) are loaded instead of re-run, "
+                "fresh cells are saved as they complete"
+            ),
+        )
+        sub.add_argument(
+            "--resume",
+            action="store_true",
+            help=(
+                "resume an interrupted or extended campaign from the result store "
+                f"(implies --cache-dir {DEFAULT_CACHE_DIR} when none is given)"
+            ),
+        )
+
+    for command, (stage, help_text) in _STAGE_ALIASES.items():
+        alias = subparsers.add_parser(command, help=f"{help_text} (alias for `all --stages {stage} --jobs 1`)")
+        add_campaign_options(alias, stages=False)
+        add_run_options(alias)
+        alias.set_defaults(stages=stage, jobs=1)
+
     everything = subparsers.add_parser("all", help="run the whole campaign through the parallel engine")
     add_campaign_options(everything)
-    everything.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the campaign cells (default: one per CPU)",
-    )
-    everything.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        help=(
-            "write the deterministic per-cell results document to this JSON file "
-            "(byte-identical across --jobs values and across sharded runs merged "
-            "with `cloudbench merge`)"
-        ),
-    )
-    everything.add_argument(
-        "--timings-json",
-        dest="timings_json_path",
-        default=None,
-        help="write the run-specific execution record (wall clocks, cache hits) to this JSON file",
-    )
-    everything.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        default=None,
-        help=(
-            "persistent result store: cells already computed for the same "
-            "(stage, service, unit, seed, config) are loaded instead of re-run, "
-            "fresh cells are saved as they complete"
-        ),
-    )
-    everything.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume an interrupted or extended campaign from the result store "
-            f"(implies --cache-dir {DEFAULT_CACHE_DIR} when none is given)"
-        ),
-    )
+    add_run_options(everything)
 
     shard = subparsers.add_parser(
         "shard",
@@ -346,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the deterministic results document (byte-identical to `cloudbench all --json`)",
     )
+    merge.set_defaults(jobs=1)
 
     bench = subparsers.add_parser(
         "bench",
@@ -499,31 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(rows: List[dict], text: str, csv_path: Optional[str]) -> None:
-    print(text)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as handle:
-            handle.write(to_csv(rows) + "\n")
-        print(f"\nCSV written to {csv_path}")
-
-
-def _stage_csv_path(csv_path: str, stage: str) -> str:
-    """Per-stage CSV file name: ``results.csv`` -> ``results.idle.csv``."""
-    base, extension = os.path.splitext(csv_path)
-    return f"{base}.{stage}{extension or '.csv'}"
-
-
-def _write_stage_csvs(csv_path: str, stage_rows: Dict[str, List[dict]]) -> List[str]:
-    """Write one CSV per completed stage; returns the paths written."""
-    written = []
-    for stage, rows in stage_rows.items():
-        path = _stage_csv_path(csv_path, stage)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_csv(rows) + "\n")
-        written.append(path)
-    return written
-
-
 def _parse_stages(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Optional[List[str]]:
     """The --stages selection as a list, or None for all stages."""
     if args.stages is None:
@@ -549,45 +535,63 @@ def _campaign_seeds(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error(str(error))
 
 
+def _targets(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Tuple[List[str], ScenarioSpec]:
+    """Register any spec files, then resolve ``--services`` and ``--scenario``.
+
+    Spec-defined services and scenarios are registered first, so they are
+    first-class citizens of both flags.
+    """
+    try:
+        if args.scenario_file is not None:
+            register_scenarios_from_file(args.scenario_file)
+        if args.services_file is not None:
+            register_services_from_file(args.services_file)
+        scenario = get_scenario(args.scenario)
+    except ConfigurationError as error:
+        parser.error(str(error))
+    if not args.services:
+        return list(SERVICE_NAMES), scenario
+    services = [name.strip().lower() for name in args.services.split(",") if name.strip()]
+    unknown = [name for name in services if name not in SERVICE_NAMES]
+    if unknown:
+        parser.error(f"unknown service(s): {', '.join(unknown)}; choose from {', '.join(SERVICE_NAMES)}")
+    return services, scenario
+
+
 def _campaign_runner(
     parser: argparse.ArgumentParser,
     args: argparse.Namespace,
     services: List[str],
     scenario: ScenarioSpec,
-    *,
     store: Optional[ResultStore],
-    jobs: int,
-    seeds: Optional[List[int]] = None,
-    trace: bool = False,
 ) -> CampaignRunner:
-    """A CampaignRunner matching what `cloudbench all` would plan.
+    """The CampaignRunner a campaign command plans from its flags.
 
-    shard/merge rebuild the campaign *plan* from the same flags and
-    defaults as `all`, so every cooperating runner (and the merger)
-    addresses identical store keys — including the seed list of a sweep,
-    the ``--scenario`` and any ``--services-file``/``--scenario-file``
-    registrations.  ``seeds`` lets a caller that already parsed the spec
-    pass it through instead of parsing twice.
+    ``all``, its stage aliases, ``shard`` and ``merge`` build the campaign
+    *plan* from the same flags and defaults, so every cooperating runner
+    (and the merger) addresses identical store keys — including the seed
+    list of a sweep, the ``--scenario`` and any
+    ``--services-file``/``--scenario-file`` registrations.
     """
     try:
         config_kwargs = {}
-        if getattr(args, "populations", None) is not None:
+        if args.populations is not None:
             config_kwargs["load_populations"] = tuple(parse_populations(args.populations))
         return CampaignRunner(
             services,
             _parse_stages(parser, args),
-            seeds=seeds if seeds is not None else _campaign_seeds(parser, args),
-            jobs=jobs,
+            seeds=_campaign_seeds(parser, args),
+            jobs=args.jobs,
             config=CampaignConfig(
                 repetitions=args.repetitions,
                 idle_duration=minutes(args.minutes),
                 resolver_count=args.resolvers,
                 scenario=scenario,
-                rep_cells=getattr(args, "rep_cells", False),
+                rep_cells=args.rep_cells,
                 **config_kwargs,
             ),
             store=store,
-            trace=trace,
+            trace=args.trace_path is not None,
         )
     except ConfigurationError as error:
         parser.error(str(error))
@@ -626,15 +630,22 @@ def store_listing_rows(store: ResultStore) -> List[dict]:
     return rows
 
 
-def _emit_sweep_artifacts(sweep, args: argparse.Namespace, csv_path: Optional[str]) -> None:
-    """Shared sweep tail of `all --seeds` and `merge --seeds`: csv + json.
+def _emit_sweep_artifacts(sweep: SweepResult, args: argparse.Namespace) -> None:
+    """Shared tail of `all` and `merge`: ``--csv`` and ``--json``.
 
-    ``--csv`` writes one CSV per stage: cross-seed aggregate statistics,
-    or consensus rows for stages with no numeric metric — every planned
-    stage gets a file.  ``--json`` writes the deterministic sweep document.
+    ``--csv`` writes the sweep's report rows (:meth:`SweepResult.report_rows
+    <repro.core.sweep.SweepResult.report_rows>`), one file per stage:
+    ``results.csv`` becomes ``results.idle.csv``, ... — unless the campaign
+    plans a single stage, whose rows go to ``results.csv`` itself.
+    ``--json`` writes the deterministic document.
     """
-    if csv_path:
-        for path in _write_stage_csvs(csv_path, sweep.report_rows()):
+    if args.csv:
+        single_stage = len(sweep.stages()) == 1
+        base, extension = os.path.splitext(args.csv)
+        for stage, rows in sweep.report_rows().items():
+            path = args.csv if single_stage else f"{base}.{stage}{extension or '.csv'}"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(to_csv(rows) + "\n")
             print(f"CSV written to {path}")
     if args.json_path:
         write_json(args.json_path, sweep.document())
@@ -663,22 +674,6 @@ def _report_failures(failures: List) -> int:
         print(f"FAILED {failure.summary()}", file=sys.stderr)
     print(f"{len(failures)} campaign cell(s) failed", file=sys.stderr)
     return 1
-
-
-def _print_merged(campaign, merged_rows: List[dict], args: argparse.Namespace, csv_path: Optional[str]) -> None:
-    """Shared tail of the `merge` command: summary, accounting, csv, json."""
-    print(campaign.suite.summary_text())
-    print()
-    print(render_table(merged_rows, title="Per-runner accounting"))
-    print(
-        f"merged {len(campaign.cells)} cell(s), {campaign.cpu_seconds():.2f} s of recorded cell work"
-    )
-    if csv_path:
-        for path in _write_stage_csvs(csv_path, suite_stage_rows(campaign.suite)):
-            print(f"CSV written to {path}")
-    if args.json_path:
-        write_json(args.json_path, campaign.results_json_dict())
-        print(f"JSON written to {args.json_path}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -717,61 +712,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             list_rules=args.lint_list_rules,
             error=parser.error,
         )
-    try:
-        # Register declarative specs first: spec-defined services and
-        # scenarios are then first-class citizens of every flag below.
-        if args.scenario_file is not None:
-            register_scenarios_from_file(args.scenario_file)
-        if args.services_file is not None:
-            register_services_from_file(args.services_file)
-        scenario = get_scenario(args.scenario)
-    except ConfigurationError as error:
-        parser.error(str(error))
-    if args.services:
-        services = [name.strip().lower() for name in args.services.split(",") if name.strip()]
-        unknown = [name for name in services if name not in SERVICE_NAMES]
-        if unknown:
-            parser.error(f"unknown service(s): {', '.join(unknown)}; choose from {', '.join(SERVICE_NAMES)}")
-    else:
-        services = list(SERVICE_NAMES)
-
-    if args.command == "capabilities":
-        matrix = CapabilityProber(seed=args.seed, scenario=scenario).build_matrix(services)
-        _emit(matrix.rows(), render_table(matrix.rows(), title="Table 1 - capabilities"), args.csv)
-    elif args.command == "idle":
-        result = IdleExperiment(services, duration=minutes(args.minutes), seed=args.seed, scenario=scenario).run()
-        _emit(result.rows(), render_table(result.rows(), title="Fig. 1 - idle/background traffic"), args.csv)
-    elif args.command == "datacenters":
-        result = DataCenterExperiment(services, resolver_count=args.resolvers, seed=args.seed).run()
-        text = render_table(result.rows(), title="Fig. 2 / Sec. 3.2 - data centers")
-        edges = result.google_edge_sites()
-        if edges:
-            text += f"\n\nGoogle Drive edge locations discovered: {len(edges)}"
-        _emit(result.rows(), text, args.csv)
-    elif args.command == "connections":
-        wanted = syn_series_services(services)
-        result = SynSeriesExperiment(wanted, seed=args.seed, scenario=scenario).run()
-        _emit(result.rows(), render_table(result.rows(), title="Fig. 3 - TCP connections (100x10kB)"), args.csv)
-    elif args.command == "delta":
-        result = DeltaEncodingExperiment(services, seed=args.seed, scenario=scenario).run()
-        _emit(result.rows(), render_table(result.rows(), title="Fig. 4 - delta encoding"), args.csv)
-    elif args.command == "compression":
-        result = CompressionExperiment(services, seed=args.seed, scenario=scenario).run()
-        _emit(result.rows(), render_table(result.rows(), title="Fig. 5 - compression"), args.csv)
-    elif args.command == "performance":
-        result = PerformanceExperiment(services, repetitions=args.repetitions, seed=args.seed, scenario=scenario).run()
-        workload_order = [workload.name for workload in PAPER_WORKLOADS]
-        text = "\n\n".join(
-            [
-                render_table(result.rows(), title="Fig. 6 - aggregated metrics"),
-                render_grouped_bars(result.figure_series("startup"), group_order=workload_order, title="Fig. 6a - start-up (s)"),
-                render_grouped_bars(result.figure_series("completion"), group_order=workload_order, title="Fig. 6b - completion (s)"),
-                render_grouped_bars(
-                    result.figure_series("overhead"), group_order=workload_order, value_format="{:.3f}", title="Fig. 6c - overhead"
-                ),
-            ]
-        )
-        _emit(result.rows(), text, args.csv)
+    services, scenario = _targets(parser, args)
+    if args.command == "all" or args.command in _STAGE_ALIASES:
+        cache_dir = args.cache_dir
+        if args.resume and cache_dir is None:
+            cache_dir = DEFAULT_CACHE_DIR
+        store = ResultStore(cache_dir) if cache_dir is not None else None
+        sweep = _campaign_runner(parser, args, services, scenario, store).run()
+        print(sweep.summary_text())
+        print()
+        print(sweep.timing_text())
+        if cache_dir is not None:
+            cells = len(sweep.cells())
+            ratio = sweep.cache_hits() / cells if cells else 0.0
+            print(
+                f"result store {cache_dir}: {sweep.cache_hits()} hits, "
+                f"{sweep.cache_misses()} misses ({ratio:.0%} cached)"
+            )
+        _emit_sweep_artifacts(sweep, args)
+        if args.timings_json_path:
+            write_json(args.timings_json_path, sweep.to_json_dict())
+            print(f"Timings JSON written to {args.timings_json_path}")
+        _write_trace_file(args.trace_path, sweep.trace)
+        return _report_failures(sweep.failures())
     elif args.command == "bench":
         results = run_benchmarks(
             quick=args.quick,
@@ -810,85 +773,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"PERFORMANCE REGRESSION: {names}", file=sys.stderr)
                 return 1
             print("no regressions against the baseline")
-    elif args.command == "all":
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-        seeds = _campaign_seeds(parser, args)
-        cache_dir = args.cache_dir
-        if args.resume and cache_dir is None:
-            cache_dir = DEFAULT_CACHE_DIR
-        if len(seeds) > 1:
-            # Seed sweep: the plan is grid x seeds, the report cross-seed
-            # statistics.  (A single seed keeps the legacy campaign path —
-            # and its byte-identical output — below.)
-            store = ResultStore(cache_dir) if cache_dir is not None else None
-            runner = _campaign_runner(
-                parser, args, services, scenario, store=store, jobs=jobs, seeds=seeds,
-                trace=args.trace_path is not None,
-            )
-            sweep = runner.run_sweep()
-            print(sweep.summary_text())
-            print()
-            cells = sweep.cells()
-            print(
-                f"sweep wall-clock {sweep.wall_seconds:.2f} s for "
-                f"{sweep.cpu_seconds():.2f} s of cell work over "
-                f"{len(cells)} cell(s) = {len(seeds)} seed(s) x {len(cells) // len(seeds)} cell(s) "
-                f"({sweep.cpu_seconds() / max(sweep.wall_seconds, 1e-9):.2f}x, jobs={runner.jobs})"
-            )
-            if cache_dir is not None:
-                ratio = sweep.cache_hits() / len(cells) if cells else 0.0
-                print(
-                    f"result store {cache_dir}: {sweep.cache_hits()} hits, "
-                    f"{sweep.cache_misses()} misses ({ratio:.0%} cached)"
-                )
-            _emit_sweep_artifacts(sweep, args, args.csv)
-            if args.timings_json_path:
-                write_json(args.timings_json_path, sweep.to_json_dict())
-                print(f"Timings JSON written to {args.timings_json_path}")
-            _write_trace_file(args.trace_path, sweep.trace)
-            return _report_failures([f for campaign in sweep.campaigns for f in campaign.failures()])
-        # Single seed: the same runner construction as the sweep/shard/merge
-        # paths, so every plan-defining flag (--populations, --rep-cells,
-        # --repetitions, ...) addresses identical store keys everywhere.
-        store = ResultStore(cache_dir) if cache_dir is not None else None
-        runner = _campaign_runner(
-            parser, args, services, scenario, store=store, jobs=jobs,
-            seeds=[seeds[0]], trace=args.trace_path is not None,
-        )
-        campaign = runner.run()
-        result = campaign.suite
-        print(result.summary_text())
-        print()
-        print(render_table(campaign.timing_rows(), title=f"Campaign timing (jobs={campaign.jobs})"))
-        print(
-            f"total wall-clock {campaign.wall_seconds:.2f} s for "
-            f"{campaign.cpu_seconds():.2f} s of cell work "
-            f"({campaign.cpu_seconds() / max(campaign.wall_seconds, 1e-9):.2f}x)"
-        )
-        if cache_dir is not None:
-            total = len(campaign.cells)
-            ratio = campaign.cache_hits() / total if total else 0.0
-            print(
-                f"result store {cache_dir}: {campaign.cache_hits()} hits, "
-                f"{campaign.cache_misses()} misses ({ratio:.0%} cached)"
-            )
-        if args.csv:
-            for path in _write_stage_csvs(args.csv, suite_stage_rows(result)):
-                print(f"CSV written to {path}")
-        if args.json_path:
-            write_json(args.json_path, campaign.results_json_dict())
-            print(f"JSON written to {args.json_path}")
-        if args.timings_json_path:
-            write_json(args.timings_json_path, campaign.to_json_dict())
-            print(f"Timings JSON written to {args.timings_json_path}")
-        _write_trace_file(args.trace_path, campaign.trace)
-        return _report_failures(campaign.failures())
     elif args.command == "shard":
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-        store = ResultStore(args.store)
-        runner = _campaign_runner(
-            parser, args, services, scenario, store=store, jobs=jobs, trace=args.trace_path is not None
-        )
+        runner = _campaign_runner(parser, args, services, scenario, ResultStore(args.store))
         try:
             spec = parse_shard_spec(args.shard_spec) if args.shard_spec is not None else None
             worker = ShardWorker(
@@ -917,32 +803,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if report.failed:
             return 1
     elif args.command == "merge":
-        store = ResultStore(args.store)
-        runner = _campaign_runner(
-            parser, args, services, scenario, store=store, jobs=1, trace=args.trace_path is not None
-        )
-        merger = CampaignMerger(runner)
+        runner = _campaign_runner(parser, args, services, scenario, ResultStore(args.store))
         try:
-            merged = merger.collect(wait=args.wait, timeout=args.timeout)
+            merged = CampaignMerger(runner).collect(wait=args.wait, timeout=args.timeout)
         except DistributionError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
-        if len(runner.seeds) > 1:
-            # A sweep merge reports cross-seed aggregates (and the sweep
-            # document), not one mixed-seed suite.
-            sweep = merged.sweep
-            print(sweep.summary_text())
-            print()
-            print(render_table(merged.runner_rows(), title="Per-runner accounting"))
-            print(
-                f"merged {len(sweep.cells())} cell(s) across {len(runner.seeds)} seed(s), "
-                f"{sweep.cpu_seconds():.2f} s of recorded cell work"
-            )
-            _emit_sweep_artifacts(sweep, args, args.csv)
-            _write_trace_file(args.trace_path, sweep.trace)
-        else:
-            _print_merged(merged.campaign, merged.runner_rows(), args, args.csv)
-            _write_trace_file(args.trace_path, merged.sweep.trace)
+        sweep = merged.sweep
+        print(sweep.summary_text())
+        print()
+        print(render_table(merged.runner_rows(), title="Per-runner accounting"))
+        print(
+            f"merged {len(sweep.cells())} cell(s) across {len(sweep.seeds)} seed(s), "
+            f"{sweep.cpu_seconds():.2f} s of recorded cell work"
+        )
+        _emit_sweep_artifacts(sweep, args)
+        _write_trace_file(args.trace_path, sweep.trace)
     elif args.command == "cache":
         store = ResultStore(args.store)
         if args.cache_command == "ls":

@@ -12,8 +12,10 @@ paper's testing application:
   bundling, deduplication, delta encoding and compression (Table 1);
 * :mod:`repro.core.experiments` — one experiment class per figure/table of
   the evaluation;
-* :mod:`repro.core.runner` — the full benchmark suite (8 experiments with
-  repetitions and cool-down pauses);
+* :mod:`repro.core.campaign` — the campaign engine: runs every (stage,
+  service, unit, seed) cell and folds each seed's cells into one
+  :mod:`repro.core.runner` ``SuiteResult``, reduced across seeds by
+  :mod:`repro.core.sweep`;
 * :mod:`repro.core.report` — plain-text/CSV rendering of the paper's tables
   and figure series.
 """
@@ -37,7 +39,7 @@ from repro.core.capabilities import (
     DeltaEncodingResult,
     CompressionResult,
 )
-from repro.core.runner import BenchmarkSuite, SuiteResult
+from repro.core.runner import SuiteResult
 from repro.core.sweep import SweepResult, sweep_from_results
 from repro.core.report import render_table, to_csv
 
@@ -60,7 +62,6 @@ __all__ = [
     "DeduplicationResult",
     "DeltaEncodingResult",
     "CompressionResult",
-    "BenchmarkSuite",
     "SuiteResult",
     "SweepResult",
     "sweep_from_results",

@@ -14,21 +14,21 @@ fine-grained:
 * :func:`run_cell` — executes one cell and times it (a module-level function
   so cells can be shipped to ``concurrent.futures`` worker processes);
 * :class:`CampaignRunner` — plans the cell grid, fans it out over a process
-  pool (``jobs`` workers) and merges the per-cell payloads back into the
-  exact :class:`~repro.core.runner.SuiteResult` the sequential runner used
-  to produce, so ``summary_text()`` and every table/figure renderer are
-  untouched.  Given a :class:`~repro.core.store.ResultStore`, the runner
-  consults the store before dispatching: already-computed cells are loaded,
-  fresh cells are persisted as they complete, and an interrupted or
+  pool (``jobs`` workers) and merges the per-cell payloads back into one
+  :class:`~repro.core.runner.SuiteResult` per seed, so ``summary_text()``
+  and every table/figure renderer see the same merged containers however
+  the cells ran.  Given a :class:`~repro.core.store.ResultStore`, the
+  runner consults the store before dispatching: already-computed cells are
+  loaded, fresh cells are persisted as they complete, and an interrupted or
   extended campaign resumes incrementally — cached and freshly-computed
   cells merge into a bit-identical suite.
 
-A campaign plan is really ``grid × seeds``: :class:`CampaignRunner`
-accepts a *seed list*, plans the same (stage, service, unit) grid once per
-seed (ascending), and :meth:`CampaignRunner.run_sweep` groups the per-seed
-results into a :class:`~repro.core.sweep.SweepResult` whose cross-seed
-statistics live in :mod:`repro.core.sweep`.  A single-seed campaign plans
-exactly the cell list it always did.
+A campaign plan is ``grid × seeds``: :class:`CampaignRunner` accepts a
+*seed list*, plans the same (stage, service, unit) grid once per seed
+(ascending), and :meth:`CampaignRunner.run` groups the per-seed results
+into a :class:`~repro.core.sweep.SweepResult` whose cross-seed statistics
+live in :mod:`repro.core.sweep`.  A single-seed campaign is a sweep of one,
+and plans exactly the cell list it always did.
 
 Determinism: every cell carries the campaign seed, and each experiment
 derives its random streams from ``(seed, service, ...)`` labels
@@ -38,8 +38,8 @@ of scheduling, of which other cells run, and of whether they run in the
 same process.  That purity is exactly what makes the identity usable as a
 cache key.  Merging happens in plan order, never completion order.
 ``jobs=4`` therefore produces results bit-identical to ``jobs=1``, which in
-turn are bit-identical to the standalone per-stage commands and to a
-cache-served re-run for the same seed.
+turn are bit-identical to the standalone experiments' ``run()`` loops and
+to a cache-served re-run for the same seed.
 """
 
 from __future__ import annotations
@@ -114,8 +114,7 @@ def syn_series_services(services: Sequence[str]) -> List[str]:
     (plan-order compatibility with every earlier release); other services
     join — in the caller's order — when their declarative connection
     policy shows the same per-file pattern, so a spec-defined service with
-    per-file connections gets its SYN series both in the campaign and in
-    the standalone ``connections`` subcommand.  Falls back to all of
+    per-file connections gets its SYN series.  Falls back to all of
     ``services`` when none qualifies (the pre-existing behaviour for e.g.
     ``--services dropbox connections``).
     """
@@ -143,6 +142,10 @@ def default_jobs() -> int:
 class CampaignConfig:
     """The fidelity/runtime knobs shared by every cell of one campaign.
 
+    The field defaults are the one defaults table of every entry point:
+    ``cloudbench all``, its per-stage aliases, ``shard``/``merge`` and the
+    ``cloudbench bench`` campaign macro-benchmark all read them.
+
     ``scenario`` is the network condition the whole campaign runs under
     (:class:`~repro.netsim.scenario.ScenarioSpec`): it travels inside every
     cell, is part of every cache key, and defaults to the identity
@@ -152,9 +155,9 @@ class CampaignConfig:
     via :func:`init_worker_services`.)
     """
 
-    repetitions: int = 3
+    repetitions: int = 2
     idle_duration: float = minutes(16)
-    resolver_count: int = 500
+    resolver_count: int = 300
     planetlab_count: int = 300
     scenario: ScenarioSpec = field(default_factory=lambda: BASELINE)
     #: Population sizes the ``load`` stage plans one unit cell per (the
@@ -525,10 +528,9 @@ def init_worker_services(payload: Sequence[dict]) -> None:
 
 @dataclass
 class CampaignResult:
-    """Everything one campaign run produces: merged suite + per-cell accounting.
+    """One seed's campaign: merged suite + per-cell accounting.
 
-    ``trace`` is the campaign's trace document (cells' flight records plus
-    the harness section) when the run was traced, else ``None``.
+    A :class:`~repro.core.sweep.SweepResult` holds one per sweep seed.
     """
 
     suite: "SuiteResult"
@@ -536,7 +538,6 @@ class CampaignResult:
     seed: int
     jobs: int
     wall_seconds: float
-    trace: Optional[dict] = None
 
     def timing_rows(self) -> List[dict]:
         """Per-cell wall-clock rows (plan order), for the timing table."""
@@ -633,17 +634,16 @@ class CampaignRunner:
         # Deduplicate while keeping the canonical stage order.
         self.stages = [stage for stage in STAGES if stage in wanted]
         self.jobs = max(1, jobs if jobs is not None else default_jobs())
-        # ``seeds`` turns the campaign into a sweep: the same grid is
-        # planned once per seed.  The list is deduplicated and sorted so a
-        # sweep's plan — and therefore every downstream artifact — is
-        # independent of the order the seeds were spelled in.
+        # Every campaign is a sweep: the same grid is planned once per seed
+        # (``seed`` alone is a sweep of one).  The list is deduplicated and
+        # sorted so a sweep's plan — and therefore every downstream
+        # artifact — is independent of the order the seeds were spelled in.
         if seeds is not None:
             self.seeds = sorted(dict.fromkeys(int(value) for value in seeds))
             if not self.seeds:
                 raise ConfigurationError("a seed sweep needs at least one seed")
         else:
             self.seeds = [seed]
-        self.seed = self.seeds[0]
         self.config = config if config is not None else CampaignConfig()
         self.store = store
         # Tracing: each cell gets its own recording tracer inside run_cell
@@ -663,9 +663,9 @@ class CampaignRunner:
         random streams are nevertheless independent because each experiment
         derives them from ``(seed, service, ...)`` labels.  A single-stage,
         single-seed campaign therefore reproduces the standalone experiment
-        (and the standalone CLI subcommand) bit-for-bit.  Within one
-        (stage, service), units appear in the stage's canonical order, so
-        folding in plan order reproduces the sequential run order exactly.
+        bit-for-bit.  Within one (stage, service), units appear in the
+        stage's canonical order, so folding in plan order reproduces the
+        sequential run order exactly.
         """
         plan: List[CampaignCell] = []
         for seed in self.seeds:
@@ -684,67 +684,45 @@ class CampaignRunner:
             return syn_series_services(self.services)
         return list(self.services)
 
-    def run(self, cells: Optional[Sequence[CampaignCell]] = None) -> CampaignResult:
-        """Execute every cell (in parallel for ``jobs > 1``) and merge.
+    def run(self) -> "SweepResult":
+        """Execute the whole plan (in parallel for ``jobs > 1``), per seed.
 
         With a result store attached, cells already in the store are loaded
         instead of dispatched, and freshly computed cells are persisted *as
         they complete* — so an interrupted campaign loses at most the cells
-        still in flight and ``--resume`` picks up from the survivors.
-
-        ``cells`` restricts execution to an explicit subset of the plan (in
-        the order given) — this is how a shard worker (:mod:`repro.dist`)
-        runs just its own slice of the grid against the shared store; the
-        merged suite then covers only those cells.  For a multi-seed sweep
-        prefer :meth:`run_sweep`, which keeps the per-seed results apart;
-        ``run()`` folds whatever cells it executed into one suite.
+        still in flight and ``--resume`` picks up from the survivors.  The
+        completed cells are grouped into one :class:`CampaignResult` per
+        seed; a single-seed campaign is a sweep of one.
         """
-        plan = list(cells) if cells is not None else self.cells()
         started = time.perf_counter()
-        completed = self._execute(plan)
-        return CampaignResult(
-            suite=merge_cell_results(completed),
-            cells=completed,
-            seed=self.seed,
-            jobs=self.jobs,
-            wall_seconds=time.perf_counter() - started,
-            trace=self.trace_document(completed),
-        )
+        return self.sweep(self.run_cells(self.cells()), started=started)
 
-    def run_sweep(self) -> "SweepResult":
-        """Execute the full seed-expanded plan and group results per seed.
+    def sweep(self, results: Sequence[CellResult], *, started: float) -> "SweepResult":
+        """Group plan-ordered ``results`` into this campaign's sweep.
 
-        Every cell — across all sweep seeds — goes through the same store
-        consultation and process pool as :meth:`run`, so cache resume and
-        ``--jobs`` parallelism span the whole sweep; the completed cells
-        are then grouped into one :class:`~repro.core.campaign.CampaignResult`
-        per seed and reduced into a :class:`~repro.core.sweep.SweepResult`.
+        ``started`` is the :func:`time.perf_counter` reading the sweep's
+        wall clock runs from.  The distributed merger folds the cells it
+        reads back from the store through here as well.
         """
         from repro.core.sweep import sweep_from_results  # circular-free: sweep builds on this module
 
-        started = time.perf_counter()
-        completed = self._execute(self.cells())
         sweep = sweep_from_results(
-            completed,
+            results,
             seeds=self.seeds,
             jobs=self.jobs,
             wall_seconds=time.perf_counter() - started,
         )
-        sweep.trace = self.trace_document(completed)
+        sweep.trace = self.trace_document(results)
         return sweep
 
     def run_cells(self, cells: Sequence[CampaignCell]) -> List[CellResult]:
-        """Execute the given cells and return the results, without merging.
+        """Run the given cells (store-aware, possibly in parallel), in order.
 
-        Same store-aware, parallel execution as :meth:`run`, but no
-        :class:`SuiteResult` fold — shard workers (:mod:`repro.dist`) use
-        this for their slice, whose cells may span several sweep seeds and
-        therefore have no meaningful single merged suite.
+        No :class:`SuiteResult` fold: shard workers (:mod:`repro.dist`) run
+        their slice of the plan through this, and a slice may span several
+        sweep seeds.
         """
-        return self._execute(list(cells))
-
-    def _execute(self, plan: Sequence[CampaignCell]) -> List[CellResult]:
-        """Run the given cells (store-aware, possibly in parallel), plan order."""
+        plan = list(cells)
         results: List[Optional[CellResult]] = [None] * len(plan)
         pending: List[int] = []
         with activate(self.tracer):
@@ -799,7 +777,7 @@ def merge_cell_results(results: Sequence[CellResult]) -> "SuiteResult":
     services and rows exactly as the old sequential loops did — regardless
     of whether each payload was computed this run or loaded from the store.
     """
-    from repro.core.runner import SuiteResult  # local import: runner builds on this module
+    from repro.core.runner import SuiteResult  # local import: cell execution never needs it
 
     suite = SuiteResult()
     for result in results:

@@ -1,40 +1,30 @@
-"""The full benchmark suite: every table and figure in one run.
+"""The merged result of one campaign: every table and figure of the paper.
 
-:class:`BenchmarkSuite` strings together the capability matrix (Table 1) and
-the six figure experiments, with knobs to trade fidelity (repetitions,
-resolver counts, idle duration) against runtime.  It is what the
-``cloudbench all`` command line drives.
-
-Since every (stage, service) pair is an independent simulation, the suite
-delegates execution to the cell-based
-:class:`~repro.core.campaign.CampaignRunner`, which can fan the cells out
-over a process pool (``jobs``) while producing bit-identical results to a
-sequential run.
+:class:`SuiteResult` holds one merged container per campaign stage — the
+capability matrix (Table 1), the six figure experiments and the load
+stage — and renders them as the ASCII report every ``cloudbench``
+campaign command prints.  The campaign engine
+(:class:`~repro.core.campaign.CampaignRunner`) plans, runs and folds the
+cells that fill it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.core.campaign import STAGES, CampaignConfig, CampaignResult, CampaignRunner, syn_series_services
-from repro.core.store import ResultStore
-from repro.core.capabilities import CapabilityMatrix, CapabilityProber
-from repro.core.experiments.compression import CompressionExperiment, CompressionExperimentResult
-from repro.core.experiments.datacenters import DataCenterExperiment, DataCenterResult
-from repro.core.experiments.delta import DeltaEncodingExperiment, DeltaResult
-from repro.core.experiments.idle import IdleExperiment, IdleResult
-from repro.core.experiments.performance import PerformanceExperiment, PerformanceResult
-from repro.core.experiments.synseries import SynSeriesExperiment, SynSeriesResult
+from repro.core.capabilities import CapabilityMatrix
+from repro.core.experiments.compression import CompressionExperimentResult
+from repro.core.experiments.datacenters import DataCenterResult
+from repro.core.experiments.delta import DeltaResult
+from repro.core.experiments.idle import IdleResult
+from repro.core.experiments.performance import PerformanceResult
+from repro.core.experiments.synseries import SynSeriesResult
 from repro.core.report import render_grouped_bars, render_table
 from repro.core.workloads import PAPER_WORKLOADS
 from repro.load.population import LoadStageResult
-from repro.netsim.scenario import BASELINE, ScenarioSpec
-from repro.randomness import DEFAULT_SEED
-from repro.services.registry import SERVICE_NAMES
-from repro.units import minutes
 
-__all__ = ["SuiteResult", "BenchmarkSuite"]
+__all__ = ["SuiteResult"]
 
 
 @dataclass
@@ -59,6 +49,9 @@ class SuiteResult:
             sections.append(render_table(self.idle.rows(), title="Fig. 1 — idle/background traffic"))
         if self.datacenters is not None:
             sections.append(render_table(self.datacenters.rows(), title="Fig. 2 / §3.2 — data centers"))
+            edges = self.datacenters.google_edge_sites()
+            if edges:
+                sections.append(f"Google Drive edge locations discovered: {len(edges)}")
         if self.syn_series is not None:
             sections.append(render_table(self.syn_series.rows(), title="Fig. 3 — TCP connections for 100x10kB"))
         if self.delta is not None:
@@ -67,6 +60,7 @@ class SuiteResult:
             sections.append(render_table(self.compression.rows(), title="Fig. 5 — compression"))
         if self.performance is not None:
             workload_order = [workload.name for workload in PAPER_WORKLOADS]
+            sections.append(render_table(self.performance.rows(), title="Fig. 6 — aggregated metrics"))
             sections.append(
                 render_grouped_bars(
                     self.performance.figure_series("startup"), group_order=workload_order, title="Fig. 6a — start-up time (s)"
@@ -92,107 +86,3 @@ class SuiteResult:
                 render_table(self.load.rows(), title="Load — open population, tail latency and fairness")
             )
         return "\n\n".join(sections)
-
-
-class BenchmarkSuite:
-    """Run the whole benchmarking campaign of the paper."""
-
-    def __init__(
-        self,
-        services: Optional[Sequence[str]] = None,
-        *,
-        repetitions: int = 3,
-        idle_duration: float = minutes(16),
-        resolver_count: int = 500,
-        seed: int = DEFAULT_SEED,
-        scenario: Optional[ScenarioSpec] = None,
-    ) -> None:
-        self.services = list(services) if services is not None else list(SERVICE_NAMES)
-        self.repetitions = repetitions
-        self.idle_duration = idle_duration
-        self.resolver_count = resolver_count
-        self.seed = seed
-        self.scenario = scenario if scenario is not None else BASELINE
-
-    # Individual stages ---------------------------------------------------- #
-    def run_capabilities(self) -> CapabilityMatrix:
-        """Table 1."""
-        return CapabilityProber(seed=self.seed, scenario=self.scenario).build_matrix(self.services)
-
-    def run_idle(self) -> IdleResult:
-        """Fig. 1."""
-        return IdleExperiment(
-            self.services, duration=self.idle_duration, seed=self.seed, scenario=self.scenario
-        ).run()
-
-    def run_datacenters(self) -> DataCenterResult:
-        """Fig. 2 / §3.2."""
-        return DataCenterExperiment(self.services, resolver_count=self.resolver_count, seed=self.seed).run()
-
-    def run_syn_series(self) -> SynSeriesResult:
-        """Fig. 3."""
-        services = syn_series_services(self.services)
-        return SynSeriesExperiment(services, seed=self.seed, scenario=self.scenario).run()
-
-    def run_delta(self) -> DeltaResult:
-        """Fig. 4."""
-        return DeltaEncodingExperiment(self.services, seed=self.seed, scenario=self.scenario).run()
-
-    def run_compression(self) -> CompressionExperimentResult:
-        """Fig. 5."""
-        return CompressionExperiment(self.services, seed=self.seed, scenario=self.scenario).run()
-
-    def run_performance(self) -> PerformanceResult:
-        """Fig. 6."""
-        return PerformanceExperiment(
-            self.services, repetitions=self.repetitions, seed=self.seed, scenario=self.scenario
-        ).run()
-
-    # Whole campaign -------------------------------------------------------- #
-    def run_campaign(
-        self,
-        stages: Optional[Sequence[str]] = None,
-        *,
-        jobs: int = 1,
-        cache_dir: Optional[str] = None,
-        trace: bool = False,
-    ) -> CampaignResult:
-        """Run the requested stages through the campaign engine.
-
-        Returns the full :class:`~repro.core.campaign.CampaignResult`, which
-        carries per-cell wall-clock timings next to the merged suite.  Stage
-        names are validated up front: a typo raises
-        :class:`~repro.errors.ConfigurationError` listing the valid stages
-        instead of silently running nothing.  With ``cache_dir``, cells
-        already present in the persistent result store under that directory
-        are loaded instead of re-run, and fresh cells are saved as they
-        complete — so an interrupted or extended campaign resumes
-        incrementally.  With ``trace``, every cell records a flight
-        recorder document and the returned result carries the assembled
-        campaign trace (see :mod:`repro.obs`).
-        """
-        runner = CampaignRunner(
-            self.services,
-            stages if stages is not None else list(STAGES),
-            seed=self.seed,
-            jobs=jobs,
-            config=CampaignConfig(
-                repetitions=self.repetitions,
-                idle_duration=self.idle_duration,
-                resolver_count=self.resolver_count,
-                scenario=self.scenario,
-            ),
-            store=ResultStore(cache_dir) if cache_dir is not None else None,
-            trace=trace,
-        )
-        return runner.run()
-
-    def run(
-        self,
-        stages: Optional[Sequence[str]] = None,
-        *,
-        jobs: int = 1,
-        cache_dir: Optional[str] = None,
-    ) -> SuiteResult:
-        """Run the requested stages (default: all of them) and collect the results."""
-        return self.run_campaign(stages, jobs=jobs, cache_dir=cache_dir).suite

@@ -3,10 +3,11 @@
 The paper never reports single runs — every performance number is a robust
 summary of repeated tests — and single-sample cloud benchmarks are
 methodologically unsound.  This module is the reduction layer of the
-``grid × seeds`` campaign plan: :class:`CampaignRunner.run_sweep()
-<repro.core.campaign.CampaignRunner>` (and the distributed merger) executes
-one :class:`~repro.core.campaign.CampaignCell` per (stage, service, unit,
-seed) and hands the plan-ordered cell results here, where they are
+``grid × seeds`` campaign plan: :meth:`CampaignRunner.run()
+<repro.core.campaign.CampaignRunner.run>` (and the distributed merger)
+executes one :class:`~repro.core.campaign.CampaignCell` per (stage,
+service, unit, seed) and hands the plan-ordered cell results here, where
+they are
 
 * grouped into one per-seed :class:`~repro.core.campaign.CampaignResult`
   (each seed's slice is exactly the single-seed campaign for that seed);
@@ -23,8 +24,11 @@ identities and payloads.  Because the campaign engine normalizes the seed
 list (sorted, deduplicated) and merging happens in plan order, the sweep
 document is bit-identical across ``--jobs N``, sharded multi-runner and
 cache-resumed executions, and independent of the order the seeds were
-spelled in.  A one-seed sweep collapses to the legacy single-seed results
-document, byte for byte.
+spelled in.
+
+Every campaign is a sweep; a one-seed sweep keeps the single-seed forms of
+every output — the per-stage summary tables, the per-stage report rows,
+the execution record and the results document, byte for byte.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.campaign import (
     STAGES,
     CampaignResult,
+    CellFailure,
     CellResult,
     merge_cell_results,
+    suite_stage_rows,
 )
 from repro.core.metrics import MetricAggregate
 from repro.core.report import render_table
@@ -158,7 +164,9 @@ class SweepResult:
 
     ``campaigns`` holds one :class:`~repro.core.campaign.CampaignResult`
     per sweep seed, ascending seed order; each one is exactly the
-    single-seed campaign that seed would have produced on its own.
+    single-seed campaign that seed would have produced on its own.  With
+    one seed, every report below is that campaign's own single-seed form;
+    with several, it reduces across seeds.
     """
 
     campaigns: List[CampaignResult]
@@ -180,6 +188,11 @@ class SweepResult:
         """The sweep's seeds, ascending."""
         return [campaign.seed for campaign in self.campaigns]
 
+    @property
+    def _single(self) -> Optional[CampaignResult]:
+        """The one campaign of a one-seed sweep, else ``None``."""
+        return self.campaigns[0] if len(self.campaigns) == 1 else None
+
     def cells(self) -> List[CellResult]:
         """Every cell result across all seeds, plan order (seed-major)."""
         return [result for campaign in self.campaigns for result in campaign.cells]
@@ -188,6 +201,10 @@ class SweepResult:
         """The stages the sweep covers, canonical order."""
         present = {result.cell.stage for result in self.cells()}
         return [stage for stage in STAGES if stage in present]
+
+    def failures(self) -> List[CellFailure]:
+        """Every failed cell's context record, plan order."""
+        return [failure for campaign in self.campaigns for failure in campaign.failures()]
 
     def cpu_seconds(self) -> float:
         """Sum of per-cell wall clocks across all seeds."""
@@ -228,12 +245,14 @@ class SweepResult:
         return self._reduced()[1]
 
     def report_rows(self) -> Dict[str, List[dict]]:
-        """Per-stage sweep report rows: aggregates, or consensus as fallback.
+        """Per-stage report rows: what ``--csv`` writes, one file per stage.
 
-        Every planned stage appears exactly once — this is what the CLI
-        renders and what ``--csv`` writes, so no stage silently vanishes
-        from a multi-seed report.
+        One seed: the merged suite's ordinary rows.  Several: aggregates,
+        or consensus as fallback — every planned stage appears exactly
+        once, so no stage silently vanishes from a multi-seed report.
         """
+        if self._single is not None:
+            return suite_stage_rows(self._single.suite)
         rows = dict(self.aggregate_rows())
         rows.update(self.consensus_rows())
         return {stage: rows[stage] for stage in self.stages() if stage in rows}
@@ -241,11 +260,13 @@ class SweepResult:
     def summary_text(self) -> str:
         """Human-readable sweep digest: one table per stage.
 
-        Stages with numeric metrics render their cross-seed aggregate
-        statistics; purely non-numeric stages render their consensus rows
-        (``~`` marking seed-dependent values) so the full campaign stays
-        visible.
+        One seed: the merged suite's tables and figures.  Several: stages
+        with numeric metrics render their cross-seed aggregate statistics;
+        purely non-numeric stages render their consensus rows (``~``
+        marking seed-dependent values) so the full campaign stays visible.
         """
+        if self._single is not None:
+            return self._single.suite.summary_text()
         seeds = self.seeds
         sections = [
             f"Seed sweep — {len(seeds)} seed(s): {', '.join(str(seed) for seed in seeds)}"
@@ -275,8 +296,8 @@ class SweepResult:
         with several it wraps the per-seed documents and the cross-seed
         aggregates under :data:`SWEEP_DOC_VERSION`.
         """
-        if len(self.campaigns) == 1:
-            return self.campaigns[0].results_json_dict()
+        if self._single is not None:
+            return self._single.results_json_dict()
         rows_by_stage = self.aggregate_rows()
         first = self.campaigns[0]
         return {
@@ -290,15 +311,38 @@ class SweepResult:
             "per_seed": [campaign.results_json_dict() for campaign in self.campaigns],
         }
 
+    def timing_text(self) -> str:
+        """The run-specific wall-clock report printed after the summary.
+
+        One seed: the per-cell timing table and the campaign speedup line.
+        Several: one sweep line (a per-cell table would repeat the grid
+        once per seed).
+        """
+        speedup = self.cpu_seconds() / max(self.wall_seconds, 1e-9)
+        if self._single is not None:
+            table = render_table(self._single.timing_rows(), title=f"Campaign timing (jobs={self.jobs})")
+            return (
+                f"{table}\ntotal wall-clock {self.wall_seconds:.2f} s for "
+                f"{self.cpu_seconds():.2f} s of cell work ({speedup:.2f}x)"
+            )
+        cells = len(self.cells())
+        return (
+            f"sweep wall-clock {self.wall_seconds:.2f} s for {self.cpu_seconds():.2f} s of cell work over "
+            f"{cells} cell(s) = {len(self.seeds)} seed(s) x {cells // len(self.seeds)} cell(s) "
+            f"({speedup:.2f}x, jobs={self.jobs})"
+        )
+
     def to_json_dict(self) -> dict:
         """Machine-readable sweep *execution* record (timings, cache hits).
 
-        Like :meth:`CampaignResult.to_json_dict
-        <repro.core.campaign.CampaignResult.to_json_dict>` this includes
-        run-specific fields, so two executions of the same sweep generally
-        serialize differently; the deterministic artifact is
+        One seed: that campaign's record, :meth:`CampaignResult.to_json_dict
+        <repro.core.campaign.CampaignResult.to_json_dict>`.  Either way it
+        includes run-specific fields, so two executions of the same sweep
+        generally serialize differently; the deterministic artifact is
         :meth:`document`.
         """
+        if self._single is not None:
+            return self._single.to_json_dict()
         return {
             "seeds": self.seeds,
             "jobs": self.jobs,
@@ -324,7 +368,7 @@ def sweep_from_results(
     :class:`~repro.errors.ExperimentError` rather than silently aggregating
     mismatched grids.  Each per-seed campaign's ``wall_seconds`` is its
     sequential-equivalent cell time — the sweep-level wall clock is the
-    only real one.
+    only real one, and the one campaign of a one-seed sweep carries it.
     """
     groups: Dict[int, List[CellResult]] = {int(seed): [] for seed in seeds}
     for result in results:
@@ -352,7 +396,7 @@ def sweep_from_results(
                 cells=group,
                 seed=seed,
                 jobs=jobs,
-                wall_seconds=sum(result.wall_seconds for result in group),
+                wall_seconds=wall_seconds if len(groups) == 1 else sum(result.wall_seconds for result in group),
             )
         )
     return SweepResult(campaigns=campaigns, jobs=jobs, wall_seconds=wall_seconds)

@@ -12,21 +12,19 @@ shared store directory:
   coordination media.
 * :class:`CampaignMerger` — usually run once, anywhere, after (or while)
   the workers run.  Re-plans the same grid, waits for every cell to appear
-  in the store, folds the payloads through
-  :func:`repro.core.campaign.merge_cell_results` in plan order and reports
-  which runner computed what.
+  in the store, folds the payloads in plan order into the same per-seed
+  :class:`~repro.core.sweep.SweepResult` that
+  :meth:`CampaignRunner.run() <repro.core.campaign.CampaignRunner.run>`
+  returns, and reports which runner computed what.
 
 Because each cell's payload is a pure function of its identity and merging
-happens in plan order, the merged suite — tables, CSVs and the
+happens in plan order, the merged sweep — tables, CSVs and the
 deterministic ``--json`` document — is bit-identical to what a sequential
-``cloudbench all --jobs 1`` produces for the same seed and config, no
+``cloudbench all --jobs 1`` produces for the same seeds and config, no
 matter how many workers took part, how work was split, or how often a
-worker died and was relaunched.  The same holds for multi-seed sweeps:
-workers shard the seed-expanded plan (the seed is a plan dimension, so the
-dealing stays disjoint and exhaustive across seeds), and the merger folds
-the store back into a per-seed-grouped :class:`~repro.core.sweep.SweepResult`
-whose sweep document matches ``cloudbench all --seeds ... --json`` byte for
-byte.
+worker died and was relaunched.  Workers shard the seed-expanded plan (the
+seed is a plan dimension, so the dealing stays disjoint and exhaustive
+across seeds).
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from repro.core.campaign import (
     worker_service_payload,
 )
 from repro.core.store import ResultStore
-from repro.core.sweep import SweepResult, sweep_from_results
+from repro.core.sweep import SweepResult
 from repro.dist.claims import DEFAULT_LEASE_TIMEOUT, ClaimBoard
 from repro.dist.plan import ShardPlan, ShardSpec
 from repro.errors import DistributionError
@@ -256,8 +254,8 @@ class ShardWorker:
                 report.hits += 1
                 progressed = True
             elif self.claims.claim(cell):
-                # Match campaign._execute: the trace argument only appears
-                # when tracing, keeping run_cell's one-argument shape stable.
+                # Match CampaignRunner.run_cells: the trace argument only
+                # appears when tracing, keeping run_cell's one-argument shape.
                 future = pool.submit(run_cell, cell, True) if self.runner.trace else pool.submit(run_cell, cell)
                 in_flight[future] = cell
                 if tracer.enabled:
@@ -273,12 +271,11 @@ class MergedCampaign:
 
     ``sweep`` groups the collected cells per seed
     (:class:`~repro.core.sweep.SweepResult`) — for a single-seed campaign
-    it holds exactly one per-seed campaign; for a multi-seed sweep it is
-    the artifact ``cloudbench merge --seeds`` reports.  :attr:`campaign`
-    is the single-seed view and raises for a multi-seed merge: folding
-    cells of several seeds into one suite would silently mix semantics
-    (map-folded stages would keep only the last seed, list-folded stages
-    would duplicate rows per seed).
+    it holds exactly one per-seed campaign — and is the artifact
+    ``cloudbench merge`` reports.  :attr:`campaign` is the single-seed view
+    and raises for a multi-seed merge: folding cells of several seeds into
+    one suite would silently mix semantics (map-folded stages would keep
+    only the last seed, list-folded stages would duplicate rows per seed).
     """
 
     sweep: SweepResult
@@ -391,17 +388,9 @@ class CampaignMerger:
             if deadline is not None and time.monotonic() >= deadline:
                 raise DistributionError(self._missing_message(missing, "timed out waiting for"))
             time.sleep(self.poll_interval)
-        results = [entry.result for entry in entries]
-        sweep = sweep_from_results(
-            results,
-            seeds=self.runner.seeds,
-            jobs=self.runner.jobs,
-            wall_seconds=time.perf_counter() - started,
-        )
-        if self.runner.trace:
-            # Flight records ride the store sidecars, so a traced merge can
-            # reassemble the full campaign trace without recomputing a cell.
-            sweep.trace = self.runner.trace_document(results)
+        # Flight records ride the store sidecars, so a traced merge
+        # reassembles the full campaign trace without recomputing a cell.
+        sweep = self.runner.sweep([entry.result for entry in entries], started=started)
         runner_cells: Counter = Counter()
         runner_cpu: Dict[str, float] = {}
         for entry in entries:

@@ -292,11 +292,10 @@ def bench_campaign(
     holder: Dict[str, object] = {}
 
     def workload() -> None:
-        holder["campaign"] = runner.run()
+        holder["sweep"] = runner.run()
 
     wall = measure_seconds(workload)
-    campaign = holder["campaign"]
-    cell_count = len(campaign.cells)
+    cell_count = len(holder["sweep"].cells())
     params: Dict[str, object] = {
         "services": ",".join(services),
         "repetitions": int(repetitions),
@@ -360,7 +359,13 @@ def run_benchmarks(
         campaign_knobs = dict(repetitions=1, idle_minutes=4.0, resolvers=100)
         campaign_services = services[:2]
     else:
-        campaign_knobs = dict(repetitions=2, idle_minutes=16.0, resolvers=300)
+        # The full suite times the grid `cloudbench all` runs by default.
+        defaults = CampaignConfig()
+        campaign_knobs = dict(
+            repetitions=defaults.repetitions,
+            idle_minutes=defaults.idle_duration / minutes(1),
+            resolvers=defaults.resolver_count,
+        )
         campaign_services = services
     if include_campaign:
         results.extend(

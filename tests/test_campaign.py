@@ -17,7 +17,6 @@ from repro.core.campaign import (
     run_cell,
     suite_stage_rows,
 )
-from repro.core.runner import BenchmarkSuite
 from repro.core.workloads import PAPER_WORKLOADS
 from repro.errors import ConfigurationError
 from repro.services.registry import SERVICE_NAMES
@@ -85,7 +84,7 @@ class TestCampaignPlan:
         # disagreed with the standalone subcommands at the same seed.
         from repro.core.experiments.synseries import SynSeriesExperiment
 
-        campaign = CampaignRunner(["googledrive"], ["syn_series"], seed=99, jobs=1, config=CONFIG).run()
+        campaign = CampaignRunner(["googledrive"], ["syn_series"], seed=99, jobs=1, config=CONFIG).run().campaigns[0]
         standalone = SynSeriesExperiment(["googledrive"], seed=99).run()
         assert campaign.suite.syn_series.rows() == standalone.rows()
 
@@ -98,7 +97,8 @@ class TestCampaignPlan:
         from repro.core.experiments.compression import CompressionExperiment
         from repro.core.experiments.performance import PerformanceExperiment
 
-        campaign = CampaignRunner(["dropbox"], ["compression", "performance"], seed=7, jobs=1, config=CONFIG).run()
+        runner = CampaignRunner(["dropbox"], ["compression", "performance"], seed=7, jobs=1, config=CONFIG)
+        campaign = runner.run().campaigns[0]
         assert campaign.suite.compression.rows() == CompressionExperiment(["dropbox"], seed=7).run().rows()
         standalone_perf = PerformanceExperiment(["dropbox"], repetitions=1, seed=7).run()
         assert campaign.suite.performance.rows() == standalone_perf.rows()
@@ -108,7 +108,7 @@ class TestCampaignPlan:
         cell = CampaignCell(stage="performance", service="dropbox", seed=7, config=CONFIG)
         assert cell.unit == WHOLE_SERVICE_UNIT
         whole = run_cell(cell)
-        split = CampaignRunner(["dropbox"], ["performance"], seed=7, jobs=1, config=CONFIG).run()
+        split = CampaignRunner(["dropbox"], ["performance"], seed=7, jobs=1, config=CONFIG).run().campaigns[0]
         assert whole.payload == split.suite.performance.runs
 
     def test_stage_order_is_canonical_regardless_of_request_order(self):
@@ -128,7 +128,7 @@ class TestCampaignPlan:
 class TestCampaignExecution:
     @pytest.fixture(scope="class")
     def sequential(self):
-        return CampaignRunner(SERVICES, STAGE_SUBSET, jobs=1, config=CONFIG).run()
+        return CampaignRunner(SERVICES, STAGE_SUBSET, jobs=1, config=CONFIG).run().campaigns[0]
 
     def test_run_cell_times_and_returns_payload(self):
         cell = CampaignRunner(SERVICES, ["idle"], config=CONFIG).cells()[0]
@@ -149,13 +149,13 @@ class TestCampaignExecution:
         assert [run.service for run in suite.performance.runs] == ["dropbox"] * 4 + ["googledrive"] * 4
 
     def test_parallel_equals_sequential_bit_identical(self, sequential):
-        parallel = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=4, config=CONFIG).run()
+        parallel = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=4, config=CONFIG).run().campaigns[0]
         assert parallel.jobs == 4
         assert suite_stage_rows(parallel.suite) == suite_stage_rows(sequential.suite)
         assert parallel.suite.summary_text() == sequential.suite.summary_text()
 
     def test_rerun_with_same_seed_is_reproducible(self, sequential):
-        again = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=1, config=CONFIG).run()
+        again = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=1, config=CONFIG).run().campaigns[0]
         assert suite_stage_rows(again.suite) == suite_stage_rows(sequential.suite)
 
     def test_timing_rows_cover_every_cell(self, sequential):
@@ -194,34 +194,23 @@ class TestCampaignExecution:
         # cache fields, so any re-execution of the same campaign produces
         # the exact same document — the property `cloudbench merge` relies
         # on to diff byte-identically against `cloudbench all`.
-        parallel = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=4, config=CONFIG).run()
+        parallel = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=4, config=CONFIG).run().campaigns[0]
         assert parallel.results_json_dict() == sequential.results_json_dict()
         document = sequential.results_json_dict()
         assert set(document) == {"schema", "seed", "stages", "services", "cells"}
         assert all(set(cell) == {"stage", "service", "unit", "rows"} for cell in document["cells"])
 
     def test_run_accepts_explicit_cell_subset(self, sequential):
-        # Shard workers execute a slice of the plan through the same runner.
+        # Shard workers execute a slice of the plan through run_cells.
         runner = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=1, config=CONFIG)
         subset = runner.cells()[:3]
-        partial = runner.run(cells=subset)
-        assert [result.cell for result in partial.cells] == subset
+        partial = runner.run_cells(subset)
+        assert [result.cell for result in partial] == subset
         full_rows = [result.rows() for result in sequential.cells[:3]]
-        assert [result.rows() for result in partial.cells] == full_rows
+        assert [result.rows() for result in partial] == full_rows
 
 
 class TestSuiteIntegration:
-    def test_benchmark_suite_runs_through_engine(self):
-        suite = BenchmarkSuite(SERVICES, repetitions=1, idle_duration=60.0, resolver_count=50)
-        campaign = suite.run_campaign(stages=["idle"], jobs=1)
-        assert campaign.suite.idle is not None
-        assert [cell.cell.stage for cell in campaign.cells] == ["idle", "idle"]
-
-    def test_suite_run_rejects_stage_typo(self):
-        suite = BenchmarkSuite(SERVICES, repetitions=1, idle_duration=60.0, resolver_count=50)
-        with pytest.raises(ConfigurationError, match="valid stages"):
-            suite.run(stages=["preformance"])
-
     def test_all_stage_names_runnable(self):
         # Every advertised stage has a registered runner and unit planner.
         runner = CampaignRunner(["dropbox"], list(STAGES), config=CONFIG)

@@ -189,7 +189,7 @@ class TestShardWorker:
         ShardWorker(make_runner(store_dir), shard=ShardSpec(1, 2), runner_id="w1").run()
         ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
         merged = CampaignMerger(make_runner(store_dir)).collect()
-        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run()
+        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert suite_stage_rows(merged.campaign.suite) == suite_stage_rows(sequential.suite)
         assert merged.campaign.suite.summary_text() == sequential.suite.summary_text()
         assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
@@ -215,13 +215,13 @@ class TestShardWorker:
         store_dir = tmp_path / "store"
         runner = make_runner(store_dir)
         shard_cells = ShardPlan(runner.cells(), 2).shard(1)
-        runner.run(cells=shard_cells[: len(shard_cells) // 2])  # "killed" here
+        runner.run_cells(shard_cells[: len(shard_cells) // 2])  # "killed" here
         relaunched = ShardWorker(make_runner(store_dir), shard=ShardSpec(1, 2), runner_id="w1").run()
         assert relaunched.hits == len(shard_cells) // 2
         assert len(relaunched.computed) == len(shard_cells) - len(shard_cells) // 2
         ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
         merged = CampaignMerger(make_runner(store_dir)).collect()
-        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run()
+        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
             sequential.results_json_dict()
         )
@@ -232,7 +232,7 @@ class TestShardWorker:
         assert len(report.computed) == report.planned == len(plan_cells())
         assert report.yielded == []
         merged = CampaignMerger(make_runner(store_dir)).collect()
-        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run()
+        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
             sequential.results_json_dict()
         )
@@ -268,7 +268,7 @@ class TestShardWorker:
         report = ShardWorker(make_runner(store_dir), steal=True, runner_id="survivor", lease_timeout=5.0).run()
         assert report.yielded == [] and len(report.computed) == report.planned
         merged = CampaignMerger(make_runner(store_dir)).collect()
-        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run()
+        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
             sequential.results_json_dict()
         )

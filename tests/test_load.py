@@ -316,7 +316,7 @@ class TestLoadStage:
 
     def test_stage_rows_report_tails_and_fairness(self):
         runner = CampaignRunner(["dropbox", "googledrive"], ["load"], seed=7, jobs=1, config=self.CONFIG)
-        campaign = runner.run()
+        campaign = runner.run().campaigns[0]
         rows = campaign.suite.load.rows()
         assert [(row["service"], row["population"]) for row in rows] == [
             ("dropbox", "200"),
@@ -366,7 +366,7 @@ class TestLoadStage:
 
     def test_sweep_aggregates_include_ci95(self):
         runner = CampaignRunner(["dropbox"], ["load"], seeds=[7, 8], jobs=1, config=self.CONFIG)
-        sweep = runner.run_sweep()
+        sweep = runner.run()
         rows = sweep.aggregate_rows()["load"]
         assert rows, "load stage must aggregate across seeds"
         for row in rows:
@@ -379,11 +379,11 @@ class TestRepetitionCells:
     def test_rep_cells_plan_and_merged_rows_identical(self):
         coarse = CampaignRunner(
             ["dropbox"], ["performance"], seed=7, jobs=1, config=CampaignConfig(repetitions=2)
-        ).run()
+        ).run().campaigns[0]
         fine = CampaignRunner(
             ["dropbox"], ["performance"], seed=7, jobs=1,
             config=CampaignConfig(repetitions=2, rep_cells=True),
-        ).run()
+        ).run().campaigns[0]
         assert len(fine.cells) == 2 * len(coarse.cells)
         assert {cell.cell.unit.rpartition("#r")[2] for cell in fine.cells} == {"0", "1"}
         assert fine.suite.performance.runs == coarse.suite.performance.runs

@@ -162,7 +162,7 @@ class TestByteIdentity:
         store_dir = str(tmp_path)
         fresh = make_runner(store=ResultStore(store_dir)).run()
         resumed = make_runner(store=ResultStore(store_dir)).run()
-        assert resumed.cache_hits() == len(resumed.cells)
+        assert resumed.cache_hits() == len(resumed.cells())
         assert sim_bytes(resumed.trace) == sim_bytes(fresh.trace)
 
 
@@ -171,11 +171,11 @@ class TestMetricsMeaning:
         store_dir = str(tmp_path)
         first = make_runner(store=ResultStore(store_dir)).run()
         counters = first.trace["harness"]["metrics"]["counters"]
-        assert counters["store.misses"] == len(first.cells)
+        assert counters["store.misses"] == len(first.cells())
         assert counters.get("store.hits", 0) == 0
         second = make_runner(store=ResultStore(store_dir)).run()
         counters = second.trace["harness"]["metrics"]["counters"]
-        assert counters["store.hits"] == len(second.cells)
+        assert counters["store.hits"] == len(second.cells())
 
     def test_lease_reclaim_counts(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -264,7 +264,7 @@ class TestFailureContext:
             ["dropbox"], ["idle"], seed=42, jobs=1, config=CONFIG,
             store=ResultStore(str(tmp_path)), trace=False,
         )
-        campaign = runner.run()
+        campaign = runner.run().campaigns[0]
         assert len(campaign.failures()) == 1
         row = campaign.timing_rows()[0]
         assert row["error"] == "RuntimeError"

@@ -7,49 +7,80 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.runner import BenchmarkSuite, SuiteResult
-from repro.errors import ConfigurationError
+from repro.core.campaign import CampaignConfig, CampaignRunner
+from repro.core.runner import SuiteResult
 
 
-class TestBenchmarkSuite:
-    @pytest.fixture(scope="class")
-    def small_suite(self):
-        return BenchmarkSuite(["dropbox", "googledrive"], repetitions=1, idle_duration=120.0, resolver_count=100)
+#: Each per-artifact subcommand and the campaign stage it is an alias for.
+STAGE_ALIASES = {
+    "capabilities": "capabilities",
+    "idle": "idle",
+    "datacenters": "datacenters",
+    "connections": "syn_series",
+    "delta": "delta",
+    "compression": "compression",
+    "performance": "performance",
+}
 
-    def test_selected_stages_only(self, small_suite):
-        result = small_suite.run(stages=["syn_series", "idle"])
-        assert result.syn_series is not None
-        assert result.idle is not None
-        assert result.performance is None
-        assert result.capabilities is None
 
-    def test_summary_text_mentions_artifacts(self, small_suite):
-        result = small_suite.run(stages=["idle"])
-        text = result.summary_text()
-        assert "Fig. 1" in text
-        assert "dropbox" in text
+def planned_runner(argv):
+    """The CampaignRunner `cloudbench <argv>` plans, without running a cell."""
+    from repro.cli import _campaign_runner, _targets
+
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    services, scenario = _targets(parser, args)
+    return _campaign_runner(parser, args, services, scenario, None)
+
+
+class TestSuiteResult:
+    def test_summary_text_mentions_artifacts(self):
+        # The campaign summary carries everything the per-figure commands
+        # print: Fig. 6's aggregated-metrics table next to its bar charts,
+        # and the count of Google Drive edge locations under Fig. 2.
+        config = CampaignConfig(repetitions=1, idle_duration=120.0, resolver_count=100)
+        stages = ["idle", "datacenters", "performance"]
+        sweep = CampaignRunner(["dropbox", "googledrive"], stages, jobs=1, config=config).run()
+        suite = sweep.campaigns[0].suite
+        assert set(suite.performance.figure_series("completion")) == {"dropbox", "googledrive"}
+        text = sweep.summary_text()
+        assert text == suite.summary_text()
+        for title in ("Fig. 1", "Fig. 2", "Fig. 6 — aggregated metrics", "Fig. 6a", "Fig. 6b", "Fig. 6c"):
+            assert title in text
+        edges = suite.datacenters.google_edge_sites()
+        assert edges and f"Google Drive edge locations discovered: {len(edges)}" in text
 
     def test_empty_result_summary(self):
         assert SuiteResult().summary_text() == ""
 
-    def test_performance_stage_produces_figure6_series(self, small_suite):
-        result = small_suite.run(stages=["performance"])
-        series = result.performance.figure_series("completion")
-        assert set(series) == {"dropbox", "googledrive"}
-        text = result.summary_text()
-        assert "Fig. 6b" in text
 
-    def test_misspelled_stage_raises_instead_of_running_nothing(self, small_suite):
-        # Regression: run(stages=["preformance"]) used to silently run no
-        # stage at all and return an empty SuiteResult.
-        with pytest.raises(ConfigurationError) as excinfo:
-            small_suite.run(stages=["preformance"])
-        assert "performance" in str(excinfo.value)  # the valid names are listed
+class TestStageAliases:
+    FLAGS = ["--repetitions", "1", "--minutes", "3", "--resolvers", "40", "--seeds", "7,9",
+             "--populations", "2k", "--rep-cells"]
 
-    def test_run_accepts_jobs_parameter(self, small_suite):
-        sequential = small_suite.run(stages=["idle"], jobs=1)
-        parallel = small_suite.run(stages=["idle"], jobs=2)
-        assert sequential.idle.rows() == parallel.idle.rows()
+    @pytest.mark.parametrize("command,stage", sorted(STAGE_ALIASES.items()))
+    def test_alias_plans_like_all_with_one_stage_and_one_job(self, command, stage):
+        base = ["--services", "dropbox,googledrive"]
+        alias = planned_runner(base + [command, *self.FLAGS])
+        full = planned_runner(base + ["all", "--stages", stage, "--jobs", "1", *self.FLAGS])
+        assert alias.stages == [stage]
+        assert alias.cells() == full.cells()
+        assert alias.config == full.config
+        assert alias.jobs == full.jobs == 1
+
+    def test_entry_points_share_campaign_config_defaults(self):
+        # Regression: `performance` used to default to 3 repetitions and
+        # `datacenters` to 500 resolvers, while `all` planned 2 and 300.
+        for command in ("performance", "datacenters", "all"):
+            assert planned_runner([command]).config == CampaignConfig()
+
+    def test_delta_alias_json_matches_all(self, tmp_path, capsys):
+        alias, full = tmp_path / "alias.json", tmp_path / "all.json"
+        base = ["--services", "wuala", "--seed", "7"]
+        assert main(base + ["delta", "--json", str(alias)]) == 0
+        assert main(base + ["all", "--stages", "delta", "--jobs", "1", "--json", str(full)]) == 0
+        capsys.readouterr()
+        assert alias.read_bytes() == full.read_bytes()
 
 
 class TestCLI:
@@ -360,12 +391,21 @@ class TestSweepCLI:
         assert len(payload["per_seed"]) == 2
 
     def test_all_single_seed_via_seeds_flag_matches_legacy_json(self, tmp_path):
-        legacy = tmp_path / "legacy.json"
-        swept = tmp_path / "swept.json"
-        base = ["--services", "googledrive", "all", *self.SWEEP, "--jobs", "1"]
-        assert main(["--seed", "7", *base, "--json", str(legacy)]) == 0
-        assert main(base + ["--seeds", "7", "--json", str(swept)]) == 0
-        assert legacy.read_bytes() == swept.read_bytes()
+        def run(name, seed_args, seeds_args):
+            argv = ["--services", "googledrive", *seed_args, "--csv", str(tmp_path / f"{name}.csv"),
+                    "all", *self.SWEEP, "--jobs", "1", *seeds_args, "--json", str(tmp_path / f"{name}.json"),
+                    "--timings-json", str(tmp_path / f"{name}.timings.json")]
+            assert main(argv) == 0
+
+        run("legacy", ["--seed", "7"], [])
+        run("swept", [], ["--seeds", "7"])
+        assert (tmp_path / "legacy.json").read_bytes() == (tmp_path / "swept.json").read_bytes()
+        for stage in ("idle", "performance"):
+            legacy_csv = (tmp_path / f"legacy.{stage}.csv").read_bytes()
+            assert legacy_csv == (tmp_path / f"swept.{stage}.csv").read_bytes()
+        legacy, swept = (json.loads((tmp_path / f"{name}.timings.json").read_text()) for name in ("legacy", "swept"))
+        assert set(legacy) == set(swept)
+        assert [set(cell) for cell in legacy["cells"]] == [set(cell) for cell in swept["cells"]]
 
     def test_sweep_json_byte_identical_across_jobs_and_seed_order(self, tmp_path):
         first = tmp_path / "a.json"

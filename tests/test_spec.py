@@ -439,14 +439,14 @@ class TestCacheKeys:
         store = ResultStore(str(tmp_path))
         runner = CampaignRunner(["synthtest"], ["idle"], seed=3, jobs=1,
                                 config=CampaignConfig(idle_duration=30.0), store=store)
-        first = runner.run()
+        first = runner.run().campaigns[0]
         assert first.cache_misses() == len(first.cells)
         again = CampaignRunner(["synthtest"], ["idle"], seed=3, jobs=1,
-                               config=CampaignConfig(idle_duration=30.0), store=store).run()
+                               config=CampaignConfig(idle_duration=30.0), store=store).run().campaigns[0]
         assert again.cache_hits() == len(again.cells)
         register_service_spec(synthetic_spec(polling={"interval": 45.0}))
         edited = CampaignRunner(["synthtest"], ["idle"], seed=3, jobs=1,
-                                config=CampaignConfig(idle_duration=30.0), store=store).run()
+                                config=CampaignConfig(idle_duration=30.0), store=store).run().campaigns[0]
         assert edited.cache_misses() == len(edited.cells)
 
 
@@ -500,7 +500,7 @@ class TestScenarios:
         config = CampaignConfig(repetitions=1, scenario=scenario)
         docs = []
         for seed in (1, 2):
-            result = CampaignRunner(["synthtest"], ["performance"], seed=seed, jobs=1, config=config).run()
+            result = CampaignRunner(["synthtest"], ["performance"], seed=seed, jobs=1, config=config).run().campaigns[0]
             rows = [row for cell in result.cells for row in cell.rows()]
             docs.append([row["completion_s"] for row in rows])
         assert docs[0] != docs[1]
@@ -510,7 +510,7 @@ class TestScenarios:
         config = CampaignConfig(idle_duration=30.0)
         rows = []
         for seed in (1, 2):
-            result = CampaignRunner(["synthtest"], ["idle"], seed=seed, jobs=1, config=config).run()
+            result = CampaignRunner(["synthtest"], ["idle"], seed=seed, jobs=1, config=config).run().campaigns[0]
             rows.append([row for cell in result.cells for row in cell.rows()])
         assert rows[0] == rows[1]
 
@@ -525,7 +525,7 @@ class TestGoldenDocuments:
 
     def _document_json(self, services, stages, seed, **config):
         runner = CampaignRunner(services, stages, seed=seed, jobs=1, config=CampaignConfig(**config))
-        result = runner.run()
+        result = runner.run().campaigns[0]
         from repro.core.report import to_json_text
 
         return to_json_text(result.results_json_dict())
@@ -566,7 +566,7 @@ class TestSpecServiceCampaign:
             jobs=1,
             config=CampaignConfig(repetitions=1, idle_duration=30.0),
         )
-        sweep = runner.run_sweep()
+        sweep = runner.run()
         assert sweep.seeds == [1, 2]
         report = sweep.report_rows()
         assert set(report) == {"capabilities", "idle", "delta"}
@@ -576,7 +576,7 @@ class TestSpecServiceCampaign:
         # The capability probes see the spec's composition from traffic alone.
         single = CampaignRunner(
             ["tomldrive"], ["capabilities"], seed=1, jobs=1, config=CampaignConfig(repetitions=1)
-        ).run()
+        ).run().campaigns[0]
         row = results_document(single.cells, seed=1)["cells"][0]["rows"][0]
         assert row["chunking"] == "8 MB"
         assert row["compression"] == "smart"

@@ -327,9 +327,9 @@ class TestResultStoreRoundTrip:
 
 class TestCampaignCaching:
     def test_cold_warm_and_uncached_runs_are_bit_identical(self, tmp_path):
-        cold = make_runner(tmp_path).run()
-        warm = make_runner(tmp_path).run()
-        uncached = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run()
+        cold = make_runner(tmp_path).run().campaigns[0]
+        warm = make_runner(tmp_path).run().campaigns[0]
+        uncached = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert cold.cache_hits() == 0 and cold.cache_misses() == len(cold.cells)
         assert warm.cache_hits() == len(warm.cells) and warm.cache_misses() == 0
         for result in (warm, uncached):
@@ -337,15 +337,15 @@ class TestCampaignCaching:
             assert result.suite.summary_text() == cold.suite.summary_text()
 
     def test_parallel_run_fills_and_reads_the_same_store(self, tmp_path):
-        cold = make_runner(tmp_path, jobs=4).run()
-        warm = make_runner(tmp_path, jobs=4).run()
+        cold = make_runner(tmp_path, jobs=4).run().campaigns[0]
+        warm = make_runner(tmp_path, jobs=4).run().campaigns[0]
         assert cold.cache_misses() == len(cold.cells)
         assert warm.cache_hits() == len(warm.cells)
         assert suite_stage_rows(warm.suite) == suite_stage_rows(cold.suite)
 
     def test_seed_change_misses_the_whole_store(self, tmp_path):
         make_runner(tmp_path, seed=42).run()
-        other_seed = make_runner(tmp_path, seed=43).run()
+        other_seed = make_runner(tmp_path, seed=43).run().campaigns[0]
         assert other_seed.cache_hits() == 0
 
     def test_config_change_misses_the_whole_store(self, tmp_path):
@@ -356,11 +356,11 @@ class TestCampaignCaching:
     def test_extended_campaign_reuses_overlapping_cells(self, tmp_path):
         # Resume semantics for a *grown* campaign: add stages, keep the
         # rest; only the new stages' cells are computed.
-        first = make_runner(tmp_path, stages=["performance"]).run()
-        extended = make_runner(tmp_path, stages=STAGE_SUBSET).run()
+        first = make_runner(tmp_path, stages=["performance"]).run().campaigns[0]
+        extended = make_runner(tmp_path, stages=STAGE_SUBSET).run().campaigns[0]
         assert extended.cache_hits() == len(first.cells)
         assert extended.cache_misses() == len(extended.cells) - len(first.cells)
-        scratch = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run()
+        scratch = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert suite_stage_rows(extended.suite) == suite_stage_rows(scratch.suite)
 
     def test_interrupted_campaign_resumes_from_cache(self, tmp_path, monkeypatch):
@@ -380,22 +380,22 @@ class TestCampaignCaching:
             make_runner(tmp_path).run()
         monkeypatch.setattr(campaign_module, "run_cell", real_run_cell)
 
-        resumed = make_runner(tmp_path).run()
+        resumed = make_runner(tmp_path).run().campaigns[0]
         assert resumed.cache_hits() == 4
         assert resumed.cache_misses() == len(resumed.cells) - 4
-        scratch = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run()
+        scratch = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert suite_stage_rows(resumed.suite) == suite_stage_rows(scratch.suite)
         assert resumed.suite.summary_text() == scratch.suite.summary_text()
 
     def test_cached_cells_keep_original_wall_seconds(self, tmp_path):
-        cold = make_runner(tmp_path, stages=["syn_series"]).run()
-        warm = make_runner(tmp_path, stages=["syn_series"]).run()
+        cold = make_runner(tmp_path, stages=["syn_series"]).run().campaigns[0]
+        warm = make_runner(tmp_path, stages=["syn_series"]).run().campaigns[0]
         assert [r.wall_seconds for r in warm.cells] == [r.wall_seconds for r in cold.cells]
         assert all(row["cached"] == "yes" for row in warm.timing_rows())
 
     def test_json_dict_reports_cache_accounting(self, tmp_path):
         make_runner(tmp_path, stages=["syn_series"]).run()
-        warm = make_runner(tmp_path, stages=["syn_series"]).run()
+        warm = make_runner(tmp_path, stages=["syn_series"]).run().campaigns[0]
         payload = warm.to_json_dict()
         assert payload["cache"] == {"hits": len(warm.cells), "misses": 0}
         assert all(cell["cached"] for cell in payload["cells"])

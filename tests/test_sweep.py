@@ -150,7 +150,7 @@ class TestSweepPlan:
 class TestSweepExecution:
     @pytest.fixture(scope="class")
     def sequential(self):
-        return make_runner(jobs=1).run_sweep()
+        return make_runner(jobs=1).run()
 
     def test_sweep_groups_one_campaign_per_seed(self, sequential):
         assert sequential.seeds == SEEDS
@@ -160,22 +160,35 @@ class TestSweepExecution:
             assert len(campaign.cells) == per_seed
             assert {result.cell.seed for result in campaign.cells} == {seed}
 
+    def test_multi_seed_run_keeps_each_seed_apart(self):
+        # Regression: run() on a multi-seed runner used to fold every seed's
+        # cells into one campaign labelled with the first seed, keeping
+        # only the last seed's idle row and doubling the delta rows.
+        sweep = CampaignRunner(["wuala"], ["idle", "delta"], seeds=[7, 9], jobs=1).run()
+        assert sweep.seeds == [7, 9]
+        for campaign, seed in zip(sweep.campaigns, [7, 9]):
+            cells = [(result.cell.stage, result.cell.unit, result.cell.seed) for result in campaign.cells]
+            assert cells == [("idle", "-", seed), ("delta", "append", seed), ("delta", "random", seed)]
+            assert campaign.results_json_dict()["seed"] == seed
+            assert len(campaign.suite.idle.rows()) == 1
+            assert len(campaign.suite.delta.rows()) == 11
+
     def test_each_seed_slice_equals_its_single_seed_campaign(self, sequential):
         for campaign, seed in zip(sequential.campaigns, SEEDS):
-            standalone = CampaignRunner(SERVICES, STAGE_SUBSET, seed=seed, jobs=1, config=CONFIG).run()
+            standalone = CampaignRunner(SERVICES, STAGE_SUBSET, seed=seed, jobs=1, config=CONFIG).run().campaigns[0]
             assert to_json_text(campaign.results_json_dict()) == to_json_text(standalone.results_json_dict())
 
     def test_single_seed_sweep_document_is_legacy_document(self):
-        sweep = make_runner(seeds=[7]).run_sweep()
-        legacy = CampaignRunner(SERVICES, STAGE_SUBSET, seed=7, jobs=1, config=CONFIG).run()
+        sweep = make_runner(seeds=[7]).run()
+        legacy = CampaignRunner(SERVICES, STAGE_SUBSET, seed=7, jobs=1, config=CONFIG).run().campaigns[0]
         assert to_json_text(sweep.document()) == to_json_text(legacy.results_json_dict())
 
     def test_parallel_sweep_is_bit_identical_to_sequential(self, sequential):
-        parallel = make_runner(jobs=4).run_sweep()
+        parallel = make_runner(jobs=4).run()
         assert to_json_text(parallel.document()) == to_json_text(sequential.document())
 
     def test_sweep_document_is_independent_of_seed_order(self, sequential):
-        reversed_order = make_runner(seeds=[9, 7]).run_sweep()
+        reversed_order = make_runner(seeds=[9, 7]).run()
         assert to_json_text(reversed_order.document()) == to_json_text(sequential.document())
 
     def test_sweep_document_structure(self, sequential):
@@ -211,7 +224,7 @@ class TestSweepExecution:
     def test_compression_sweep_shows_cross_seed_spread(self):
         # Compression payloads depend on the seed-derived file contents, so
         # a sweep over distinct seeds must report nonzero spread somewhere.
-        sweep = make_runner(seeds=[7, 901], stages=["compression"]).run_sweep()
+        sweep = make_runner(seeds=[7, 901], stages=["compression"]).run()
         rows = sweep.aggregate_rows()["compression"]
         assert any(row["std"] > 0 for row in rows)
         assert all(row["n"] == 2 for row in rows)
@@ -220,7 +233,7 @@ class TestSweepExecution:
         # The capability matrix has no numeric column, so it produces no
         # aggregate rows — the sweep report must fall back to column-wise
         # consensus rows rather than dropping Table 1 entirely.
-        sweep = make_runner(stages=["capabilities", "idle"]).run_sweep()
+        sweep = make_runner(stages=["capabilities", "idle"]).run()
         assert "capabilities" not in sweep.aggregate_rows()
         consensus = sweep.consensus_rows()
         assert consensus["capabilities"]
@@ -232,13 +245,13 @@ class TestSweepExecution:
         assert "Cross-seed aggregates — idle" in text
 
     def test_consensus_marks_seed_dependent_values(self):
-        sweep = make_runner(stages=["capabilities"]).run_sweep()
+        sweep = make_runner(stages=["capabilities"]).run()
         rows = sweep.consensus_rows()["capabilities"]
         # Capabilities are seed-invariant in the simulation, so every value
         # reaches consensus; the ~ marker only appears on disagreement.
         for row in rows:
             assert "~" not in row.values() or all(value != "" for value in row.values())
-        single = make_runner(seeds=[7], stages=["capabilities"]).run()
+        single = make_runner(seeds=[7], stages=["capabilities"]).run().campaigns[0]
         assert rows == single.suite.capabilities.rows()
 
     def test_summary_text_renders_aggregate_tables(self, sequential):
@@ -257,7 +270,7 @@ class TestSweepExecution:
 
 class TestSweepStoreAndShards:
     def test_sharded_two_worker_sweep_merges_bit_identical(self, tmp_path):
-        sequential = make_runner(jobs=1).run_sweep()
+        sequential = make_runner(jobs=1).run()
         store_dir = str(tmp_path / "store")
         for index, runner_id in ((1, "w1"), (2, "w2")):
             worker_runner = make_runner(store=ResultStore(store_dir))
@@ -280,7 +293,7 @@ class TestSweepStoreAndShards:
             merged.campaign
 
     def test_steal_worker_sweep_merges_bit_identical(self, tmp_path):
-        sequential = make_runner(jobs=1).run_sweep()
+        sequential = make_runner(jobs=1).run()
         store_dir = str(tmp_path / "store")
         ShardWorker(make_runner(store=ResultStore(store_dir)), steal=True, runner_id="solo").run()
         merged = CampaignMerger(make_runner(store=ResultStore(store_dir))).collect()
@@ -294,38 +307,38 @@ class TestSweepStoreAndShards:
         runner = make_runner(store=ResultStore(store_dir))
         plan = runner.cells()
         prefix = len(plan) * 2 // 3  # crosses the first seed's boundary
-        runner.run(cells=plan[:prefix])  # killed here
-        resumed = make_runner(store=ResultStore(store_dir)).run_sweep()
+        runner.run_cells(plan[:prefix])  # killed here
+        resumed = make_runner(store=ResultStore(store_dir)).run()
         assert resumed.cache_hits() == prefix
         assert resumed.cache_misses() == len(plan) - prefix
-        fresh = make_runner(jobs=1).run_sweep()
+        fresh = make_runner(jobs=1).run()
         assert to_json_text(resumed.document()) == to_json_text(fresh.document())
 
     def test_extending_a_sweep_with_more_seeds_reuses_the_store(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        make_runner(seeds=[7], store=ResultStore(store_dir)).run_sweep()
-        extended = make_runner(seeds=[7, 9], store=ResultStore(store_dir)).run_sweep()
+        make_runner(seeds=[7], store=ResultStore(store_dir)).run()
+        extended = make_runner(seeds=[7, 9], store=ResultStore(store_dir)).run()
         per_seed = len(make_runner(seeds=[7]).cells())
         assert extended.cache_hits() == per_seed
         assert extended.cache_misses() == per_seed
-        fresh = make_runner(seeds=[7, 9]).run_sweep()
+        fresh = make_runner(seeds=[7, 9]).run()
         assert to_json_text(extended.document()) == to_json_text(fresh.document())
 
 
 class TestSweepFromResultsValidation:
     def test_foreign_seed_raises(self):
-        results = make_runner(seeds=[7]).run().cells
+        results = make_runner(seeds=[7]).run().cells()
         with pytest.raises(ExperimentError, match="not in the sweep"):
             sweep_from_results(results, seeds=[9], jobs=1, wall_seconds=0.0)
 
     def test_mismatched_grids_raise(self):
-        wide = make_runner(seeds=[7]).run().cells
-        narrow = make_runner(seeds=[9], stages=["idle"]).run().cells
+        wide = make_runner(seeds=[7]).run().cells()
+        narrow = make_runner(seeds=[9], stages=["idle"]).run().cells()
         with pytest.raises(ExperimentError, match="different cell grid"):
             sweep_from_results(list(wide) + list(narrow), seeds=[7, 9], jobs=1, wall_seconds=0.0)
 
     def test_groups_results_regardless_of_input_interleaving(self):
-        ordered = make_runner().run_sweep()
+        ordered = make_runner().run()
         results = ordered.cells()
         half = len(results) // 2
         interleaved = [cell for pair in zip(results[:half], results[half:]) for cell in pair]
@@ -333,7 +346,7 @@ class TestSweepFromResultsValidation:
         assert to_json_text(regrouped.document()) == to_json_text(ordered.document())
 
     def test_one_campaign_sweep_result_properties(self):
-        sweep = make_runner(seeds=[7]).run_sweep()
+        sweep = make_runner(seeds=[7]).run()
         assert isinstance(sweep, SweepResult)
         assert sweep.seeds == [7]
         assert sweep.stages() == STAGE_SUBSET
