@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from repro.filegen.dictionary import random_paragraph
+from repro.filegen.dictionary import paragraph_bytes
 from repro.filegen.model import FileKind, GeneratedFile
 from repro.randomness import DEFAULT_SEED, make_rng
 
@@ -73,14 +73,7 @@ class FakeJPEGGenerator:
         if size < 0:
             raise ValueError("size must be non-negative")
         rng = rng or make_rng(self._seed, "fake_jpeg", name, size)
-        pieces: list[str] = []
-        total = 0
-        while total < size:
-            paragraph = random_paragraph(rng) + "\n"
-            pieces.append(paragraph)
-            total += len(paragraph)
-        body = "".join(pieces).encode("utf-8")
-        content = _with_jpeg_framing(body, size)
+        content = _with_jpeg_framing(paragraph_bytes(rng, size, "\n"), size)
         return GeneratedFile(name=name, content=content, kind=FileKind.FAKE_JPEG)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from repro.filegen.dictionary import random_paragraph
+from repro.filegen.dictionary import paragraph_bytes
 from repro.filegen.model import FileKind, GeneratedFile
 from repro.randomness import DEFAULT_SEED, make_rng
 
@@ -27,13 +27,7 @@ class RandomTextGenerator:
         if size < 0:
             raise ValueError("size must be non-negative")
         rng = rng or make_rng(self._seed, "text", name, size)
-        pieces: list[str] = []
-        total = 0
-        while total < size:
-            paragraph = random_paragraph(rng) + "\n\n"
-            pieces.append(paragraph)
-            total += len(paragraph)
-        content = "".join(pieces).encode("utf-8")[:size]
+        content = paragraph_bytes(rng, size, "\n\n")[:size]
         return GeneratedFile(name=name, content=content, kind=FileKind.TEXT)
 
 

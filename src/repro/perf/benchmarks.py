@@ -2,8 +2,9 @@
 
 Micro-benchmarks exercise exactly the paths the columnar rework targets —
 batched packet emission into the sniffer, trace query filters, memoized
-TCP transfer math, the event queue's schedule/cancel/poll pattern — and
-one macro-benchmark runs the default campaign grid end to end.
+TCP transfer math, the event queue's schedule/cancel/poll pattern — plus
+the open-population engine and dictionary text generation, and one
+macro-benchmark runs the default campaign grid end to end.
 
 Every workload is a pure function of its parameters (fixed endpoints,
 fixed sizes, fixed seed), so two runs measure the *same* computation and
@@ -262,6 +263,35 @@ def bench_load(sessions: int, repeats: int) -> BenchmarkResult:
     )
 
 
+def bench_filegen_text(repeats: int) -> BenchmarkResult:
+    """Bytes/second of dictionary text, over the file sizes of one Fig. 5 text cell.
+
+    Times the bulk paragraph decoder behind every text and fake-JPEG
+    file, which is most of the compression stage's file generation.
+    """
+    from repro.core.workloads import COMPRESSION_SIZES
+    from repro.filegen.text import generate_text
+
+    sizes = tuple(COMPRESSION_SIZES)
+
+    def make_workload():
+        def workload() -> None:
+            for size in sizes:
+                generate_text(size, seed=DEFAULT_SEED)
+
+        return workload
+
+    measured = measure_rate(make_workload, sum(sizes), repeats)
+    return BenchmarkResult(
+        name="filegen_text_bytes_per_s",
+        unit="bytes/s",
+        higher_is_better=True,
+        params={"sizes": ",".join(str(size) for size in sizes), "seed": DEFAULT_SEED},
+        value=round(measured.best, 3),
+        samples=tuple(round(sample, 3) for sample in measured.samples),
+    )
+
+
 def bench_campaign(
     *,
     services: Sequence[str],
@@ -352,6 +382,7 @@ def run_benchmarks(
         bench_transfers(2_000, repeats),
         bench_events(100_000, repeats),
         bench_load(20_000, repeats),
+        bench_filegen_text(repeats),
     ]
     if quick:
         # Two services and one repetition: the macro path end to end in a

@@ -99,10 +99,3 @@ class Compressor:
         if compressed_size >= original:
             return CompressionResult(original_size=original, transmitted_size=original, compressed=False)
         return CompressionResult(original_size=original, transmitted_size=compressed_size, compressed=True)
-
-    def compress(self, data: bytes) -> bytes:
-        """Return the actual bytes that would be transmitted for ``data``."""
-        result = self.process(data)
-        if not result.compressed:
-            return data
-        return zlib.compress(data, self.level)

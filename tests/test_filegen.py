@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 import zlib
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.errors import WorkloadError
 from repro.filegen import (
@@ -17,9 +22,51 @@ from repro.filegen import (
     generate_image,
     generate_text,
 )
-from repro.filegen.jpeg import JPEG_MAGIC
-from repro.filegen.dictionary import WORDS, random_paragraph, random_sentence, random_words
-from repro.randomness import make_rng
+from repro.filegen import dictionary
+from repro.filegen.jpeg import JPEG_MAGIC, FakeJPEGGenerator, _with_jpeg_framing
+from repro.filegen.dictionary import (
+    WORDS,
+    decode_paragraphs,
+    paragraph_bytes,
+    random_paragraph,
+    random_sentence,
+    random_words,
+)
+from repro.filegen.text import RandomTextGenerator
+from repro.randomness import DEFAULT_SEED, make_rng
+
+
+def per_word_paragraphs(rng, size, end):
+    """The per-word paragraph loop :func:`paragraph_bytes` replays: the oracle."""
+    pieces = []
+    total = 0
+    while total < size:
+        paragraph = random_paragraph(rng) + end
+        pieces.append(paragraph)
+        total += len(paragraph)
+    return "".join(pieces).encode("utf-8")
+
+
+#: SHA-256 of generated files as the per-word paragraph loop emits them.
+#: Any change to these bytes shifts every Fig. 5 compression result.
+CONTENT_DIGESTS = {
+    ("text", DEFAULT_SEED, 64): "4f201c412f121f703e576f4edd59e718b75f667e00870ca77e1da2d4a16225de",
+    ("text", DEFAULT_SEED, 1000): "544b43052affca4045f38d0c4a3fd38aa178ce9f0bf24e036133fb6eb2d14db5",
+    ("text", DEFAULT_SEED, 100_000): "f7d84bdddabd006f7f4338adfbc9f6d3af5c4a02d67102cf7259befd03823f20",
+    ("text", DEFAULT_SEED, 1_500_000): "8c2450bb4c79b235e645102c9e7d75988fbe9b0afaf02164aa193c66c2db2376",
+    ("text", 7, 64): "fef6c9221420d380d3265ad3bc5f1e7c29046480809abbc14827abfacd540bd3",
+    ("text", 7, 1000): "40de9d8f5d929e3b24c481849769e6778314dcf7f54bda28b12f40fe7e007fa6",
+    ("text", 7, 100_000): "fe8b5a4a8a0a40ccf9cd50759f3e8a4788e45da3addd225a4a13b55d90b4e28c",
+    ("text", 7, 1_500_000): "b4bb4c89ffe82f0cc1f1487d6d04558ad164f77345940a5d9ab71de1b2cf3e0a",
+    ("fake_jpeg", DEFAULT_SEED, 64): "6a48e947fbbc81a5302a0b704ee95b9187bb30352bd4fd41dd64bc62bfd72caf",
+    ("fake_jpeg", DEFAULT_SEED, 1000): "97e78d5d917af72300fe37de53a1315fd51a7d9f1bb9349782b81bf6b34ebe3a",
+    ("fake_jpeg", DEFAULT_SEED, 100_000): "af82c2518edafcd132ad3ffe3ce96e58f7b9912ab199ab29fd0946797f21c654",
+    ("fake_jpeg", DEFAULT_SEED, 1_500_000): "ee5a085916797afb35eb380616dc2eba222930500eccef6b1545debef95ecb3b",
+    ("fake_jpeg", 7, 64): "82da0ae30e1fe4c64afea3daa7b7157116d00e2eef0e78f553a5ad97307ea19b",
+    ("fake_jpeg", 7, 1000): "456e86bb702136d3988dfffbd707bf2ca8665bbf6b7b2f69156a6c7a8c7b961f",
+    ("fake_jpeg", 7, 100_000): "c19ef5a4faa91e9b59e8779c0b32707f027306d13a5893762fadcd7b5c6ba374",
+    ("fake_jpeg", 7, 1_500_000): "92c622cda81114d03e9607bbda5991d6ce1a17afb91d0a06c00a602e77d45aea",
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -112,12 +159,89 @@ class TestGenerators:
         assert ratio > 0.9
 
     def test_generators_are_deterministic_per_seed(self):
-        assert generate_binary(1000, seed=7).content == generate_binary(1000, seed=7).content
-        assert generate_binary(1000, seed=7).content != generate_binary(1000, seed=8).content
+        for generate in (generate_binary, generate_text, generate_fake_jpeg):
+            assert generate(1000, seed=7).content == generate(1000, seed=7).content
+            assert generate(1000, seed=7).content != generate(1000, seed=8).content
+
+    @pytest.mark.parametrize("kind, seed, size", sorted(CONTENT_DIGESTS, key=repr))
+    def test_content_is_pinned(self, kind, seed, size):
+        generate = {"text": generate_text, "fake_jpeg": generate_fake_jpeg}[kind]
+        content = generate(size, seed=seed).content
+        assert hashlib.sha256(content).hexdigest() == CONTENT_DIGESTS[(kind, seed, size)]
 
     def test_generate_text_rejects_negative_size(self):
         with pytest.raises(ValueError):
             generate_text(-1)
+
+
+# --------------------------------------------------------------------------- #
+# Bulk replay of the paragraph stream
+# --------------------------------------------------------------------------- #
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+ends = st.sampled_from(["\n\n", "\n"])
+
+
+class TestParagraphBytes:
+    @given(seed=seeds, size=st.one_of(st.integers(0, 3_000), st.integers(0, 2_500_000)), end=ends)
+    @example(seed=DEFAULT_SEED, size=2_500_000, end="\n\n")
+    @example(seed=7, size=2_499_999, end="\n")
+    @example(seed=0, size=1, end="\n\n")
+    @example(seed=0, size=0, end="\n")
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_word_loop(self, seed, size, end):
+        expected_rng = random.Random(seed)
+        actual_rng = random.Random(seed)
+        assert paragraph_bytes(actual_rng, size, end) == per_word_paragraphs(expected_rng, size, end)
+        assert actual_rng.getstate() == expected_rng.getstate()
+
+    @given(seed=seeds, paragraphs=st.integers(1, 8), offset=st.integers(-1, 1), end=ends)
+    @settings(max_examples=60, deadline=None)
+    def test_sizes_around_a_paragraph_end(self, seed, paragraphs, offset, end):
+        rng = random.Random(seed)
+        boundary = sum(len(random_paragraph(rng) + end) for _ in range(paragraphs))
+        expected_rng = random.Random(seed)
+        actual_rng = random.Random(seed)
+        expected = per_word_paragraphs(expected_rng, boundary + offset, end)
+        assert paragraph_bytes(actual_rng, boundary + offset, end) == expected
+        assert actual_rng.getstate() == expected_rng.getstate()
+
+    @given(seed=seeds, warmup=st.integers(0, 700), size=st.integers(0, 20_000))
+    @settings(max_examples=40, deadline=None)
+    def test_caller_rng_continues_identically(self, seed, warmup, size):
+        # A used rng: mid-way through an MT19937 block, with a cached gauss value.
+        expected_rng = random.Random(seed)
+        expected_rng.getrandbits(32 * warmup + 1)
+        expected_rng.gauss(0.0, 1.0)
+        actual_rng = random.Random()
+        actual_rng.setstate(expected_rng.getstate())
+        text = RandomTextGenerator().generate(size, rng=actual_rng).content
+        fake = FakeJPEGGenerator().generate(size, rng=actual_rng).content
+        assert text == per_word_paragraphs(expected_rng, size, "\n\n")[:size]
+        assert fake == _with_jpeg_framing(per_word_paragraphs(expected_rng, size, "\n"), size)
+        assert actual_rng.getstate() == expected_rng.getstate()
+        assert actual_rng.random() == expected_rng.random()
+        assert actual_rng.gauss(0.0, 1.0) == expected_rng.gauss(0.0, 1.0)
+
+    @pytest.mark.parametrize("end", ["\n\n", "\n"])
+    @pytest.mark.parametrize("size", [1, 445, 30_000])
+    def test_decoder_needs_exactly_the_outputs_it_reports(self, size, end):
+        # Raw outputs straight from random.Random, not numpy's MT19937.
+        outputs = size // 2 + 1_000
+        block = random.Random(size).getrandbits(32 * outputs).to_bytes(4 * outputs, "little")
+        raw = np.frombuffer(block, dtype="<u4")
+        text, used = decode_paragraphs(raw, size, end)
+        assert text == per_word_paragraphs(random.Random(size), size, end)
+        assert decode_paragraphs(raw[:used], size, end) == (text, used)
+        assert decode_paragraphs(raw[: used - 1], size, end) is None
+        assert decode_paragraphs(raw[:0], size, end) is None
+
+    def test_short_blocks_grow_until_the_text_fits(self, monkeypatch):
+        monkeypatch.setattr(dictionary, "_OUTPUTS_PER_BYTE", 0.0)
+        monkeypatch.setattr(dictionary, "_SPARE_OUTPUTS", 1)
+        expected_rng = random.Random(11)
+        actual_rng = random.Random(11)
+        assert paragraph_bytes(actual_rng, 5_000, "\n") == per_word_paragraphs(expected_rng, 5_000, "\n")
+        assert actual_rng.getstate() == expected_rng.getstate()
 
 
 # --------------------------------------------------------------------------- #

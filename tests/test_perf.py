@@ -56,6 +56,7 @@ class TestBenchmarkDocument:
             "tcp_transfers_per_s",
             "event_queue_events_per_s",
             "load_sessions_per_s",
+            "filegen_text_bytes_per_s",
         }
         for entry in metrics.values():
             assert set(entry) == {"unit", "higher_is_better", "params", "value", "samples", "repeats"}

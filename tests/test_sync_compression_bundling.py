@@ -52,13 +52,6 @@ class TestCompression:
         assert result.transmitted_size == 0
         assert result.ratio == 1.0
 
-    def test_compress_returns_transmittable_bytes(self):
-        compressor = Compressor(CompressionPolicy.ALWAYS)
-        text = generate_text(50_000).content
-        assert len(compressor.compress(text)) < len(text)
-        binary = generate_binary(10_000).content
-        assert compressor.compress(binary) == binary
-
 
 class TestBundling:
     def test_pack_respects_size_limit(self):
