@@ -22,6 +22,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.randomness import peek_outputs, skip_outputs
+
 __all__ = ["WORDS", "random_words", "random_sentence", "random_paragraph", "paragraph_bytes", "decode_paragraphs"]
 
 WORDS: List[str] = [
@@ -201,29 +203,18 @@ def paragraph_bytes(rng: random.Random, size: int, end: str) -> bytes:
 
     in both the bytes and the state ``rng`` is left in, so later draws from
     ``rng`` see the same stream.  ``rng`` must be a plain ``random.Random``
-    (MT19937): its state is copied into numpy's MT19937, a block of raw
-    outputs is decoded by :func:`decode_paragraphs` (a larger block when
-    one falls short) and the state after exactly the used outputs is
-    written back.
+    (MT19937): :func:`decode_paragraphs` decodes a block of its raw outputs
+    (a larger block when one falls short), and ``rng`` is then advanced past
+    exactly the outputs used.
     """
     if size <= 0:
         return b""
-    version, internal, gauss_next = rng.getstate()
-    start = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
-    }
-    bitgen = np.random.MT19937(0)  # seeded only to skip OS entropy; the state is replaced
     outputs = int(size * _OUTPUTS_PER_BYTE) + _SPARE_OUTPUTS
     while True:
-        bitgen.state = start
-        decoded = decode_paragraphs(bitgen.random_raw(outputs), size, end)
+        decoded = decode_paragraphs(peek_outputs(rng, outputs), size, end)
         if decoded is not None:
             break
         outputs *= 2
     text, used = decoded
-    bitgen.state = start
-    bitgen.random_raw(used, output=False)
-    after = bitgen.state["state"]
-    rng.setstate((version, tuple(after["key"].tolist()) + (int(after["pos"]),), gauss_next))
+    skip_outputs(rng, used)
     return text

@@ -23,6 +23,10 @@ import math
 import random
 from typing import List
 
+import numpy as np
+
+from repro.randomness import expovariate_block
+
 __all__ = [
     "ARRIVAL_KINDS",
     "DIURNAL_AMPLITUDE",
@@ -42,20 +46,19 @@ DIURNAL_AMPLITUDE = 0.6
 def poisson_times(count: int, rate: float, rng: random.Random) -> List[float]:
     """``count`` arrival instants of a Poisson process with ``rate`` (1/s).
 
-    Returned ascending from time 0.  The cumulative sum of exponential
-    gaps is computed in arrival order, so the schedule is bit-identical
-    for a given rng state regardless of how it is later consumed.
+    Returned ascending from time 0: a clock that starts at ``0.0`` and adds
+    ``rng.expovariate(rate)`` gaps in arrival order, bit for bit.  The gaps
+    come from :func:`repro.randomness.expovariate_block` and ``np.cumsum``
+    adds them strictly in order, so the schedule equals the per-draw loop
+    (and leaves ``rng`` where it would) however it is later consumed.
     """
     if count <= 0:
         return []
     if rate <= 0.0:
         raise ValueError("arrival rate must be positive")
-    times: List[float] = []
-    clock = 0.0
-    for _ in range(count):
-        clock += rng.expovariate(rate)
-        times.append(clock)
-    return times
+    # The loop's clock starts at +0.0: adding 0.0 turns the -0.0 a zero
+    # first gap would leave into the loop's 0.0, and changes nothing else.
+    return (np.cumsum(expovariate_block(rng, count, rate)) + 0.0).tolist()
 
 
 def diurnal_times(

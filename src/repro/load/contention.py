@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["DEFAULT_TICK", "max_min_allocation", "group_allocation", "SharedLink"]
 
 #: Width of one allocation tick in simulated seconds.  A constant, not a
@@ -122,14 +124,6 @@ class SharedLink:
     capacity_bps: float
     tick_s: float = DEFAULT_TICK
 
-    def allocate(self, caps: Sequence[float]) -> List[float]:
-        """One allocation round over per-session caps (bits per second)."""
-        return max_min_allocation(caps, self.capacity_bps)
-
-    def allocate_groups(self, groups: Sequence[Tuple[float, int]]) -> List[float]:
-        """One allocation round over ``(cap, count)`` groups."""
-        return group_allocation(groups, self.capacity_bps)
-
     def per_session_rate(self, cap_bps: float, active: int) -> float:
         """The rate each of ``active`` equal-cap sessions receives (bps)."""
         if active <= 0:
@@ -144,3 +138,13 @@ class SharedLink:
         """
         boundary = math.ceil(instant / self.tick_s - TAG_EPSILON)
         return boundary * self.tick_s
+
+    def quantize_up_array(self, instants: np.ndarray) -> np.ndarray:
+        """:meth:`quantize_up` of every entry of a float64 array, bit for bit.
+
+        ``np.ceil`` of a float is the float of ``math.ceil``'s integer, so
+        the same operations in the same order give the same boundaries;
+        adding ``0.0`` turns the ``-0.0`` that ``np.ceil`` returns for an
+        instant at (or within the fuzz of) zero into ``math.ceil``'s ``0``.
+        """
+        return (np.ceil(instants / self.tick_s - TAG_EPSILON) + 0.0) * self.tick_s

@@ -21,7 +21,8 @@ min-heap, and between boundaries ``S`` grows linearly — O(N log N)
 total work, which is how 10^5–10^6 sessions run in seconds.
 
 Per-session fixed latency (handshake RTTs, server processing, TCP
-slow-start ramp from the closed-form :func:`repro.netsim.tcp.slow_start_penalty`)
+slow-start ramp from the closed-form :func:`repro.netsim.tcp.slow_start_penalty`,
+looked up per session by :func:`~repro.netsim.tcp.slow_start_penalties`)
 is added outside the fluid phase; it shapes completion times and
 goodput but deliberately does not consume link capacity — handshake
 bytes are negligible against the transfer payload at these scales.
@@ -36,14 +37,16 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.load.arrivals import ARRIVAL_KINDS, arrival_times
 from repro.load.contention import DEFAULT_TICK, TAG_EPSILON, SharedLink
 from repro.load.edge import ServiceEdge
 from repro.load.metrics import TailSummary, jain_index
 from repro.netsim.scenario import ScenarioSpec
-from repro.netsim.tcp import slow_start_penalty
+from repro.netsim.tcp import slow_start_penalties
 from repro.obs.tracer import current_tracer
-from repro.randomness import make_rng
+from repro.randomness import expovariate_block, make_rng
 from repro.services.registry import get_profile
 from repro.units import format_population, mbps
 
@@ -94,6 +97,9 @@ class LoadParameters:
     def __post_init__(self) -> None:
         if self.population <= 0:
             raise ValueError("population must be positive")
+        for name in ("window_s", "edge_concurrency", "link_capacity_bps", "transfer_bytes", "tick_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(
                 "unknown arrival process {!r} (expected one of {})".format(
@@ -139,16 +145,28 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
     on evaluation order.  The shared-link capacity is infrastructure-side
     and deliberately *not* scenario-warped; the scenario shapes each
     session's access cap and latency through ``lane``.
+
+    Per-session work runs as numpy array operations, each bit-identical to
+    the per-session Python loop it stands for: the draws replay the rng's
+    raw outputs (:func:`repro.randomness.expovariate_block`), the slow-start
+    penalty is a per-cell table lookup, and the result columns repeat the
+    loop's float operations in its order.  Only the admission/completion
+    boundary walk below is sequential.
     """
     count = params.population
     link = SharedLink(capacity_bps=params.link_capacity_bps, tick_s=params.tick_s)
     raw_arrivals = arrival_times(params.arrival, count, params.window_s, rng)
-    sizes = [max(1, int(rng.expovariate(1.0 / params.transfer_bytes))) for _ in range(count)]
+    # max(1, int(rng.expovariate(1 / mean))) per session; int() truncates.
+    size_column = np.maximum(expovariate_block(rng, count, 1.0 / params.transfer_bytes).astype(np.int64), 1)
     # Arrivals live on the tick lattice: an arrival mid-tick takes effect
     # at the next boundary, like every other state change.
-    arrivals = [link.quantize_up(value) for value in raw_arrivals]
+    arrival_column = link.quantize_up_array(np.array(raw_arrivals))
+    arrivals = arrival_column.tolist()
+    sizes = size_column.tolist()
 
     edge = ServiceEdge(params.edge_concurrency)
+    offer, release, has_capacity = edge.offer, edge.release, edge.has_capacity
+    quantize_up = link.quantize_up
     cap = lane.cap_bps
     capacity = link.capacity_bps
     tick = link.tick_s
@@ -166,7 +184,7 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
         # Next completion boundary (tick-aligned, strictly in the future).
         if heap:
             finish = now + (heap[0][0] - service_level) / byte_rate
-            completion_at = link.quantize_up(finish)
+            completion_at = quantize_up(finish)
             if completion_at <= now:
                 completion_at = now + tick
         else:
@@ -175,7 +193,7 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
         # into service (otherwise it just queues — no allocation change).
         # When the heap is empty the edge is provably idle, so the arrival
         # is always admissible and the loop cannot stall.
-        if pointer < count and edge.has_capacity():
+        if pointer < count and has_capacity():
             arrival_at = arrivals[pointer]
         else:
             arrival_at = None
@@ -186,7 +204,7 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
             now = arrival_at
             index = pointer
             pointer += 1
-            edge.offer(index)
+            offer(index)
             admit_at[index] = now
             push(heap, (service_level + sizes[index], index))
         else:
@@ -196,7 +214,7 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
             # frees: FIFO admission must see them in arrival order.  The
             # edge is full here, or these would have been boundaries.
             while pointer < count and arrivals[pointer] <= now:
-                edge.offer(pointer)
+                offer(pointer)
                 pointer += 1
             slack = TAG_EPSILON * (service_level + 1.0)
             while heap and heap[0][0] <= service_level + slack:
@@ -205,7 +223,7 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
                 # constant there, so invert the linear service growth.
                 exact = now - (service_level - tag) / byte_rate
                 fluid_end[index] = exact if exact > admit_at[index] else admit_at[index]
-                admitted = edge.release()
+                admitted = release()
                 if admitted is not None:
                     admit_at[admitted] = now
                     push(heap, (service_level + sizes[admitted], admitted))
@@ -218,28 +236,21 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
         else:
             byte_rate = 0.0
 
-    result = LoadResult(peak_active=edge.peak_active, peak_queue=edge.peak_queue)
-    rtt = lane.rtt
-    makespan = 0.0
-    for index in range(count):
-        size = sizes[index]
-        latency = (
-            HANDSHAKE_RTTS * rtt
-            + lane.server_processing
-            + slow_start_penalty(size, cap, rtt)
-        )
-        queue_wait = admit_at[index] - arrivals[index]
-        transfer = fluid_end[index] - admit_at[index]
-        finish = fluid_end[index] + latency
-        if finish > makespan:
-            makespan = finish
-        result.arrivals.append(arrivals[index])
-        result.queue_waits.append(queue_wait)
-        result.completions.append(queue_wait + latency + transfer)
-        result.goodputs_bps.append(size * 8.0 / (latency + transfer))
-        result.total_bytes += size
-    result.makespan_s = makespan
-    return result
+    admit_column = np.array(admit_at)
+    end_column = np.array(fluid_end)
+    latency = (HANDSHAKE_RTTS * lane.rtt + lane.server_processing) + slow_start_penalties(size_column, cap, lane.rtt)
+    queue_waits = admit_column - arrival_column
+    transfers = end_column - admit_column
+    return LoadResult(
+        arrivals=arrivals,
+        queue_waits=queue_waits.tolist(),
+        completions=(queue_waits + latency + transfers).tolist(),
+        goodputs_bps=(size_column * 8.0 / (latency + transfers)).tolist(),
+        total_bytes=int(size_column.sum()),
+        makespan_s=float(np.max(end_column + latency, initial=0.0)),
+        peak_active=edge.peak_active,
+        peak_queue=edge.peak_queue,
+    )
 
 
 def _round6(value: float) -> float:
@@ -302,7 +313,9 @@ class LoadStageResult:
 
 def reduce_load(service: str, params: LoadParameters, result: LoadResult) -> LoadCellSummary:
     """Reduce raw session columns to the cell's summary (order-independent)."""
-    queued = sum(1 for wait in result.queue_waits if wait > 0.0)
+    queue_waits = np.array(result.queue_waits)
+    goodputs = np.array(result.goodputs_bps)
+    queued = int(np.count_nonzero(queue_waits > 0.0))
     offered_bps = result.total_bytes * 8.0 / params.window_s
     makespan = result.makespan_s
     utilization = (
@@ -313,9 +326,9 @@ def reduce_load(service: str, params: LoadParameters, result: LoadResult) -> Loa
         population=params.population,
         sessions=result.sessions,
         completion=TailSummary.from_values(result.completions),
-        queue=TailSummary.from_values(result.queue_waits),
-        goodput=TailSummary.from_values(result.goodputs_bps),
-        jain=jain_index(result.goodputs_bps),
+        queue=TailSummary.from_values(queue_waits),
+        goodput=TailSummary.from_values(goodputs),
+        jain=jain_index(goodputs),
         offered_ratio=offered_bps / params.link_capacity_bps,
         utilization=utilization,
         queued_fraction=queued / result.sessions,

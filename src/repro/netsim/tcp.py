@@ -21,7 +21,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConnectionStateError
 from repro.netsim.endpoint import Endpoint
@@ -45,6 +47,8 @@ __all__ = [
     "TCPConnection",
     "INITIAL_CWND_BYTES",
     "slow_start_penalty",
+    "slow_start_penalty_table",
+    "slow_start_penalties",
     "flow_elision_enabled",
     "set_flow_elision",
 ]
@@ -112,35 +116,63 @@ def slow_start_penalty(nbytes: int, rate: float, rtt: float) -> float:
     * size bound — round ``i`` completes the transfer once the cumulative
       geometric series ``C0 * (2**(i+1) - 1)`` reaches ``nbytes``;
     * BDP bound — no round pays once its window covers the
-      bandwidth-delay product ``rate * rtt / 8``.
+      bandwidth-delay product ``rate * rtt / 8`` (the length of
+      :func:`slow_start_penalty_table`).
 
-    The per-round terms are then accumulated in the same float-operation
-    order as the byte-tracking loop this replaces, so results are
-    bit-identical to the seed engine (the golden documents pin bytes).
+    The penalty of ``k`` rounds is then entry ``k`` of that table.
     """
     if rtt <= 0 or nbytes <= 0:
         return 0.0
     # Size bound: smallest e with C0 * (2**e - 1) >= nbytes, k = e - 1.
     windows = -(-(nbytes + INITIAL_CWND_BYTES) // INITIAL_CWND_BYTES)
     rounds = max(0, (windows - 1).bit_length() - 1)
+    penalties = slow_start_penalty_table(rate, rtt)
+    return penalties[min(rounds, len(penalties) - 1)]
+
+
+def slow_start_penalty_table(rate: float, rtt: float) -> List[float]:
+    """Slow-start penalty by number of penalised rounds, up to the BDP bound.
+
+    Entry ``k`` is the penalty of ``k`` penalised rounds at ``rate`` over
+    ``rtt``; there is one entry per round the bandwidth-delay product
+    allows, plus entry 0.  The per-round terms are accumulated in the same
+    float-operation order as the byte-tracking loop this replaces, so
+    results are bit-identical to the seed engine (the golden documents pin
+    bytes).
+    """
+    if rtt <= 0:
+        return [0.0]
     # BDP bound: smallest i with C0 * 2**i >= bdp.  ldexp keeps the
     # comparison in exact floats, mirroring the doubling of the old loop.
     bdp = rate * rtt / 8.0
+    rounds = 0
     if INITIAL_CWND_BYTES < bdp:
-        guess = max(1, int(math.log2(bdp / INITIAL_CWND_BYTES)))
-        while math.ldexp(INITIAL_CWND_BYTES, guess) < bdp:
-            guess += 1
-        while guess > 0 and math.ldexp(INITIAL_CWND_BYTES, guess - 1) >= bdp:
-            guess -= 1
-        rounds = min(rounds, guess)
-    else:
-        rounds = 0
+        rounds = max(1, int(math.log2(bdp / INITIAL_CWND_BYTES)))
+        while math.ldexp(INITIAL_CWND_BYTES, rounds) < bdp:
+            rounds += 1
+        while rounds > 0 and math.ldexp(INITIAL_CWND_BYTES, rounds - 1) >= bdp:
+            rounds -= 1
+    penalties = [0.0]
     penalty = 0.0
     cwnd = float(INITIAL_CWND_BYTES)
     for _ in range(rounds):
         penalty += rtt - cwnd * 8.0 / rate
         cwnd *= 2.0
-    return penalty
+        penalties.append(penalty)
+    return penalties
+
+
+def slow_start_penalties(sizes: np.ndarray, rate: float, rtt: float) -> np.ndarray:
+    """:func:`slow_start_penalty` of every entry of the integer array ``sizes``.
+
+    One :func:`slow_start_penalty_table` serves them all.  By the size
+    bound a transfer pays round ``k >= 1`` iff ``nbytes > C0 * (2**k - 1)``,
+    so its number of rounds is the count of those bounds below it (capped
+    by the table's length), found by one sorted search.
+    """
+    penalties = slow_start_penalty_table(rate, rtt)
+    bounds = [INITIAL_CWND_BYTES * ((1 << k) - 1) for k in range(1, len(penalties))]
+    return np.array(penalties)[np.searchsorted(bounds, sizes)]
 
 
 class TCPState(str, enum.Enum):

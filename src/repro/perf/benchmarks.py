@@ -3,8 +3,9 @@
 Micro-benchmarks exercise exactly the paths the columnar rework targets —
 batched packet emission into the sniffer, trace query filters, memoized
 TCP transfer math, the event queue's schedule/cancel/poll pattern — plus
-the open-population engine and dictionary text generation, and one
-macro-benchmark runs the default campaign grid end to end.
+the open-population engine, dictionary text generation and the zlib
+compressor, and one macro-benchmark runs the default campaign grid end to
+end.
 
 Every workload is a pure function of its parameters (fixed endpoints,
 fixed sizes, fixed seed), so two runs measure the *same* computation and
@@ -292,6 +293,44 @@ def bench_filegen_text(repeats: int) -> BenchmarkResult:
     )
 
 
+def bench_compressor(repeats: int) -> BenchmarkResult:
+    """Bytes/second through ``Compressor(ALWAYS).process``, over one Fig. 5 text cell's files.
+
+    zlib is the compression stage's largest layer once text generation is
+    bulk-decoded.  The files are generated at ``DEFAULT_SEED`` before the
+    clock starts, so only the compressor is timed.
+    """
+    from repro.core.workloads import COMPRESSION_SIZES
+    from repro.filegen.text import generate_text
+    from repro.sync.compression import CompressionPolicy, Compressor
+
+    sizes = tuple(COMPRESSION_SIZES)
+    contents = [generate_text(size, seed=DEFAULT_SEED).content for size in sizes]
+    compressor = Compressor(CompressionPolicy.ALWAYS)
+
+    def make_workload():
+        def workload() -> None:
+            for content in contents:
+                compressor.process(content)
+
+        return workload
+
+    measured = measure_rate(make_workload, sum(sizes), repeats)
+    return BenchmarkResult(
+        name="compressor_bytes_per_s",
+        unit="bytes/s",
+        higher_is_better=True,
+        params={
+            "sizes": ",".join(str(size) for size in sizes),
+            "seed": DEFAULT_SEED,
+            "policy": compressor.policy.value,
+            "level": compressor.level,
+        },
+        value=round(measured.best, 3),
+        samples=tuple(round(sample, 3) for sample in measured.samples),
+    )
+
+
 def bench_campaign(
     *,
     services: Sequence[str],
@@ -383,6 +422,7 @@ def run_benchmarks(
         bench_events(100_000, repeats),
         bench_load(20_000, repeats),
         bench_filegen_text(repeats),
+        bench_compressor(repeats),
     ]
     if quick:
         # Two services and one repetition: the macro path end to end in a

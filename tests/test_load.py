@@ -5,20 +5,29 @@ Covers the allocator's conservation/order-invariance properties
 against closed-form expectations, the campaign ``load`` stage (plan
 order, caching, sweep aggregation) and end-to-end byte-identity of the
 CLI documents across jobs and a 2-worker shard+merge.
+
+The engine's array code is held bit-identical to the per-session loops
+it stands for: the scalar loops are kept here as oracles (the draws, the
+Poisson clock, the slow-start penalty, tick quantization, the
+reductions), and SHA-256 pins of four cells were computed with them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import random
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.cli import main, store_listing_rows
 from repro.core.campaign import CampaignCell, CampaignConfig, CampaignRunner, run_cell
+from repro.core.metrics import quantile
 from repro.core.store import CONFIG_KEY_FIELDS, ResultStore, cache_key
 from repro.errors import ConfigurationError
 from repro.load import (
@@ -30,14 +39,19 @@ from repro.load import (
     diurnal_times,
     group_allocation,
     jain_index,
+    lane_for,
     max_min_allocation,
     poisson_times,
+    reduce_load,
     run_load_cell,
     simulate_population,
 )
+from repro.load.contention import TAG_EPSILON
 from repro.load.edge import ServiceEdge
 from repro.netsim.scenario import BASELINE
-from repro.randomness import make_rng
+from repro.netsim.tcp import INITIAL_CWND_BYTES, slow_start_penalties, slow_start_penalty
+from repro.randomness import DEFAULT_SEED, expovariate_block, make_rng, random_block
+from repro.specio import canonical_json
 from repro.units import (
     format_population,
     mbps,
@@ -52,6 +66,37 @@ caps_lists = st.lists(
     max_size=40,
 )
 capacities = st.floats(min_value=1.0, max_value=1e10, allow_nan=False, allow_infinity=False)
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _bits(values):
+    """Exact float spellings, so -0.0 and 0.0 (equal under ==) differ."""
+    return [float(value).hex() for value in values]
+
+
+def _used_rng(seed, warmup):
+    """An rng part-way through an MT19937 block, with a cached ``gauss`` value."""
+    rng = random.Random(seed)
+    rng.getrandbits(32 * warmup + 1)
+    rng.gauss(0.0, 1.0)
+    assert rng.getstate()[2] is not None
+    return rng
+
+
+def _copy_rng(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def _poisson_times_loop(count, rate, rng):
+    """The per-draw clock :func:`poisson_times` replays in bulk: the oracle."""
+    times = []
+    clock = 0.0
+    for _ in range(count):
+        clock += rng.expovariate(rate)
+        times.append(clock)
+    return times
 
 
 class TestAllocatorProperties:
@@ -120,6 +165,27 @@ class TestAllocatorProperties:
         assert link.quantize_up(0.0101) == pytest.approx(0.02)
         assert link.quantize_up(1.234) == pytest.approx(1.24, abs=1e-12)
 
+    @given(
+        tick=st.sampled_from([0.01, 0.001, 0.05, 0.1, 0.3]),
+        ticks=st.lists(st.integers(min_value=0, max_value=10**7), min_size=1, max_size=30),
+        others=st.lists(st.floats(min_value=0.0, max_value=1e5), max_size=30),
+    )
+    @example(tick=0.01, ticks=[0, 1, 3, 7, 100, 12345], others=[0.0, 1e-12, 0.010000000000000002, 0.0101])
+    @settings(max_examples=80, deadline=None)
+    def test_array_quantization_matches_scalar_bit_for_bit(self, tick, ticks, others):
+        link = SharedLink(capacity_bps=1.0, tick_s=tick)
+        values = list(others)
+        for count in ticks:
+            boundary = count * tick
+            # On the boundary, one ulp either side, and either side of
+            # the TAG_EPSILON fuzz that keeps float noise off the next tick.
+            values += [boundary, math.nextafter(boundary, math.inf), math.nextafter(boundary, -math.inf)]
+            values += [boundary + tick * TAG_EPSILON * 0.5, boundary + tick * TAG_EPSILON * 2.0]
+            values += [(count + 0.5) * tick]
+        values = [value for value in values if value >= 0.0]
+        expected = [link.quantize_up(value) for value in values]
+        assert _bits(link.quantize_up_array(np.array(values))) == _bits(expected)
+
 
 class TestArrivals:
     def test_poisson_schedule_is_sorted_and_deterministic(self):
@@ -136,6 +202,23 @@ class TestArrivals:
         assert first == sorted(first)
         assert len(first) == 500
 
+    @given(
+        seed=seeds,
+        warmup=st.integers(min_value=0, max_value=700),
+        count=st.integers(min_value=0, max_value=3000),
+        rate=st.floats(min_value=1e-3, max_value=1e6),
+    )
+    @example(seed=7, warmup=0, count=0, rate=10.0)
+    @example(seed=7, warmup=0, count=1, rate=10.0)
+    @settings(max_examples=60, deadline=None)
+    def test_poisson_times_match_the_per_draw_loop(self, seed, warmup, count, rate):
+        expected_rng = _used_rng(seed, warmup)
+        actual_rng = _copy_rng(expected_rng)
+        times = poisson_times(count, rate, actual_rng)
+        assert type(times) is list
+        assert _bits(times) == _bits(_poisson_times_loop(count, rate, expected_rng))
+        assert actual_rng.getstate() == expected_rng.getstate()
+
     def test_dispatcher_validates_kind(self):
         with pytest.raises(ValueError):
             arrival_times("bursty", 10, 60.0, make_rng(7))
@@ -144,6 +227,66 @@ class TestArrivals:
         times = arrival_times("poisson", 5000, 50.0, make_rng(7, "rate"))
         # 5000 arrivals at rate 100/s should span roughly the 50 s window.
         assert times[-1] == pytest.approx(50.0, rel=0.2)
+
+
+class TestBulkDraws:
+    @given(
+        seed=seeds,
+        warmup=st.integers(min_value=0, max_value=700),
+        count=st.integers(min_value=0, max_value=3000),
+        lambd=st.floats(min_value=1e-6, max_value=1e6),
+    )
+    @example(seed=0, warmup=0, count=0, lambd=1.0)
+    @example(seed=0, warmup=0, count=1, lambd=1.0)
+    @example(seed=DEFAULT_SEED, warmup=623, count=1, lambd=1e-5)
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_per_draw_loops(self, seed, warmup, count, lambd):
+        expected_rng = _used_rng(seed, warmup)
+        actual_rng = _copy_rng(expected_rng)
+        uniforms = random_block(actual_rng, count)
+        assert _bits(uniforms) == _bits(expected_rng.random() for _ in range(count))
+        assert actual_rng.getstate() == expected_rng.getstate()
+        gaps = expovariate_block(actual_rng, count, lambd)
+        assert _bits(gaps) == _bits(expected_rng.expovariate(lambd) for _ in range(count))
+        assert actual_rng.getstate() == expected_rng.getstate()
+        # The cached gauss value survives: both continue identically.
+        assert actual_rng.gauss(0.0, 1.0) == expected_rng.gauss(0.0, 1.0)
+        assert actual_rng.random() == expected_rng.random()
+
+
+class TestSlowStartTable:
+    @staticmethod
+    def _boundary_sizes():
+        # Where the size bound steps: C0 * (2**k - 1), and a byte either side.
+        sizes = [-5, 0, 1, 2]
+        for k in range(0, 24):
+            edge = INITIAL_CWND_BYTES * (2**k - 1)
+            sizes += [edge - 1, edge, edge + 1]
+        return sorted(set(sizes))
+
+    @given(
+        rtt=st.floats(min_value=0.0001, max_value=2.0),
+        rate_mbps=st.floats(min_value=0.05, max_value=1000.0),
+        extra=st.lists(st.integers(min_value=1, max_value=50_000_000), max_size=20),
+    )
+    # Two bandwidth-delay products below the initial window (no round
+    # pays), then the largest one in range.
+    @example(rtt=0.001, rate_mbps=1.0, extra=[])
+    @example(rtt=0.01, rate_mbps=10.0, extra=[])
+    @example(rtt=2.0, rate_mbps=1000.0, extra=[50_000_000])
+    @settings(max_examples=150, deadline=None)
+    def test_tabled_penalty_matches_closed_form(self, rtt, rate_mbps, extra):
+        rate = mbps(rate_mbps)
+        sizes = self._boundary_sizes() + extra
+        tabled = slow_start_penalties(np.array(sizes, dtype=np.int64), rate, rtt)
+        assert _bits(tabled) == _bits(slow_start_penalty(size, rate, rtt) for size in sizes)
+
+    def test_bdp_below_initial_window_pays_nothing(self):
+        rate, rtt = mbps(1.0), 0.01
+        assert rate * rtt / 8.0 < INITIAL_CWND_BYTES
+        sizes = np.array(self._boundary_sizes(), dtype=np.int64)
+        assert slow_start_penalties(sizes, rate, rtt).tolist() == [0.0] * len(sizes)
+        assert slow_start_penalties(sizes, mbps(10.0), 0.0).tolist() == [0.0] * len(sizes)
 
 
 class TestTailReductions:
@@ -161,6 +304,31 @@ class TestTailReductions:
         random.Random(seed).shuffle(shuffled)
         assert TailSummary.from_values(shuffled) == TailSummary.from_values(values)
         assert jain_index(shuffled) == jain_index(values)
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=400,
+        )
+    )
+    @example(values=[0.1] * 300 + [1e12, 3.0])
+    @settings(max_examples=100, deadline=None)
+    def test_reductions_match_the_sequential_loops(self, values):
+        # The oracle: sort, then add left to right from 0.0.
+        ordered = sorted(values)
+        linear = squared = 0.0
+        for value in ordered:
+            linear += value
+            squared += value * value
+        summary = TailSummary.from_values(values)
+        assert _bits([summary.mean]) == _bits([linear / len(ordered)])
+        for fraction, computed in ((0.5, summary.p50), (0.99, summary.p99), (0.999, summary.p999)):
+            assert _bits([computed]) == _bits([quantile(ordered, fraction)])
+        assert (summary.minimum, summary.maximum, summary.count) == (ordered[0], ordered[-1], len(ordered))
+        jain = 1.0 if squared == 0.0 else (linear * linear) / (len(ordered) * squared)
+        assert _bits([jain_index(values)]) == _bits([jain])
+        assert all(type(value) is float for value in dataclasses.astuple(summary)[:-1])
 
     @given(
         values=st.lists(
@@ -256,6 +424,26 @@ class TestPopulationEngine:
         with pytest.raises(ValueError):
             LoadParameters(population=10, arrival="bursty")
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("window_s", 0.0),
+            ("window_s", -60.0),
+            ("edge_concurrency", 0),
+            ("edge_concurrency", -1),
+            ("link_capacity_bps", 0.0),
+            ("link_capacity_bps", -mbps(400.0)),
+            ("link_capacity_bps", math.nan),
+            ("transfer_bytes", 0),
+            ("transfer_bytes", -100_000),
+            ("tick_s", 0.0),
+            ("tick_s", -0.01),
+        ],
+    )
+    def test_rejects_non_positive_knobs_at_construction(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            LoadParameters(population=10, **{knob: value})
+
     def test_run_load_cell_is_pure(self):
         params = LoadParameters(population=3000)
         first = run_load_cell("dropbox", params, seed=7, scenario=BASELINE)
@@ -264,6 +452,58 @@ class TestPopulationEngine:
         assert first.row()["population"] == "3k"
         assert first != run_load_cell("dropbox", params, seed=8, scenario=BASELINE)
         assert first != run_load_cell("googledrive", params, seed=7, scenario=BASELINE)
+
+
+#: Cells whose outcome is pinned: (service, params, lane, rng labels).  A
+#: ``None`` lane is the service's baseline lane at seed 7.
+PINNED_CELLS = {
+    "dropbox-20k-poisson": (
+        "dropbox", LoadParameters(population=20_000), None, (7, "load", "dropbox", 20_000),
+    ),
+    "googledrive-10k-diurnal": (
+        "googledrive", LoadParameters(population=10_000, arrival="diurnal"), None, (7, "load", "googledrive", 10_000),
+    ),
+    # bench_load's saturated cell (repro.perf.benchmarks).
+    "bench-saturated": (
+        "bench",
+        LoadParameters(
+            population=20_000, window_s=20.0, edge_concurrency=64,
+            link_capacity_bps=mbps(400.0), transfer_bytes=100_000,
+        ),
+        TestPopulationEngine.LANE,
+        (DEFAULT_SEED, "bench", "load"),
+    ),
+    "edge-serial": (
+        "bench",
+        LoadParameters(population=500, window_s=5.0, edge_concurrency=1),
+        TestPopulationEngine.LANE,
+        (7, "serial"),
+    ),
+}
+
+#: SHA-256 of the canonical JSON of each pinned cell's LoadResult, its
+#: reduced row and the rng's next 64 bits, as the per-session loops
+#: computed them.  Any change shifts every load result.
+PINNED_DIGESTS = {
+    "dropbox-20k-poisson": "7bb27c09df7592d92976f5ccd65132a587e59864ef37bc0d36eda366b72a43ff",
+    "googledrive-10k-diurnal": "22a289ed324ead1f84e34d51bc551873a3778b978826716824d2aee04035110b",
+    "bench-saturated": "461f308ff528101194f84ccb4200ccccd674e636875002741b81402b5bfd9c84",
+    "edge-serial": "fcc2f54bbcb951476725cbae1513edadaee74a6dacc7f063c49bba280e91461f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CELLS))
+def test_population_outcome_is_pinned(name):
+    service, params, lane, labels = PINNED_CELLS[name]
+    lane = lane if lane is not None else lane_for(service, BASELINE, 7)
+    rng = make_rng(*labels)
+    result = simulate_population(params, lane, rng)
+    document = {
+        "result": dataclasses.asdict(result),
+        "row": reduce_load(service, params, result).row(),
+        "rng_after": rng.getrandbits(64),
+    }
+    assert hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest() == PINNED_DIGESTS[name]
 
 
 class TestPopulationGrammar:

@@ -57,6 +57,7 @@ class TestBenchmarkDocument:
             "event_queue_events_per_s",
             "load_sessions_per_s",
             "filegen_text_bytes_per_s",
+            "compressor_bytes_per_s",
         }
         for entry in metrics.values():
             assert set(entry) == {"unit", "higher_is_better", "params", "value", "samples", "repeats"}
