@@ -53,10 +53,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.capabilities import CapabilityMatrix, CapabilityProber
 from repro.core.experiments.compression import CONTENT_CLASSES, CompressionExperiment, CompressionExperimentResult
-from repro.core.experiments.datacenters import DataCenterExperiment, DataCenterResult
+from repro.core.experiments.datacenters import DEFAULT_RESOLVER_COUNT, DataCenterExperiment, DataCenterResult
 from repro.core.experiments.delta import DELTA_CASES, DeltaEncodingExperiment, DeltaResult
 from repro.core.experiments.idle import IdleExperiment, IdleResult
-from repro.core.experiments.performance import PerformanceExperiment, PerformanceResult
+from repro.core.experiments.performance import DEFAULT_REPETITIONS, PerformanceExperiment, PerformanceResult
 from repro.core.experiments.synseries import SynSeriesExperiment, SynSeriesResult
 from repro.core.store import ResultStore
 from repro.core.workloads import PAPER_WORKLOADS, workload_by_name
@@ -155,9 +155,9 @@ class CampaignConfig:
     via :func:`init_worker_services`.)
     """
 
-    repetitions: int = 2
+    repetitions: int = DEFAULT_REPETITIONS
     idle_duration: float = minutes(16)
-    resolver_count: int = 300
+    resolver_count: int = DEFAULT_RESOLVER_COUNT
     planetlab_count: int = 300
     scenario: ScenarioSpec = field(default_factory=lambda: BASELINE)
     #: Population sizes the ``load`` stage plans one unit cell per (the

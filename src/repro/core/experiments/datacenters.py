@@ -1,11 +1,12 @@
 """Fig. 2 and §3.2 — architecture discovery: front-ends, owners, locations.
 
 The experiment assembles the simulated world (authoritative DNS answering
-from the ground-truth data-center catalogue, >2,000 open resolvers,
-PlanetLab-like vantage points, whois, reverse DNS) and runs the paper's
-§2.1 discovery pipeline on the DNS names each client contacts.  For Google
-Drive the result is the Fig. 2 map: well over 100 edge locations; for the
-other services it is the short list of data centers and owners of §3.2.
+from the ground-truth data-center catalogue, open resolvers — the paper
+used over 2,000 — PlanetLab-like vantage points, whois, reverse DNS) and
+runs the paper's §2.1 discovery pipeline on the DNS names each client
+contacts.  For Google Drive the result is the Fig. 2 map: well over 100
+edge locations; for the other services it is the short list of data
+centers and owners of §3.2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from repro.geo.whois import WhoisDatabase
 from repro.randomness import DEFAULT_SEED
 from repro.services.registry import SERVICE_NAMES, get_profile
 
-__all__ = ["SimulatedWorld", "build_world", "DataCenterResult", "DataCenterExperiment"]
+__all__ = ["DEFAULT_RESOLVER_COUNT", "SimulatedWorld", "build_world", "DataCenterResult", "DataCenterExperiment"]
+
+#: Open resolvers when none are given — the default of every entry point,
+#: ``CampaignConfig.resolver_count`` included.
+DEFAULT_RESOLVER_COUNT = 300
 
 
 @dataclass
@@ -43,7 +48,7 @@ class SimulatedWorld:
 def build_world(
     services: Optional[Sequence[str]] = None,
     *,
-    resolver_count: int = 2000,
+    resolver_count: int = DEFAULT_RESOLVER_COUNT,
     planetlab_count: int = 300,
 ) -> SimulatedWorld:
     """Build the ground-truth world plus the measurement apparatus on top of it."""
@@ -126,7 +131,7 @@ class DataCenterExperiment:
         self,
         services: Optional[Sequence[str]] = None,
         *,
-        resolver_count: int = 2000,
+        resolver_count: int = DEFAULT_RESOLVER_COUNT,
         planetlab_count: int = 300,
         seed: int = DEFAULT_SEED,
     ) -> None:

@@ -20,10 +20,14 @@ from repro.randomness import DEFAULT_SEED, derive_seed
 from repro.services.registry import SERVICE_NAMES
 from repro.testbed.controller import TestbedController
 
-__all__ = ["FIGURE_METRICS", "PerformanceResult", "PerformanceExperiment"]
+__all__ = ["DEFAULT_REPETITIONS", "FIGURE_METRICS", "PerformanceResult", "PerformanceExperiment"]
 
 #: Number of repetitions used by the paper (24 per experiment and service).
 PAPER_REPETITIONS = 24
+
+#: Repetitions per (service, workload) when none are given — the default of
+#: every entry point, ``CampaignConfig.repetitions`` included.
+DEFAULT_REPETITIONS = 2
 
 #: The metrics :meth:`PerformanceResult.figure_series` can plot (Fig. 6a-c).
 FIGURE_METRICS = ("startup", "completion", "overhead")
@@ -90,7 +94,7 @@ class PerformanceExperiment:
         self,
         services: Optional[Sequence[str]] = None,
         workloads: Optional[Sequence[WorkloadSpec]] = None,
-        repetitions: int = 5,
+        repetitions: int = DEFAULT_REPETITIONS,
         file_kind: FileKind = FileKind.BINARY,
         pause_between_runs: float = 300.0,
         seed: int = DEFAULT_SEED,

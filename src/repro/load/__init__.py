@@ -4,10 +4,11 @@
 not "which service is fastest for one client" but "which service
 survives a population".  An open arrival process
 (:mod:`~repro.load.arrivals`) feeds sessions through a FIFO service
-edge (:mod:`~repro.load.edge`) onto a shared link divided by tick-based
-max-min fair sharing (:mod:`~repro.load.contention`); the fluid engine
-(:mod:`~repro.load.population`) turns 10^4–10^6 such sessions into
-per-session completion times, queue waits and goodput in seconds, and
+edge onto a shared link divided by tick-based max-min fair sharing
+(:mod:`~repro.load.contention`); the fluid engine
+(:mod:`~repro.load.population`, which also owns the edge's queue) turns
+10^4–10^6 such sessions into per-session completion times, queue waits
+and goodput in seconds, and
 :mod:`~repro.load.metrics` reduces them to deterministic tail quantiles
 (p95/p99/p999), Jain fairness and saturation ratios.
 
@@ -19,7 +20,6 @@ merge byte-identically like the rest of the suite.
 
 from repro.load.arrivals import ARRIVAL_KINDS, arrival_times, diurnal_times, poisson_times
 from repro.load.contention import DEFAULT_TICK, SharedLink, group_allocation, max_min_allocation
-from repro.load.edge import ServiceEdge
 from repro.load.metrics import TailSummary, jain_index
 from repro.load.population import (
     HANDSHAKE_RTTS,
@@ -43,7 +43,6 @@ __all__ = [
     "LoadParameters",
     "LoadResult",
     "LoadStageResult",
-    "ServiceEdge",
     "SharedLink",
     "TailSummary",
     "arrival_times",

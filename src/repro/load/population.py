@@ -2,9 +2,15 @@
 
 This is the load stage's heart.  It advances an *open* population of
 client sessions through three stages — arrival (:mod:`.arrivals`), FIFO
-admission at the service edge (:mod:`.edge`), and a max-min fair share
-of one uplink (:mod:`.contention`) — and produces per-session completion
-times, queue waits and goodput.
+admission at the service edge, and a max-min fair share of one uplink
+(:mod:`.contention`) — and produces per-session completion times, queue
+waits and goodput.
+
+The service edge is the classic M/G/k admission discipline: at most
+``edge_concurrency`` sessions in service, everyone else waiting
+first-in-first-out, with no timeouts, drops or priorities.  Queue *wait*
+— the gap between arrival and admission — is reported apart from
+transfer time, because under saturation it dominates completion time.
 
 The engine is *fluid*, not packet-level: each admitted session is a
 demand of ``size`` bytes draining at the link's current per-session
@@ -34,14 +40,16 @@ so load cells cache, shard, sweep and merge byte-identically.
 from __future__ import annotations
 
 import heapq
+import math
+import operator
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.load.arrivals import ARRIVAL_KINDS, arrival_times
 from repro.load.contention import DEFAULT_TICK, TAG_EPSILON, SharedLink
-from repro.load.edge import ServiceEdge
 from repro.load.metrics import TailSummary, jain_index
 from repro.netsim.scenario import ScenarioSpec
 from repro.netsim.tcp import slow_start_penalties
@@ -82,6 +90,17 @@ class AccessLane:
     server_processing: float
 
 
+def _is_integer(value) -> bool:
+    """True for values :func:`operator.index` accepts, except ``bool``."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class LoadParameters:
     """Knobs of one load cell, mirroring the ``load_*`` campaign config."""
@@ -95,11 +114,14 @@ class LoadParameters:
     tick_s: float = DEFAULT_TICK
 
     def __post_init__(self) -> None:
-        if self.population <= 0:
-            raise ValueError("population must be positive")
-        for name in ("window_s", "edge_concurrency", "link_capacity_bps", "transfer_bytes", "tick_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("population", "edge_concurrency"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("window_s", "link_capacity_bps", "transfer_bytes", "tick_s"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(
                 "unknown arrival process {!r} (expected one of {})".format(
@@ -137,6 +159,111 @@ def lane_for(service: str, scenario: ScenarioSpec, seed: int) -> AccessLane:
     )
 
 
+def _admission_walk(
+    arrivals: Sequence[float],
+    sizes: Sequence[int],
+    concurrency: int,
+    cap: float,
+    capacity: float,
+    tick: float,
+) -> Tuple[List[float], List[float], int, int]:
+    """Walk the admission/completion boundaries of one cell, in time order.
+
+    ``arrivals`` are ascending tick-lattice instants and ``sizes`` the
+    sessions' demands in bytes; at most ``concurrency`` sessions are in
+    service, each draining at ``min(cap, capacity / active)`` bits/s, and
+    the rest wait FIFO in ``queue``.  Returns each session's admission
+    instant, its exact fluid-phase end, and the peaks of the in-service
+    count and of the queue.
+
+    Two kinds of boundary, each the next tick boundary where the active
+    set changes:
+
+    * an *admission instant* — a slot is free, nobody waits, and the next
+      arrival comes no later than the next completion boundary.  It admits
+      that arrival and every later one with the same timestamp while the
+      edge has room, then recomputes the rate once.  The batch is
+      bit-identical to one admission per boundary: the clock does not move
+      between same-instant admissions (the service level would gain
+      ``0.0 * byte_rate``), and a completion boundary is always later than
+      now, so none could come between them;
+    * a *completion boundary* — every arrival up to it queues (the edge
+      is full, or these would have been admission instants), then every
+      finished session leaves and hands its slot to the head of the queue.
+    """
+    count = len(arrivals)
+    admit_at = [0.0] * count
+    fluid_end = [0.0] * count
+    heap: List[Tuple[float, int]] = []
+    queue: Deque[int] = deque()
+    push, pop, ceil = heapq.heappush, heapq.heappop, math.ceil
+    enqueue, dequeue = queue.append, queue.popleft
+    pointer = active = peak_active = peak_queue = 0
+    now = 0.0
+    service_level = 0.0  # cumulative bytes delivered per active session
+    byte_rate = 0.0  # per-session rate of the active set, bytes per second
+
+    while pointer < count or active:
+        if active:
+            # Next completion boundary (tick-aligned, strictly in the
+            # future): SharedLink.quantize_up, inlined.
+            finish = now + (heap[0][0] - service_level) / byte_rate
+            completion_at = ceil(finish / tick - TAG_EPSILON) * tick
+            if completion_at <= now:
+                completion_at = now + tick
+        # With nobody in service nobody waits, so the arrival is
+        # admissible and the loop cannot stall.
+        if (
+            pointer < count
+            and active < concurrency
+            and not queue
+            and (not active or arrivals[pointer] <= completion_at)
+        ):
+            arrival = arrivals[pointer]
+            if active:
+                service_level += (arrival - now) * byte_rate
+            now = arrival
+            while True:
+                admit_at[pointer] = now
+                push(heap, (service_level + sizes[pointer], pointer))
+                pointer += 1
+                active += 1
+                if pointer == count or active == concurrency or arrivals[pointer] != now:
+                    break
+            if active > peak_active:
+                peak_active = active
+        else:
+            service_level += (completion_at - now) * byte_rate
+            now = completion_at
+            # Queue every arrival up to this boundary before any slot
+            # frees: FIFO admission must see them in arrival order.
+            while pointer < count and arrivals[pointer] <= now:
+                enqueue(pointer)
+                pointer += 1
+            if len(queue) > peak_queue:
+                peak_queue = len(queue)
+            slack = TAG_EPSILON * (service_level + 1.0)
+            while active and heap[0][0] <= service_level + slack:
+                tag, index = pop(heap)
+                # Exact finish inside the last segment; the rate was
+                # constant there, so invert the linear service growth.
+                exact = now - (service_level - tag) / byte_rate
+                fluid_end[index] = exact if exact > admit_at[index] else admit_at[index]
+                if queue:
+                    admitted = dequeue()
+                    admit_at[admitted] = now
+                    push(heap, (service_level + sizes[admitted], admitted))
+                else:
+                    active -= 1
+        if active:
+            # Single equal-cap group: the max-min share reduces to
+            # min(cap, capacity / active), bit-equal to group_allocation.
+            # Read only while someone is in service.
+            share = capacity / active
+            byte_rate = (cap if cap < share else share) / 8.0
+    return admit_at, fluid_end, peak_active, peak_queue
+
+
 def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadResult:
     """Run one open population through the edge and the shared link.
 
@@ -151,7 +278,7 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
     raw outputs (:func:`repro.randomness.expovariate_block`), the slow-start
     penalty is a per-cell table lookup, and the result columns repeat the
     loop's float operations in its order.  Only the admission/completion
-    boundary walk below is sequential.
+    boundary walk (:func:`_admission_walk`) is sequential.
     """
     count = params.population
     link = SharedLink(capacity_bps=params.link_capacity_bps, tick_s=params.tick_s)
@@ -162,79 +289,10 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
     # at the next boundary, like every other state change.
     arrival_column = link.quantize_up_array(np.array(raw_arrivals))
     arrivals = arrival_column.tolist()
-    sizes = size_column.tolist()
-
-    edge = ServiceEdge(params.edge_concurrency)
-    offer, release, has_capacity = edge.offer, edge.release, edge.has_capacity
-    quantize_up = link.quantize_up
     cap = lane.cap_bps
-    capacity = link.capacity_bps
-    tick = link.tick_s
-    admit_at = [0.0] * count
-    fluid_end = [0.0] * count
-
-    heap: List[Tuple[float, int]] = []
-    push, pop = heapq.heappush, heapq.heappop
-    pointer = 0
-    now = 0.0
-    service_level = 0.0  # cumulative bytes delivered per active session
-    byte_rate = 0.0  # current per-session rate, bytes per second
-
-    while pointer < count or heap:
-        # Next completion boundary (tick-aligned, strictly in the future).
-        if heap:
-            finish = now + (heap[0][0] - service_level) / byte_rate
-            completion_at = quantize_up(finish)
-            if completion_at <= now:
-                completion_at = now + tick
-        else:
-            completion_at = None
-        # Next arrival is a boundary only if it would be admitted straight
-        # into service (otherwise it just queues — no allocation change).
-        # When the heap is empty the edge is provably idle, so the arrival
-        # is always admissible and the loop cannot stall.
-        if pointer < count and has_capacity():
-            arrival_at = arrivals[pointer]
-        else:
-            arrival_at = None
-
-        if arrival_at is not None and (completion_at is None or arrival_at <= completion_at):
-            if heap:
-                service_level += (arrival_at - now) * byte_rate
-            now = arrival_at
-            index = pointer
-            pointer += 1
-            offer(index)
-            admit_at[index] = now
-            push(heap, (service_level + sizes[index], index))
-        else:
-            service_level += (completion_at - now) * byte_rate
-            now = completion_at
-            # Queue every arrival up to this boundary before any slot
-            # frees: FIFO admission must see them in arrival order.  The
-            # edge is full here, or these would have been boundaries.
-            while pointer < count and arrivals[pointer] <= now:
-                offer(pointer)
-                pointer += 1
-            slack = TAG_EPSILON * (service_level + 1.0)
-            while heap and heap[0][0] <= service_level + slack:
-                tag, index = pop(heap)
-                # Exact finish inside the last segment; the rate was
-                # constant there, so invert the linear service growth.
-                exact = now - (service_level - tag) / byte_rate
-                fluid_end[index] = exact if exact > admit_at[index] else admit_at[index]
-                admitted = release()
-                if admitted is not None:
-                    admit_at[admitted] = now
-                    push(heap, (service_level + sizes[admitted], admitted))
-        active = len(heap)
-        if active:
-            # Single equal-cap group: the max-min share reduces to
-            # min(cap, capacity / active), bit-equal to group_allocation.
-            share = capacity / active
-            byte_rate = (cap if cap < share else share) / 8.0
-        else:
-            byte_rate = 0.0
+    admit_at, fluid_end, peak_active, peak_queue = _admission_walk(
+        arrivals, size_column.tolist(), params.edge_concurrency, cap, link.capacity_bps, link.tick_s
+    )
 
     admit_column = np.array(admit_at)
     end_column = np.array(fluid_end)
@@ -248,8 +306,8 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
         goodputs_bps=(size_column * 8.0 / (latency + transfers)).tolist(),
         total_bytes=int(size_column.sum()),
         makespan_s=float(np.max(end_column + latency, initial=0.0)),
-        peak_active=edge.peak_active,
-        peak_queue=edge.peak_queue,
+        peak_active=peak_active,
+        peak_queue=peak_queue,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core.campaign import (
     run_cell,
     suite_stage_rows,
 )
+from repro.core.experiments import DataCenterExperiment, IdleExperiment, PerformanceExperiment, build_world
 from repro.core.workloads import PAPER_WORKLOADS
 from repro.errors import ConfigurationError
 from repro.services.registry import SERVICE_NAMES
@@ -123,6 +125,20 @@ class TestCampaignPlan:
 
     def test_default_jobs_is_positive(self):
         assert default_jobs() >= 1
+
+    def test_experiment_defaults_match_campaign_config(self):
+        # One defaults table: an experiment built without arguments runs
+        # what `cloudbench all` runs by default.
+        config = CampaignConfig()
+
+        def default(callable_, name):
+            return inspect.signature(callable_).parameters[name].default
+
+        assert default(PerformanceExperiment, "repetitions") == config.repetitions
+        assert default(IdleExperiment, "duration") == config.idle_duration
+        for callable_ in (DataCenterExperiment, build_world):
+            assert default(callable_, "resolver_count") == config.resolver_count
+            assert default(callable_, "planetlab_count") == config.planetlab_count
 
 
 class TestCampaignExecution:

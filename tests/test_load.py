@@ -10,15 +10,19 @@ The engine's array code is held bit-identical to the per-session loops
 it stands for: the scalar loops are kept here as oracles (the draws, the
 Poisson clock, the slow-start penalty, tick quantization, the
 reductions), and SHA-256 pins of four cells were computed with them.
+The boundary walk's oracle is the one-admission-per-boundary walk over a
+minimal FIFO that the engine's same-instant batches replace.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import math
 import random
+from collections import deque
 
 import hypothesis.strategies as st
 import numpy as np
@@ -47,7 +51,7 @@ from repro.load import (
     simulate_population,
 )
 from repro.load.contention import TAG_EPSILON
-from repro.load.edge import ServiceEdge
+from repro.load.population import _admission_walk
 from repro.netsim.scenario import BASELINE
 from repro.netsim.tcp import INITIAL_CWND_BYTES, slow_start_penalties, slow_start_penalty
 from repro.randomness import DEFAULT_SEED, expovariate_block, make_rng, random_block
@@ -97,6 +101,108 @@ def _poisson_times_loop(count, rate, rng):
         clock += rng.expovariate(rate)
         times.append(clock)
     return times
+
+
+class _Fifo:
+    """Minimal service edge: a concurrency limit, a FIFO queue and their peaks."""
+
+    def __init__(self, concurrency):
+        self.concurrency = concurrency
+        self.in_service = self.peak_active = self.peak_queue = 0
+        self.queue = deque()
+
+    def has_capacity(self):
+        return self.in_service < self.concurrency and not self.queue
+
+    def offer(self, session):
+        if self.has_capacity():
+            self.in_service += 1
+            self.peak_active = max(self.peak_active, self.in_service)
+        else:
+            self.queue.append(session)
+            self.peak_queue = max(self.peak_queue, len(self.queue))
+
+    def release(self):
+        """Free one slot; hand it to the head of the queue, whose id is returned."""
+        if self.queue:
+            return self.queue.popleft()
+        self.in_service -= 1
+        return None
+
+
+def _admission_walk_oracle(arrivals, sizes, concurrency, cap, capacity, tick):
+    """The walk :func:`_admission_walk` batches: one admission per boundary.
+
+    Every admission is its own boundary: the next completion boundary
+    (through :meth:`SharedLink.quantize_up`) and the rate are recomputed
+    after each one, even when the next arrival shares its timestamp.
+    """
+    link = SharedLink(capacity_bps=capacity, tick_s=tick)
+    edge = _Fifo(concurrency)
+    count = len(arrivals)
+    admit_at = [0.0] * count
+    fluid_end = [0.0] * count
+    heap = []
+    pointer = 0
+    now = service_level = byte_rate = 0.0
+    while pointer < count or heap:
+        if heap:
+            completion_at = link.quantize_up(now + (heap[0][0] - service_level) / byte_rate)
+            if completion_at <= now:
+                completion_at = now + tick
+        else:
+            completion_at = None
+        arrival_at = arrivals[pointer] if pointer < count and edge.has_capacity() else None
+        if arrival_at is not None and (completion_at is None or arrival_at <= completion_at):
+            if heap:
+                service_level += (arrival_at - now) * byte_rate
+            now = arrival_at
+            edge.offer(pointer)
+            admit_at[pointer] = now
+            heapq.heappush(heap, (service_level + sizes[pointer], pointer))
+            pointer += 1
+        else:
+            service_level += (completion_at - now) * byte_rate
+            now = completion_at
+            while pointer < count and arrivals[pointer] <= now:
+                edge.offer(pointer)
+                pointer += 1
+            slack = TAG_EPSILON * (service_level + 1.0)
+            while heap and heap[0][0] <= service_level + slack:
+                tag, index = heapq.heappop(heap)
+                exact = now - (service_level - tag) / byte_rate
+                fluid_end[index] = exact if exact > admit_at[index] else admit_at[index]
+                admitted = edge.release()
+                if admitted is not None:
+                    admit_at[admitted] = now
+                    heapq.heappush(heap, (service_level + sizes[admitted], admitted))
+        if heap:
+            share = capacity / len(heap)
+            byte_rate = (cap if cap < share else share) / 8.0
+        else:
+            byte_rate = 0.0
+    return admit_at, fluid_end, edge.peak_active, edge.peak_queue
+
+
+def _walk_bits(walk):
+    admit_at, fluid_end, peak_active, peak_queue = walk
+    return _bits(admit_at), _bits(fluid_end), peak_active, peak_queue
+
+
+@st.composite
+def walk_cells(draw):
+    """Sorted lattice arrivals over a few ticks, so same-instant bursts are common."""
+    tick = draw(st.sampled_from([0.01, 0.001, 0.05, 0.3]))
+    window = tick * draw(st.integers(min_value=1, max_value=6))
+    raw = draw(st.lists(st.floats(min_value=0.0, max_value=window), min_size=1, max_size=80))
+    arrivals = SharedLink(capacity_bps=1.0, tick_s=tick).quantize_up_array(np.sort(np.array(raw))).tolist()
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=2_000_000), min_size=len(raw), max_size=len(raw)))
+    concurrency = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]))
+    capacity = draw(st.sampled_from([mbps(1.0), mbps(50.0), mbps(400.0)]))
+    # A per-session cap below or above the fair share capacity / active.
+    active = draw(st.integers(min_value=1, max_value=concurrency))
+    cap = capacity / active * draw(st.sampled_from([0.25, 0.9, 1.0, 1.1, 4.0]))
+    return arrivals, sizes, concurrency, cap, capacity, tick
 
 
 class TestAllocatorProperties:
@@ -357,18 +463,67 @@ class TestTailReductions:
         assert summary.minimum == aggregate.minimum and summary.maximum == aggregate.maximum
 
 
-class TestServiceEdge:
+class TestAdmissionWalk:
+    @given(cell=walk_cells())
+    @example(cell=([0.01] * 50, [100_000] * 50, 4, mbps(10.0), mbps(400.0), 0.01))
+    @example(cell=([0.0, 0.0, 0.01, 0.01, 0.01], [1, 1, 1, 1, 1], 2, mbps(400.0), mbps(400.0), 0.01))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_session_oracle(self, cell):
+        assert _walk_bits(_admission_walk(*cell)) == _walk_bits(_admission_walk_oracle(*cell))
+
     def test_fifo_admission_and_peaks(self):
-        edge = ServiceEdge(2)
-        assert edge.offer(0) and edge.offer(1)
-        assert not edge.offer(2) and not edge.offer(3)
-        assert edge.queued == 2 and edge.peak_queue == 2 and edge.peak_active == 2
-        assert edge.release() == 2
-        assert edge.release() == 3
-        assert edge.release() is None
-        assert edge.release() is None
-        with pytest.raises(RuntimeError):
-            edge.release()
+        # Four sessions at one instant, two slots, each session at its own
+        # 8 Mb/s (1 MB/s) cap: 0 and 1 go straight in, 2 and 3 wait, and
+        # the slot 0 frees at +0.1 s goes to 2 before 3 — though 3 is
+        # smaller — and 3 takes the slot 2 frees at +0.2 s.
+        link = SharedLink(capacity_bps=mbps(400.0))
+        start = link.quantize_up(0.05)
+        sizes = [100_000, 300_000, 100_000, 50_000]
+        admit_at, fluid_end, peak_active, peak_queue = _admission_walk(
+            [start] * 4, sizes, 2, mbps(8.0), mbps(400.0), link.tick_s
+        )
+        assert (peak_active, peak_queue) == (2, 2)
+        assert admit_at[:2] == [start, start]
+        assert admit_at[2] == pytest.approx(start + 0.1)
+        assert admit_at[3] == pytest.approx(start + 0.2)
+        assert fluid_end == pytest.approx([start + 0.1, start + 0.3, start + 0.2, start + 0.25])
+
+    def test_same_instant_burst_fills_the_edge_then_queues_fifo(self):
+        # Fifty arrivals on one tick, four slots: the batch stops at the
+        # fourth; the rest are admitted in arrival order as slots free,
+        # never more than four in service.  Sizes shrink with arrival
+        # order, so any non-FIFO discipline would reorder admissions.
+        tick = 0.01
+        start = SharedLink(capacity_bps=1.0, tick_s=tick).quantize_up(0.05)
+        arrivals = [start] * 50
+        sizes = [100_000 - 1_000 * index for index in range(50)]
+        walk = _admission_walk(arrivals, sizes, 4, mbps(10.0), mbps(400.0), tick)
+        admit_at, fluid_end, peak_active, peak_queue = walk
+        assert admit_at[:4] == [start] * 4
+        assert all(admitted > start for admitted in admit_at[4:])
+        assert admit_at[4:] == sorted(admit_at[4:])
+        assert (peak_active, peak_queue) == (4, 46)
+        for instant in admit_at:
+            in_service = sum(1 for admitted, end in zip(admit_at, fluid_end) if admitted <= instant < end)
+            assert in_service <= 4
+        assert _walk_bits(walk) == _walk_bits(_admission_walk_oracle(arrivals, sizes, 4, mbps(10.0), mbps(400.0), tick))
+
+    @pytest.mark.parametrize("tick", [0.01, 0.001, 0.05, 0.1, 0.3])
+    def test_inlined_quantization_matches_quantize_up(self, tick):
+        # Session 1 waits behind session 0, which runs alone at exactly
+        # 1000 B/s: it is admitted at the walk's quantization of session
+        # 0's finish, which must be quantize_up's boundary bit for bit.
+        link = SharedLink(capacity_bps=1e9, tick_s=tick)
+        rate = 1000.0
+        for ticks in (1, 2, 3, 7, 100, 12345, 10**6):
+            boundary = ticks * tick
+            finishes = [boundary, math.nextafter(boundary, math.inf), math.nextafter(boundary, -math.inf)]
+            finishes += [boundary + tick * TAG_EPSILON * 0.5, boundary - tick * TAG_EPSILON * 0.5]
+            finishes += [boundary + tick * TAG_EPSILON * 2.0, (ticks + 0.5) * tick]
+            for finish in finishes:
+                size = finish * rate
+                admit_at, _, _, _ = _admission_walk([0.0, 0.0], [size, 1], 1, 8.0 * rate, 1e9, tick)
+                assert _bits([admit_at[1]]) == _bits([link.quantize_up(size / rate)])
 
 
 class TestPopulationEngine:
@@ -443,6 +598,34 @@ class TestPopulationEngine:
     def test_rejects_non_positive_knobs_at_construction(self, knob, value):
         with pytest.raises(ValueError, match=knob):
             LoadParameters(population=10, **{knob: value})
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("population", 2.5),
+            ("population", True),
+            ("population", 0),
+            ("edge_concurrency", 2.5),
+            ("edge_concurrency", 64.0),
+            ("edge_concurrency", True),
+            ("window_s", math.inf),
+            ("window_s", math.nan),
+            ("link_capacity_bps", math.inf),
+            ("transfer_bytes", math.inf),
+            ("transfer_bytes", math.nan),
+            ("tick_s", math.inf),
+            ("tick_s", math.nan),
+        ],
+    )
+    def test_rejects_non_finite_knobs_and_fractional_counts(self, knob, value):
+        knobs = {"population": 10, knob: value}
+        with pytest.raises(ValueError, match=knob):
+            LoadParameters(**knobs)
+
+    def test_accepts_integer_like_counts(self):
+        params = LoadParameters(population=np.int64(10), edge_concurrency=np.int32(4))
+        result = simulate_population(params, self.LANE, make_rng(7, "numpy-counts"))
+        assert result.sessions == 10 and result.peak_active <= 4
 
     def test_run_load_cell_is_pure(self):
         params = LoadParameters(population=3000)
