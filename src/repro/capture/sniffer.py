@@ -28,7 +28,12 @@ class Sniffer:
             simulator.add_sniffer(self)
 
     def __call__(self, packet: Packet) -> None:
-        """Sniffer callback invoked by the simulator for each packet."""
+        """Per-packet callback: record one packet.
+
+        The simulator itself delivers every emission through
+        :meth:`accept_batch` or :meth:`accept_flow`; this form serves callers
+        that hold :class:`Packet` records.
+        """
         if self._capturing:
             self.trace.append(packet)
 

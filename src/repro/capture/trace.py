@@ -1,20 +1,29 @@
 """Packet traces: ordered collections of captured packets with filtering.
 
-The trace is stored *columnar* (struct-of-arrays): one list per packet
-field, kept in capture order and lazily re-ordered by timestamp when a
-time-sensitive accessor needs it.  The public API is unchanged from the
-row-oriented original — ``packets``, ``__iter__`` and ``__getitem__``
-materialize :class:`~repro.netsim.packet.Packet` views on demand (and
-cache them), while filters and aggregates work directly on the columns:
+The trace is stored *columnar* (struct-of-arrays) in six parallel lists,
+kept in capture order and lazily re-ordered by timestamp when a
+time-sensitive accessor needs it: timestamp, payload bytes, header bytes,
+the shared :class:`~repro.netsim.packet.PacketHeader` (addresses, ports,
+direction, flags, protocol, connection id, hostname and note), flow
+segment and capture ordinal.  Every record of one emission burst refers
+to the same header tuple, so appending a burst, filtering, sorting and
+windowing each touch six lists, never one per packet field.
 
-* ``between``/``after`` bisect the sorted timestamp column instead of
-  scanning every packet;
+The public API is unchanged from the row-oriented original — ``packets``,
+``__iter__`` and ``__getitem__`` materialize
+:class:`~repro.netsim.packet.Packet` views on demand (and cache them),
+while filters and aggregates work directly on the columns:
+
+* ``between``/``after`` bisect the sorted timestamp column and copy runs of
+  rows by slice instead of scanning every packet;
 * ``for_connection``/``to_hosts`` use lazily built per-connection and
-  per-hostname index maps;
+  per-hostname index maps read off the header column;
 * byte/payload totals are column sums that never build a ``Packet``.
 
 Sniffers append whole emission bursts at once via :meth:`extend_batch`,
-which extends each column with one C-level call per field.
+which extends each column with one C-level call.  :class:`TraceColumns`,
+the thirteen-list view :mod:`repro.capture.analysis` reads, is built from
+the header column when asked for.
 
 Flow segments
 -------------
@@ -43,12 +52,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import islice, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
+from itertools import compress, islice, repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.netsim.packet import FlowSegment, Packet, PacketBatch, PacketDirection
+from repro.netsim.packet import FlowSegment, Packet, PacketBatch, PacketDirection, PacketHeader
 
 __all__ = ["PacketTrace", "TraceColumns"]
+
+_CONNECTION_ID = attrgetter("connection_id")
+_HOSTNAME = attrgetter("hostname")
+_THIRD = itemgetter(2)
 
 
 class TraceColumns(NamedTuple):
@@ -97,6 +111,10 @@ def _first_record_after(segment: FlowSegment, timestamp: float) -> int:
     return lo
 
 
+#: The six columns of a trace, in the order :meth:`PacketTrace._columns` lists them.
+_Columns = Tuple[List[float], List[int], List[int], List[PacketHeader], List[Optional[FlowSegment]], List[int]]
+
+
 class PacketTrace:
     """An append-only, time-ordered view over captured packets.
 
@@ -111,18 +129,9 @@ class PacketTrace:
 
     __slots__ = (
         "_ts",
-        "_src",
-        "_dst",
-        "_sport",
-        "_dport",
-        "_dir",
-        "_flags",
         "_payload",
-        "_headers",
-        "_proto",
-        "_conn",
-        "_host",
-        "_note",
+        "_hlen",
+        "_hdr",
         "_seg",
         "_ord",
         "_segn",
@@ -136,18 +145,11 @@ class PacketTrace:
 
     def __init__(self, packets: Optional[Iterable[Packet]] = None) -> None:
         self._ts: List[float] = []
-        self._src: List[str] = []
-        self._dst: List[str] = []
-        self._sport: List[int] = []
-        self._dport: List[int] = []
-        self._dir: List[PacketDirection] = []
-        self._flags: List[object] = []
+        #: Payload and header (link/IP/TCP) bytes of each row.
         self._payload: List[int] = []
-        self._headers: List[int] = []
-        self._proto: List[str] = []
-        self._conn: List[int] = []
-        self._host: List[str] = []
-        self._note: List[str] = []
+        self._hlen: List[int] = []
+        #: The :class:`PacketHeader` of each row, shared by every row of a burst.
+        self._hdr: List[PacketHeader] = []
         #: Parallel column of elided flow segments (``None`` for plain rows).
         self._seg: List[Optional[FlowSegment]] = []
         #: Capture ordinal of each row; segment rows reserve one ordinal per
@@ -171,24 +173,13 @@ class PacketTrace:
         if self._sorted and self._ts and packet.timestamp < self._ts[-1]:
             self._sorted = False
         self._ts.append(packet.timestamp)
-        self._src.append(packet.src)
-        self._dst.append(packet.dst)
-        self._sport.append(packet.src_port)
-        self._dport.append(packet.dst_port)
-        self._dir.append(packet.direction)
-        self._flags.append(packet.flags)
         self._payload.append(packet.payload_len)
-        self._headers.append(packet.headers_len)
-        self._proto.append(packet.protocol)
-        self._conn.append(packet.connection_id)
-        self._host.append(packet.hostname)
-        self._note.append(packet.note)
+        self._hlen.append(packet.headers_len)
+        self._hdr.append(packet.header)
         self._seg.append(None)
         self._ord.append(self._next_ord)
         self._next_ord += 1
-        self._views = None
-        self._conn_index = None
-        self._host_index = None
+        self._invalidate()
 
     def extend(self, packets: Iterable[Packet]) -> None:
         """Add several packets to the trace."""
@@ -197,36 +188,27 @@ class PacketTrace:
 
     def extend_batch(self, batch: PacketBatch) -> None:
         """Append a column-oriented emission burst without building packets."""
-        count = len(batch)
+        timestamps = batch.timestamps
+        count = len(timestamps)
         if count == 0:
             return
-        timestamps = batch.timestamps
+        ts = self._ts
         if self._sorted:
-            if self._ts and timestamps[0] < self._ts[-1]:
+            if ts and timestamps[0] < ts[-1]:
                 self._sorted = False
             else:
                 self._sorted = all(
                     earlier <= later for earlier, later in zip(timestamps, islice(timestamps, 1, None))
                 )
-        self._ts.extend(timestamps)
-        self._payload.extend(batch.payload_lens)
-        self._headers.extend(batch.headers_lens)
-        self._src.extend(repeat(batch.src, count))
-        self._dst.extend(repeat(batch.dst, count))
-        self._sport.extend(repeat(batch.src_port, count))
-        self._dport.extend(repeat(batch.dst_port, count))
-        self._dir.extend(repeat(batch.direction, count))
-        self._flags.extend(repeat(batch.flags, count))
-        self._proto.extend(repeat(batch.protocol, count))
-        self._conn.extend(repeat(batch.connection_id, count))
-        self._host.extend(repeat(batch.hostname, count))
-        self._note.extend(repeat(batch.note, count))
-        self._seg.extend(repeat(None, count))
-        self._ord.extend(range(self._next_ord, self._next_ord + count))
-        self._next_ord += count
-        self._views = None
-        self._conn_index = None
-        self._host_index = None
+        ts += timestamps
+        self._payload += batch.payload_lens
+        self._hlen += batch.headers_lens
+        self._hdr += [batch.header] * count
+        self._seg += [None] * count
+        ordinal = self._next_ord
+        self._next_ord = ordinal + count
+        self._ord += range(ordinal, ordinal + count)
+        self._views = self._conn_index = self._host_index = None
 
     def extend_flow(self, segment: FlowSegment) -> None:
         """Append an elided bulk-transfer segment as a single trace row.
@@ -240,30 +222,11 @@ class PacketTrace:
         count = segment.record_count
         if count == 0:
             return
-        first_ts = segment.first_timestamp
-        if self._sorted and self._ts and first_ts < self._ts[-1]:
+        if self._sorted and self._ts and segment.first_timestamp < self._ts[-1]:
             self._sorted = False
-        self._ts.append(first_ts)
-        self._src.append(segment.src)
-        self._dst.append(segment.dst)
-        self._sport.append(segment.src_port)
-        self._dport.append(segment.dst_port)
-        self._dir.append(segment.direction)
-        self._flags.append(segment.flags)
-        self._payload.append(segment.payload_bytes)
-        self._headers.append(segment.header_bytes)
-        self._proto.append(segment.protocol)
-        self._conn.append(segment.connection_id)
-        self._host.append(segment.hostname)
-        self._note.append(segment.note)
-        self._seg.append(segment)
-        self._ord.append(self._next_ord)
+        self._append_segment(segment, self._next_ord)
         self._next_ord += count
-        self._segn += 1
-        self._seg_extra += count - 1
-        self._views = None
-        self._conn_index = None
-        self._host_index = None
+        self._invalidate()
 
     def __len__(self) -> int:
         """Logical packet count (elided segments count every record)."""
@@ -282,50 +245,8 @@ class PacketTrace:
             self._materialize()
             self._ensure_sorted()
             self._views = [
-                Packet(
-                    timestamp=timestamp,
-                    src=src,
-                    dst=dst,
-                    src_port=sport,
-                    dst_port=dport,
-                    direction=direction,
-                    flags=flags,
-                    payload_len=payload,
-                    headers_len=headers,
-                    protocol=protocol,
-                    connection_id=connection_id,
-                    hostname=hostname,
-                    note=note,
-                )
-                for (
-                    timestamp,
-                    src,
-                    dst,
-                    sport,
-                    dport,
-                    direction,
-                    flags,
-                    payload,
-                    headers,
-                    protocol,
-                    connection_id,
-                    hostname,
-                    note,
-                ) in zip(
-                    self._ts,
-                    self._src,
-                    self._dst,
-                    self._sport,
-                    self._dport,
-                    self._dir,
-                    self._flags,
-                    self._payload,
-                    self._headers,
-                    self._proto,
-                    self._conn,
-                    self._host,
-                    self._note,
-                )
+                header.packet(timestamp, payload, headers)
+                for timestamp, payload, headers, header in zip(self._ts, self._payload, self._hlen, self._hdr)
             ]
         return self._views
 
@@ -340,112 +261,103 @@ class PacketTrace:
     # ------------------------------------------------------------------ #
     # Columnar internals
     # ------------------------------------------------------------------ #
+    def _columns(self) -> _Columns:
+        return self._ts, self._payload, self._hlen, self._hdr, self._seg, self._ord
+
+    def _assign(self, columns: Sequence[list]) -> None:
+        """Replace this trace's six columns (same rows, new order or expansion)."""
+        self._ts, self._payload, self._hlen, self._hdr, self._seg, self._ord = columns
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop the caches derived from the columns."""
+        self._views = None
+        self._conn_index = None
+        self._host_index = None
+
+    def _tally(self, segments: Iterable[Optional[FlowSegment]]) -> None:
+        """Add the flow segments among ``segments`` to this trace's counts."""
+        # ``filter(None, ...)`` skips the ``None`` cells of plain rows.
+        for segment in filter(None, segments):
+            self._segn += 1
+            self._seg_extra += segment.record_count - 1
+
+    def _segment_rows(self) -> List[int]:
+        """Positions of the flow-segment rows, ascending."""
+        # Segments are truthy and the ``None`` cells of plain rows are not.
+        return list(compress(range(len(self._seg)), self._seg))
+
     def _materialize(self) -> None:
         """Expand every flow segment into plain packet rows, in eager order.
 
         Expansion reruns the canonical burst loop per segment (bit-identical
         floats and byte counts) and sorts all rows by ``(timestamp, capture
         ordinal)`` — exactly the stable-by-timestamp order the eager
-        per-record emission would have produced.
+        per-record emission would have produced.  Plain rows between
+        segments are copied by slice.
         """
         if self._segn == 0:
             return
         ts: List[float] = []
-        src: List[str] = []
-        dst: List[str] = []
-        sport: List[int] = []
-        dport: List[int] = []
-        dirs: List[PacketDirection] = []
-        flags: List[object] = []
         payload: List[int] = []
-        headers: List[int] = []
-        proto: List[str] = []
-        conn: List[int] = []
-        host: List[str] = []
-        note: List[str] = []
+        hlen: List[int] = []
+        hdr: List[PacketHeader] = []
         ords: List[int] = []
-        for pos, segment in enumerate(self._seg):
-            if segment is None:
-                ts.append(self._ts[pos])
-                src.append(self._src[pos])
-                dst.append(self._dst[pos])
-                sport.append(self._sport[pos])
-                dport.append(self._dport[pos])
-                dirs.append(self._dir[pos])
-                flags.append(self._flags[pos])
-                payload.append(self._payload[pos])
-                headers.append(self._headers[pos])
-                proto.append(self._proto[pos])
-                conn.append(self._conn[pos])
-                host.append(self._host[pos])
-                note.append(self._note[pos])
-                ords.append(self._ord[pos])
-            else:
-                seg_ts, seg_payload, seg_headers = segment.expand_columns()
-                count = len(seg_ts)
-                ts.extend(seg_ts)
-                payload.extend(seg_payload)
-                headers.extend(seg_headers)
-                src.extend(repeat(segment.src, count))
-                dst.extend(repeat(segment.dst, count))
-                sport.extend(repeat(segment.src_port, count))
-                dport.extend(repeat(segment.dst_port, count))
-                dirs.extend(repeat(segment.direction, count))
-                flags.extend(repeat(segment.flags, count))
-                proto.extend(repeat(segment.protocol, count))
-                conn.extend(repeat(segment.connection_id, count))
-                host.extend(repeat(segment.hostname, count))
-                note.extend(repeat(segment.note, count))
-                base = self._ord[pos]
-                ords.extend(range(base, base + count))
-        order = sorted(range(len(ts)), key=lambda i: (ts[i], ords[i]))
-        self._ts = [ts[i] for i in order]
-        self._src = [src[i] for i in order]
-        self._dst = [dst[i] for i in order]
-        self._sport = [sport[i] for i in order]
-        self._dport = [dport[i] for i in order]
-        self._dir = [dirs[i] for i in order]
-        self._flags = [flags[i] for i in order]
-        self._payload = [payload[i] for i in order]
-        self._headers = [headers[i] for i in order]
-        self._proto = [proto[i] for i in order]
-        self._conn = [conn[i] for i in order]
-        self._host = [host[i] for i in order]
-        self._note = [note[i] for i in order]
-        self._seg = [None] * len(order)
-        self._ord = [ords[i] for i in order]
+        rows = len(self._ts)
+        run = 0
+        for pos in self._segment_rows() + [rows]:
+            ts += self._ts[run:pos]
+            payload += self._payload[run:pos]
+            hlen += self._hlen[run:pos]
+            hdr += self._hdr[run:pos]
+            ords += self._ord[run:pos]
+            run = pos + 1
+            if pos == rows:
+                break
+            segment = self._seg[pos]
+            seg_ts, seg_payload, seg_hlen = segment.expand_columns()
+            count = len(seg_ts)
+            ts += seg_ts
+            payload += seg_payload
+            hlen += seg_hlen
+            hdr += repeat(segment.header, count)
+            base = self._ord[pos]
+            ords += range(base, base + count)
+        self._assign((ts, payload, hlen, hdr, [None] * len(ts), ords))
         self._segn = 0
         self._seg_extra = 0
-        self._sorted = True
-        self._views = None
-        self._conn_index = None
-        self._host_index = None
+        self._sorted = False
+        self._ensure_sorted()
 
     def _ensure_sorted(self) -> None:
         if self._sorted:
             return
+        # Rows sort by (timestamp, capture ordinal); ordinals are unique, so
+        # the row position riding third in each tuple is never compared.
         ts = self._ts
-        ordinals = self._ord
-        order = sorted(range(len(ts)), key=lambda i: (ts[i], ordinals[i]))
-        self._ts = [ts[i] for i in order]
-        self._src = [self._src[i] for i in order]
-        self._dst = [self._dst[i] for i in order]
-        self._sport = [self._sport[i] for i in order]
-        self._dport = [self._dport[i] for i in order]
-        self._dir = [self._dir[i] for i in order]
-        self._flags = [self._flags[i] for i in order]
-        self._payload = [self._payload[i] for i in order]
-        self._headers = [self._headers[i] for i in order]
-        self._proto = [self._proto[i] for i in order]
-        self._conn = [self._conn[i] for i in order]
-        self._host = [self._host[i] for i in order]
-        self._note = [self._note[i] for i in order]
-        self._seg = [self._seg[i] for i in order]
-        self._ord = [ordinals[i] for i in order]
+        order = list(map(_THIRD, sorted(zip(ts, self._ord, range(len(ts))))))
+        self._assign([list(map(column.__getitem__, order)) for column in self._columns()])
         self._sorted = True
-        self._views = None
-        self._conn_index = None
-        self._host_index = None
+
+    def _trace_columns(self) -> TraceColumns:
+        """The current rows as :class:`TraceColumns`, header fields unpacked."""
+        fields = [list(field) for field in zip(*self._hdr)] or [[] for _ in PacketHeader._fields]
+        src, dst, sport, dport, direction, flags, protocol, connection_id, hostname, note = fields
+        return TraceColumns(
+            self._ts,
+            src,
+            dst,
+            sport,
+            dport,
+            direction,
+            flags,
+            self._payload,
+            self._hlen,
+            protocol,
+            connection_id,
+            hostname,
+            note,
+        )
 
     def sorted_columns(self) -> TraceColumns:
         """The trace as parallel per-packet columns, sorted by timestamp.
@@ -455,21 +367,7 @@ class PacketTrace:
         """
         self._materialize()
         self._ensure_sorted()
-        return TraceColumns(
-            self._ts,
-            self._src,
-            self._dst,
-            self._sport,
-            self._dport,
-            self._dir,
-            self._flags,
-            self._payload,
-            self._headers,
-            self._proto,
-            self._conn,
-            self._host,
-            self._note,
-        )
+        return self._trace_columns()
 
     def segment_columns(self) -> TraceColumns:
         """The trace rows as columns *without* expanding flow segments.
@@ -483,80 +381,27 @@ class PacketTrace:
         :meth:`sorted_columns` when record granularity matters.
         """
         self._ensure_sorted()
-        return TraceColumns(
-            self._ts,
-            self._src,
-            self._dst,
-            self._sport,
-            self._dport,
-            self._dir,
-            self._flags,
-            self._payload,
-            self._headers,
-            self._proto,
-            self._conn,
-            self._host,
-            self._note,
-        )
+        return self._trace_columns()
 
-    def _blank(self) -> "PacketTrace":
-        """A new empty trace sharing this trace's ordinal horizon."""
+    def _derived(self, columns: Sequence[list]) -> "PacketTrace":
+        """A new sorted trace over ``columns``, sharing this trace's ordinal horizon."""
         trace = PacketTrace.__new__(PacketTrace)
-        trace._ts = []
-        trace._src = []
-        trace._dst = []
-        trace._sport = []
-        trace._dport = []
-        trace._dir = []
-        trace._flags = []
-        trace._payload = []
-        trace._headers = []
-        trace._proto = []
-        trace._conn = []
-        trace._host = []
-        trace._note = []
-        trace._seg = []
-        trace._ord = []
-        trace._segn = 0
-        trace._seg_extra = 0
-        trace._next_ord = self._next_ord
-        trace._sorted = True
-        trace._views = None
-        trace._conn_index = None
-        trace._host_index = None
-        return trace
-
-    def _slice(self, lo: int, hi: int) -> "PacketTrace":
-        """A new trace from a contiguous range of the sorted columns."""
-        trace = PacketTrace.__new__(PacketTrace)
-        trace._ts = self._ts[lo:hi]
-        trace._src = self._src[lo:hi]
-        trace._dst = self._dst[lo:hi]
-        trace._sport = self._sport[lo:hi]
-        trace._dport = self._dport[lo:hi]
-        trace._dir = self._dir[lo:hi]
-        trace._flags = self._flags[lo:hi]
-        trace._payload = self._payload[lo:hi]
-        trace._headers = self._headers[lo:hi]
-        trace._proto = self._proto[lo:hi]
-        trace._conn = self._conn[lo:hi]
-        trace._host = self._host[lo:hi]
-        trace._note = self._note[lo:hi]
-        trace._seg = self._seg[lo:hi]
-        trace._ord = self._ord[lo:hi]
+        trace._assign(columns)
         trace._segn = 0
         trace._seg_extra = 0
         if self._segn:
-            for segment in trace._seg:
-                if segment is not None:
-                    trace._segn += 1
-                    trace._seg_extra += segment.record_count - 1
+            trace._tally(trace._seg)
         trace._next_ord = self._next_ord
         trace._sorted = True
-        trace._views = None
-        trace._conn_index = None
-        trace._host_index = None
         return trace
+
+    def _blank(self) -> "PacketTrace":
+        """A new empty trace sharing this trace's ordinal horizon."""
+        return self._derived([[] for _ in range(6)])
+
+    def _slice(self, lo: int, hi: int) -> "PacketTrace":
+        """A new trace from a contiguous range of the sorted columns."""
+        return self._derived([column[lo:hi] for column in self._columns()])
 
     def _select(self, indices: Sequence[int]) -> "PacketTrace":
         """A new trace from ascending positions of the sorted columns."""
@@ -569,41 +414,30 @@ class PacketTrace:
             # Ascending with no gaps: a contiguous run (e.g. a connection
             # whose packets were not interleaved) — slice at C speed.
             return self._slice(lo, hi + 1)
-        trace = PacketTrace.__new__(PacketTrace)
-        trace._ts = list(map(self._ts.__getitem__, indices))
-        trace._src = list(map(self._src.__getitem__, indices))
-        trace._dst = list(map(self._dst.__getitem__, indices))
-        trace._sport = list(map(self._sport.__getitem__, indices))
-        trace._dport = list(map(self._dport.__getitem__, indices))
-        trace._dir = list(map(self._dir.__getitem__, indices))
-        trace._flags = list(map(self._flags.__getitem__, indices))
-        trace._payload = list(map(self._payload.__getitem__, indices))
-        trace._headers = list(map(self._headers.__getitem__, indices))
-        trace._proto = list(map(self._proto.__getitem__, indices))
-        trace._conn = list(map(self._conn.__getitem__, indices))
-        trace._host = list(map(self._host.__getitem__, indices))
-        trace._note = list(map(self._note.__getitem__, indices))
-        trace._seg = list(map(self._seg.__getitem__, indices))
-        trace._ord = list(map(self._ord.__getitem__, indices))
-        trace._segn = 0
-        trace._seg_extra = 0
-        if self._segn:
-            for segment in trace._seg:
-                if segment is not None:
-                    trace._segn += 1
-                    trace._seg_extra += segment.record_count - 1
-        trace._next_ord = self._next_ord
-        trace._sorted = True
-        trace._views = None
-        trace._conn_index = None
-        trace._host_index = None
-        return trace
+        return self._derived([list(map(column.__getitem__, indices)) for column in self._columns()])
+
+    def _extend_rows(self, source: "PacketTrace", lo: int, hi: int) -> None:
+        """Append rows ``[lo, hi)`` of ``source`` unchanged, one slice per column."""
+        for column, source_column in zip(self._columns(), source._columns()):
+            column += source_column[lo:hi]
+        if source._segn:
+            self._tally(source._seg[lo:hi])
+
+    def _append_segment(self, segment: FlowSegment, ordinal: int) -> None:
+        """Append ``segment`` as one elided row with capture ordinal ``ordinal``."""
+        self._ts.append(segment.first_timestamp)
+        self._payload.append(segment.payload_bytes)
+        self._hlen.append(segment.header_bytes)
+        self._hdr.append(segment.header)
+        self._seg.append(segment)
+        self._ord.append(ordinal)
+        self._tally((segment,))
 
     def _connection_index(self) -> Dict[int, List[int]]:
         if self._conn_index is None:
             self._ensure_sorted()
             index: Dict[int, List[int]] = {}
-            for position, connection_id in enumerate(self._conn):
+            for position, connection_id in enumerate(map(_CONNECTION_ID, self._hdr)):
                 bucket = index.get(connection_id)
                 if bucket is None:
                     index[connection_id] = [position]
@@ -616,7 +450,7 @@ class PacketTrace:
         if self._host_index is None:
             self._ensure_sorted()
             index: Dict[str, List[int]] = {}
-            for position, hostname in enumerate(self._host):
+            for position, hostname in enumerate(map(_HOSTNAME, self._hdr)):
                 bucket = index.get(hostname)
                 if bucket is None:
                     index[hostname] = [position]
@@ -634,85 +468,50 @@ class PacketTrace:
         self._ensure_sorted()
         return self._select([index for index, packet in enumerate(self.packets) if predicate(packet)])
 
-    def _append_segment_row(self, trace: "PacketTrace", segment: FlowSegment, ordinal: int) -> None:
-        """Append ``segment`` to ``trace`` as one elided row."""
-        trace._ts.append(segment.first_timestamp)
-        trace._src.append(segment.src)
-        trace._dst.append(segment.dst)
-        trace._sport.append(segment.src_port)
-        trace._dport.append(segment.dst_port)
-        trace._dir.append(segment.direction)
-        trace._flags.append(segment.flags)
-        trace._payload.append(segment.payload_bytes)
-        trace._headers.append(segment.header_bytes)
-        trace._proto.append(segment.protocol)
-        trace._conn.append(segment.connection_id)
-        trace._host.append(segment.hostname)
-        trace._note.append(segment.note)
-        trace._seg.append(segment)
-        trace._ord.append(ordinal)
-        trace._segn += 1
-        trace._seg_extra += segment.record_count - 1
-
-    def _copy_row(self, trace: "PacketTrace", pos: int) -> None:
-        """Append row ``pos`` of this trace to ``trace`` unchanged."""
-        trace._ts.append(self._ts[pos])
-        trace._src.append(self._src[pos])
-        trace._dst.append(self._dst[pos])
-        trace._sport.append(self._sport[pos])
-        trace._dport.append(self._dport[pos])
-        trace._dir.append(self._dir[pos])
-        trace._flags.append(self._flags[pos])
-        trace._payload.append(self._payload[pos])
-        trace._headers.append(self._headers[pos])
-        trace._proto.append(self._proto[pos])
-        trace._conn.append(self._conn[pos])
-        trace._host.append(self._host[pos])
-        trace._note.append(self._note[pos])
-        segment = self._seg[pos]
-        trace._seg.append(segment)
-        trace._ord.append(self._ord[pos])
-        if segment is not None:
-            trace._segn += 1
-            trace._seg_extra += segment.record_count - 1
-
     def _window(self, start: float, end: float) -> "PacketTrace":
         """Rows whose packets fall in ``[start, end]``, segments preserved.
 
-        A segment row's column timestamp is its *first* record's, so plain
-        bisection misses segments that start before the window but extend
-        into it; those straddlers (and in-window segments reaching past the
-        end) are narrowed with :meth:`FlowSegment.subrange` — still elided,
-        with ordinals shifted so later expansion keeps the eager order.
+        Bisection finds the plain rows in the window; only the segment rows
+        are visited one by one.  A segment row's column timestamp is its
+        *first* record's, so bisection misses segments that start before the
+        window but extend into it; those straddlers (and in-window segments
+        reaching past the end) are narrowed with :meth:`FlowSegment.subrange`
+        — still elided, with ordinals shifted so later expansion keeps the
+        eager order.  The runs of rows between them are copied by slice.
         """
         self._ensure_sorted()
         lo = bisect_left(self._ts, start)
         hi = bisect_right(self._ts, end)
         if self._segn == 0:
             return self._slice(lo, hi)
+        segments = self._seg
+        ordinals = self._ord
+        rows = self._segment_rows()
+        inside = bisect_left(rows, lo)
         trace = self._blank()
-        straddled = False
-        for pos in range(lo):
-            segment = self._seg[pos]
-            if segment is None or segment.last_timestamp < start:
+        for pos in rows[:inside]:
+            segment = segments[pos]
+            if segment.last_timestamp < start:
                 continue
             first = _first_record_at_or_after(segment, start)
             last = _first_record_after(segment, end)
             if last <= first:
                 continue
             shift = first - segment.first_record
-            self._append_segment_row(trace, segment.subrange(first, last), self._ord[pos] + shift)
-            straddled = True
-        for pos in range(lo, hi):
-            segment = self._seg[pos]
-            if segment is None or segment.last_timestamp <= end:
-                self._copy_row(trace, pos)
-                continue
+            trace._append_segment(segment.subrange(first, last), ordinals[pos] + shift)
+        # Straddlers come first but may start after in-window rows.
+        trace._sorted = trace.is_empty()
+        run = lo
+        for pos in rows[inside:bisect_left(rows, hi)]:
+            segment = segments[pos]
+            if segment.last_timestamp <= end:
+                continue  # whole: copied with its run
+            trace._extend_rows(self, run, pos)
+            run = pos + 1
             last = _first_record_after(segment, end)
-            if last <= segment.first_record:
-                continue
-            self._append_segment_row(trace, segment.subrange(segment.first_record, last), self._ord[pos])
-        trace._sorted = not straddled
+            if last > segment.first_record:
+                trace._append_segment(segment.subrange(segment.first_record, last), ordinals[pos])
+        trace._extend_rows(self, run, hi)
         return trace
 
     def between(self, start: float, end: float) -> "PacketTrace":
@@ -757,20 +556,20 @@ class PacketTrace:
         """Packets leaving the test computer."""
         self._ensure_sorted()
         out = PacketDirection.OUT
-        return self._select([index for index, direction in enumerate(self._dir) if direction is out])
+        return self._select([index for index, header in enumerate(self._hdr) if header.direction is out])
 
     def incoming(self) -> "PacketTrace":
         """Packets entering the test computer."""
         self._ensure_sorted()
         out = PacketDirection.OUT
-        return self._select([index for index, direction in enumerate(self._dir) if direction is not out])
+        return self._select([index for index, header in enumerate(self._hdr) if header.direction is not out])
 
     # ------------------------------------------------------------------ #
     # Aggregates
     # ------------------------------------------------------------------ #
     def total_bytes(self) -> int:
         """Total bytes on the wire (headers + payload), both directions."""
-        return sum(self._headers) + sum(self._payload)
+        return sum(self._hlen) + sum(self._payload)
 
     def payload_bytes(self) -> int:
         """Total application payload bytes, both directions."""
@@ -779,12 +578,12 @@ class PacketTrace:
     def uploaded_payload_bytes(self) -> int:
         """Application payload bytes leaving the test computer."""
         out = PacketDirection.OUT
-        return sum(payload for payload, direction in zip(self._payload, self._dir) if direction is out)
+        return sum(payload for payload, header in zip(self._payload, self._hdr) if header.direction is out)
 
     def downloaded_payload_bytes(self) -> int:
         """Application payload bytes entering the test computer."""
         out = PacketDirection.OUT
-        return sum(payload for payload, direction in zip(self._payload, self._dir) if direction is not out)
+        return sum(payload for payload, header in zip(self._payload, self._hdr) if header.direction is not out)
 
     def first_timestamp(self) -> Optional[float]:
         """Timestamp of the first packet, or ``None`` for an empty trace."""
@@ -798,11 +597,10 @@ class PacketTrace:
             return None
         last = self._ts[-1] if self._sorted else max(self._ts)
         if self._segn:
-            for segment in self._seg:
-                if segment is not None:
-                    end = segment.last_timestamp
-                    if end > last:
-                        last = end
+            for segment in filter(None, self._seg):
+                end = segment.last_timestamp
+                if end > last:
+                    last = end
         return last
 
     def duration(self) -> float:
@@ -816,8 +614,8 @@ class PacketTrace:
 
     def hostnames(self) -> List[str]:
         """Sorted list of distinct server DNS names appearing in the trace."""
-        return sorted({hostname for hostname in self._host if hostname})
+        return sorted({hostname for hostname in map(_HOSTNAME, self._hdr) if hostname})
 
     def connection_ids(self) -> List[int]:
         """Sorted list of distinct connection identifiers in the trace."""
-        return sorted(set(self._conn))
+        return sorted(set(map(_CONNECTION_ID, self._hdr)))

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "PacketDirection",
     "TCPFlags",
     "Packet",
+    "PacketHeader",
     "PacketBatch",
     "FlowSegment",
     "MSS",
     "TCP_IP_HEADER_BYTES",
     "MAX_BURST_RECORDS",
     "burst_record_plan",
+    "burst_byte_columns",
     "burst_range_totals",
 ]
 
@@ -44,10 +46,38 @@ def burst_record_plan(nbytes: int) -> Tuple[int, int]:
     return segments, min(segments, MAX_BURST_RECORDS)
 
 
+def burst_byte_columns(nbytes: int, segments: int, records: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Per-record ``(payloads, headers)`` of the canonical data burst for ``nbytes``.
+
+    This is the canonical burst loop.  Record ``index`` carries the MSS
+    segments between boundaries ``int(round(index * segments / records))``
+    and ``int(round((index + 1) * segments / records))``, at least one, and
+    the final record carries whatever remains of ``nbytes``.  Packet-level
+    emission and flow-segment expansion both take their byte columns from
+    here; ``segments`` and ``records`` are :func:`burst_record_plan`'s.
+    """
+    segs_per_record = segments / records
+    remaining = nbytes
+    payloads = []
+    headers = []
+    boundary = 0
+    for index in range(records):
+        next_boundary = int(round((index + 1) * segs_per_record))
+        seg_count = max(next_boundary - boundary, 1)
+        boundary = next_boundary
+        payload = min(remaining, seg_count * MSS)
+        if payload <= 0:
+            break
+        remaining -= payload
+        payloads.append(payload)
+        headers.append(TCP_IP_HEADER_BYTES * seg_count)
+    return tuple(payloads), tuple(headers)
+
+
 def burst_range_totals(nbytes: int, segments: int, records: int, first: int, last: int) -> Tuple[int, int, int]:
     """Closed-form ``(seg_count, payload_bytes, header_bytes)`` of burst records ``[first, last)``.
 
-    The canonical burst loop (see ``TCPConnection._emit_data``) walks record
+    The canonical burst loop (:func:`burst_byte_columns`) walks record
     boundaries ``int(round((index + 1) * segments / records))``; those
     telescope, so any contiguous record range's totals follow without the
     loop.  The per-record payload is ``seg_count * MSS`` except for the final
@@ -144,92 +174,101 @@ class Packet:
         """True if the packet carries application payload."""
         return self.payload_len > 0
 
+    @property
+    def header(self) -> "PacketHeader":
+        """The packet's fields other than timestamp, payload and header bytes."""
+        return PacketHeader(
+            self.src,
+            self.dst,
+            self.src_port,
+            self.dst_port,
+            self.direction,
+            self.flags,
+            self.protocol,
+            self.connection_id,
+            self.hostname,
+            self.note,
+        )
 
-class PacketBatch:
-    """A struct-of-arrays batch of packets sharing one connection's constants.
 
-    A data transfer emits up to 2048 records that differ only in timestamp,
-    payload and header bytes; every other field (addresses, ports, direction,
-    flags, connection id, hostname, note) is invariant across the burst.  A
-    batch carries the three varying columns plus the shared scalars, so the
-    emission hot path never constructs per-record :class:`Packet` objects —
-    column-aware sniffers append the columns directly, and only legacy
-    per-packet callbacks pay for materialization via :meth:`packets`.
+class PacketHeader(NamedTuple):
+    """The fields every record of one emission burst shares.
+
+    One emission call (a data burst, a handshake packet, an ACK aggregate)
+    produces records that differ only in timestamp, payload and header
+    bytes; everything else — addresses, ports, direction, flags, protocol,
+    connection id, hostname and note — is this one immutable tuple, built
+    once per burst and carried by reference from emission through capture
+    into :class:`~repro.capture.trace.PacketTrace`'s header column.
     """
 
-    __slots__ = (
-        "timestamps",
-        "payload_lens",
-        "headers_lens",
-        "src",
-        "dst",
-        "src_port",
-        "dst_port",
-        "direction",
-        "flags",
-        "protocol",
-        "connection_id",
-        "hostname",
-        "note",
-    )
+    src: str
+    dst: str
+    src_port: int
+    dst_port: int
+    direction: PacketDirection
+    flags: TCPFlags = TCPFlags.NONE
+    protocol: str = "TCP"
+    connection_id: int = 0
+    hostname: str = ""
+    note: str = ""
+
+    def packet(self, timestamp: float, payload_len: int, headers_len: int) -> Packet:
+        """The :class:`Packet` record with this header and the given varying fields."""
+        return Packet(
+            timestamp=timestamp,
+            src=self.src,
+            dst=self.dst,
+            src_port=self.src_port,
+            dst_port=self.dst_port,
+            direction=self.direction,
+            flags=self.flags,
+            payload_len=payload_len,
+            headers_len=headers_len,
+            protocol=self.protocol,
+            connection_id=self.connection_id,
+            hostname=self.hostname,
+            note=self.note,
+        )
+
+
+class PacketBatch:
+    """One emission burst: three per-record columns and one shared header.
+
+    A burst emits 1 to 2048 records that differ only in timestamp, payload
+    and header bytes; every other field rides once on the burst's
+    :class:`PacketHeader`.  Single packets (SYN, FIN, the ACK aggregate)
+    leave as one-row batches, so the emission path never constructs
+    :class:`Packet` objects — column-aware sniffers append the columns and
+    the header directly, and only plain per-packet callbacks pay for
+    materialization via :meth:`packets`.
+    """
+
+    __slots__ = ("timestamps", "payload_lens", "headers_lens", "header")
 
     def __init__(
         self,
         timestamps: Sequence[float],
         payload_lens: Sequence[int],
         headers_lens: Sequence[int],
-        *,
-        src: str,
-        dst: str,
-        src_port: int,
-        dst_port: int,
-        direction: PacketDirection,
-        flags: TCPFlags = TCPFlags.NONE,
-        protocol: str = "TCP",
-        connection_id: int = 0,
-        hostname: str = "",
-        note: str = "",
+        header: PacketHeader,
     ) -> None:
         if not (len(timestamps) == len(payload_lens) == len(headers_lens)):
             raise ValueError("PacketBatch columns must have equal length")
         self.timestamps = timestamps
         self.payload_lens = payload_lens
         self.headers_lens = headers_lens
-        self.src = src
-        self.dst = dst
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.direction = direction
-        self.flags = flags
-        self.protocol = protocol
-        self.connection_id = connection_id
-        self.hostname = hostname
-        self.note = note
+        self.header = header
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def packets(self) -> List[Packet]:
         """Materialize the batch as :class:`Packet` records (slow fallback)."""
+        packet = self.header.packet
         return [
-            Packet(
-                timestamp=timestamp,
-                src=self.src,
-                dst=self.dst,
-                src_port=self.src_port,
-                dst_port=self.dst_port,
-                direction=self.direction,
-                flags=self.flags,
-                payload_len=payload_len,
-                headers_len=headers_len,
-                protocol=self.protocol,
-                connection_id=self.connection_id,
-                hostname=self.hostname,
-                note=self.note,
-            )
-            for timestamp, payload_len, headers_len in zip(
-                self.timestamps, self.payload_lens, self.headers_lens
-            )
+            packet(timestamp, payload_len, headers_len)
+            for timestamp, payload_len, headers_len in zip(self.timestamps, self.payload_lens, self.headers_lens)
         ]
 
 
@@ -248,7 +287,9 @@ class FlowSegment:
 
     ``first_record``/``last_record`` delimit the elided half-open record
     range of the burst; trace window filters narrow segments with
-    :meth:`subrange` instead of materializing packets.
+    :meth:`subrange` instead of materializing packets.  Every elided record
+    shares the burst's :class:`PacketHeader`, which the segment carries by
+    reference.
     """
 
     #: Burst start time and time span (``max(end - start, 0)``).
@@ -264,16 +305,8 @@ class FlowSegment:
     #: Exact aggregate byte totals of the elided range.
     payload_bytes: int
     header_bytes: int
-    src: str
-    dst: str
-    src_port: int
-    dst_port: int
-    direction: PacketDirection
-    flags: TCPFlags = TCPFlags.NONE
-    protocol: str = "TCP"
-    connection_id: int = 0
-    hostname: str = ""
-    note: str = ""
+    #: The fields every record of the burst shares.
+    header: PacketHeader
 
     @property
     def record_count(self) -> int:
@@ -317,65 +350,27 @@ class FlowSegment:
             last_record=last,
             payload_bytes=payload,
             header_bytes=headers,
-            src=self.src,
-            dst=self.dst,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            direction=self.direction,
-            flags=self.flags,
-            protocol=self.protocol,
-            connection_id=self.connection_id,
-            hostname=self.hostname,
-            note=self.note,
+            header=self.header,
         )
 
     def expand_columns(self) -> Tuple[List[float], List[int], List[int]]:
         """Materialize ``(timestamps, payload_lens, headers_lens)`` of the range.
 
-        Reruns the canonical burst loop verbatim over the whole burst and
-        keeps the elided records, so every float and byte count is identical
-        to what the eager per-record emission would have produced.
+        Reruns the canonical burst loop (:func:`burst_byte_columns`) over the
+        whole burst and keeps the elided records, so every float and byte
+        count is identical to what the eager per-record emission would have
+        produced.
         """
-        segs_per_record = self.segments / self.records
-        remaining = self.nbytes
-        boundary = 0
-        first, last = self.first_record, self.last_record
+        payloads, headers = burst_byte_columns(self.nbytes, self.segments, self.records)
+        first, last = self.first_record, min(self.last_record, len(payloads))
         start, span, records = self.start, self.span, self.records
-        timestamps: List[float] = []
-        payloads: List[int] = []
-        headers: List[int] = []
-        for index in range(records):
-            next_boundary = int(round((index + 1) * segs_per_record))
-            seg_count = max(next_boundary - boundary, 1)
-            boundary = next_boundary
-            payload = min(remaining, seg_count * MSS)
-            if payload <= 0:
-                break
-            remaining -= payload
-            if first <= index < last:
-                timestamps.append(start + span * (index + 1) / records)
-                payloads.append(payload)
-                headers.append(TCP_IP_HEADER_BYTES * seg_count)
-        return timestamps, payloads, headers
+        timestamps = [start + span * (index + 1) / records for index in range(first, last)]
+        return timestamps, list(payloads[first:last]), list(headers[first:last])
 
     def batch(self) -> PacketBatch:
         """Materialize the elided range as a :class:`PacketBatch`."""
         timestamps, payloads, headers = self.expand_columns()
-        return PacketBatch(
-            timestamps,
-            payloads,
-            headers,
-            src=self.src,
-            dst=self.dst,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            direction=self.direction,
-            flags=self.flags,
-            protocol=self.protocol,
-            connection_id=self.connection_id,
-            hostname=self.hostname,
-            note=self.note,
-        )
+        return PacketBatch(timestamps, payloads, headers, self.header)
 
     def packets(self) -> List[Packet]:
         """Materialize the elided range as :class:`Packet` records."""

@@ -150,21 +150,15 @@ class NetworkSimulator:
         except ValueError:
             pass
 
-    def emit(self, packet: Packet) -> None:
-        """Deliver ``packet`` to every registered sniffer."""
-        if self.tracer.enabled:
-            self.tracer.count("netsim.packets")
-            self.tracer.count("netsim.wire_bytes", packet.wire_len)
-        for sniffer in self._sniffers:
-            sniffer(packet)
-
     def emit_batch(self, batch: PacketBatch) -> None:
         """Deliver a column-oriented emission burst to every sniffer.
 
+        Every packet leaves through here or :meth:`emit_flow`: single
+        packets (SYN, FIN, ACK aggregates) are one-row batches.
         Column-aware sniffers (anything exposing ``accept_batch``, like
         :class:`~repro.capture.sniffer.Sniffer`) receive the batch whole;
         plain per-packet callables get the burst materialized once and
-        replayed packet by packet, preserving the old observable order.
+        replayed packet by packet, preserving the observable order.
         """
         if self.tracer.enabled:
             self.tracer.count("netsim.packets", len(batch.timestamps))

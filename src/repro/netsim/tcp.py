@@ -11,9 +11,11 @@ paper's results:
 * TCP/IP header overhead of 40 bytes per segment plus ACK traffic,
 * request/response exchanges with a server processing delay.
 
-The connection emits :class:`~repro.netsim.packet.Packet` records through the
-owning :class:`~repro.netsim.simulator.NetworkSimulator`, which forwards them
-to sniffers.  All analysis downstream works on those packets only.
+The connection emits :class:`~repro.netsim.packet.PacketBatch` bursts (and
+:class:`~repro.netsim.packet.FlowSegment` records for elided bulk transfers)
+through the owning :class:`~repro.netsim.simulator.NetworkSimulator`, which
+forwards them to sniffers.  All analysis downstream works on those packets
+only.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from repro.netsim.packet import (
     MSS,
     TCP_IP_HEADER_BYTES,
     FlowSegment,
-    Packet,
     PacketBatch,
     PacketDirection,
+    PacketHeader,
     TCPFlags,
+    burst_byte_columns,
     burst_range_totals,
 )
 from repro.netsim.tls import TLSParameters
@@ -101,6 +104,12 @@ _DATA_FLAGS = TCPFlags.ACK | TCPFlags.PSH
 #: key, so the memo is shared process-wide and never affects determinism.
 _DURATION_MEMO: Dict[Tuple[int, bool, float, float], float] = {}
 _DURATION_MEMO_MAX = 4096
+
+#: Memoized :func:`~repro.netsim.packet.burst_byte_columns` of packet-level
+#: bursts, keyed on the burst's byte count, the only input they depend on.
+#: Bounded like :data:`_DURATION_MEMO`.
+_BURST_MEMO: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+_BURST_MEMO_MAX = 4096
 
 
 def slow_start_penalty(nbytes: int, rate: float, rtt: float) -> float:
@@ -418,75 +427,44 @@ class TCPConnection:
     # ------------------------------------------------------------------ #
     # Packet emission helpers
     # ------------------------------------------------------------------ #
-    def _emit(self, timestamp: float, direction: PacketDirection, *, flags: TCPFlags, payload: int = 0, note: str = "") -> None:
-        src, dst, sport, dport = self._addresses(direction)
-        self._sim.emit(
-            Packet(
-                timestamp=timestamp,
-                src=src,
-                dst=dst,
-                src_port=sport,
-                dst_port=dport,
-                direction=direction,
-                flags=flags,
-                payload_len=payload,
-                headers_len=TCP_IP_HEADER_BYTES,
-                connection_id=self.connection_id,
-                hostname=self.remote.hostname,
-                note=note,
-            )
-        )
+    def _emit(
+        self,
+        timestamp: float,
+        direction: PacketDirection,
+        *,
+        flags: TCPFlags,
+        note: str,
+        headers_len: int = TCP_IP_HEADER_BYTES,
+    ) -> None:
+        """Emit one packet without payload, as a one-row batch."""
+        self._sim.emit_batch(PacketBatch([timestamp], [0], [headers_len], self._header(direction, flags, note)))
 
     def _emit_data(self, start: float, end: float, nbytes: int, direction: PacketDirection, *, note: str) -> None:
         """Emit payload packets for ``nbytes`` spread between ``start`` and ``end``.
 
         The whole burst is built as one column-oriented
-        :class:`~repro.netsim.packet.PacketBatch` — per-record work is three
-        list appends; the invariant addresses, flags and labels ride once on
-        the batch instead of once per record.
+        :class:`~repro.netsim.packet.PacketBatch` with one shared
+        :class:`~repro.netsim.packet.PacketHeader`.  Its byte columns depend
+        only on ``nbytes`` and come from :data:`_BURST_MEMO`; the timestamps
+        use the canonical loop's expression.
         """
         if nbytes <= 0:
             return
         segments = math.ceil(nbytes / MSS)
         records = min(segments, MAX_DATA_RECORDS_PER_TRANSFER)
-        segs_per_record = segments / records
         span = max(end - start, 0.0)
-        src, dst, sport, dport = self._addresses(direction)
         if _FLOW_ELISION and records >= FLOW_ELISION_MIN_RECORDS:
-            self._emit_data_elided(start, span, nbytes, segments, records, segs_per_record, direction, note)
+            self._emit_data_elided(start, span, nbytes, segments, records, segments / records, direction, note)
             return
-        remaining = nbytes
-        timestamps = []
-        payloads = []
-        headers = []
-        boundary = 0
-        for index in range(records):
-            next_boundary = int(round((index + 1) * segs_per_record))
-            seg_count = max(next_boundary - boundary, 1)
-            boundary = next_boundary
-            payload = min(remaining, seg_count * MSS)
-            if payload <= 0:
-                break
-            remaining -= payload
-            timestamps.append(start + span * (index + 1) / records)
-            payloads.append(payload)
-            headers.append(TCP_IP_HEADER_BYTES * seg_count)
-        self._sim.emit_batch(
-            PacketBatch(
-                timestamps,
-                payloads,
-                headers,
-                src=src,
-                dst=dst,
-                src_port=sport,
-                dst_port=dport,
-                direction=direction,
-                flags=_DATA_FLAGS,
-                connection_id=self.connection_id,
-                hostname=self.remote.hostname,
-                note=note,
-            )
-        )
+        columns = _BURST_MEMO.get(nbytes)
+        if columns is None:
+            columns = burst_byte_columns(nbytes, segments, records)
+            if len(_BURST_MEMO) >= _BURST_MEMO_MAX:
+                _BURST_MEMO.clear()
+            _BURST_MEMO[nbytes] = columns
+        payloads, headers = columns
+        timestamps = [start + span * index / records for index in range(1, len(payloads) + 1)]
+        self._sim.emit_batch(PacketBatch(timestamps, payloads, headers, self._header(direction, _DATA_FLAGS, note)))
 
     def _emit_data_elided(
         self,
@@ -507,18 +485,7 @@ class TCPConnection:
         the closed-form boundary telescoping — the flow path never runs the
         per-record loop, yet expansion reproduces it bit for bit.
         """
-        src, dst, sport, dport = self._addresses(direction)
-        shared = dict(
-            src=src,
-            dst=dst,
-            src_port=sport,
-            dst_port=dport,
-            direction=direction,
-            flags=_DATA_FLAGS,
-            connection_id=self.connection_id,
-            hostname=self.remote.hostname,
-            note=note,
-        )
+        header = self._header(direction, _DATA_FLAGS, note)
         # Head records [0, _ELISION_HEAD_RECORDS): the canonical loop, verbatim.
         remaining = nbytes
         timestamps = []
@@ -534,7 +501,7 @@ class TCPConnection:
             timestamps.append(start + span * (index + 1) / records)
             payloads.append(payload)
             headers.append(TCP_IP_HEADER_BYTES * seg_count)
-        self._sim.emit_batch(PacketBatch(timestamps, payloads, headers, **shared))
+        self._sim.emit_batch(PacketBatch(timestamps, payloads, headers, header))
         # Middle records [_ELISION_HEAD_RECORDS, records - 1): one flow segment.
         last = records - 1
         _, mid_payload, mid_headers = burst_range_totals(nbytes, segments, records, _ELISION_HEAD_RECORDS, last)
@@ -549,7 +516,7 @@ class TCPConnection:
                 last_record=last,
                 payload_bytes=mid_payload,
                 header_bytes=mid_headers,
-                **shared,
+                header=header,
             )
         )
         # Tail record [records - 1, records): the loop's final iteration.
@@ -558,12 +525,7 @@ class TCPConnection:
         seg_count = max(next_boundary - tail_boundary, 1)
         payload = min(remaining - mid_payload, seg_count * MSS)
         self._sim.emit_batch(
-            PacketBatch(
-                [start + span * records / records],
-                [payload],
-                [TCP_IP_HEADER_BYTES * seg_count],
-                **shared,
-            )
+            PacketBatch([start + span * records / records], [payload], [TCP_IP_HEADER_BYTES * seg_count], header)
         )
 
     def _emit_acks(self, start: float, end: float, nbytes: int, data_direction: PacketDirection) -> None:
@@ -571,26 +533,18 @@ class TCPConnection:
         segments = math.ceil(nbytes / MSS)
         acks = max(1, segments // 2)
         ack_direction = PacketDirection.IN if data_direction is PacketDirection.OUT else PacketDirection.OUT
-        src, dst, sport, dport = self._addresses(ack_direction)
-        self._sim.emit(
-            Packet(
-                timestamp=end + self.path.rtt / 2,
-                src=src,
-                dst=dst,
-                src_port=sport,
-                dst_port=dport,
-                direction=ack_direction,
-                flags=TCPFlags.ACK,
-                payload_len=0,
-                headers_len=TCP_IP_HEADER_BYTES * acks,
-                connection_id=self.connection_id,
-                hostname=self.remote.hostname,
-                note="ack-aggregate",
-            )
+        self._emit(
+            end + self.path.rtt / 2,
+            ack_direction,
+            flags=TCPFlags.ACK,
+            note="ack-aggregate",
+            headers_len=TCP_IP_HEADER_BYTES * acks,
         )
 
-    def _addresses(self, direction: PacketDirection) -> tuple:
-        return self._addr_out if direction is PacketDirection.OUT else self._addr_in
+    def _header(self, direction: PacketDirection, flags: TCPFlags, note: str) -> PacketHeader:
+        """The header shared by every record of one emission in ``direction``."""
+        src, dst, sport, dport = self._addr_out if direction is PacketDirection.OUT else self._addr_in
+        return PacketHeader(src, dst, sport, dport, direction, flags, "TCP", self.connection_id, self.remote.hostname, note)
 
     # ------------------------------------------------------------------ #
     # Internal plumbing

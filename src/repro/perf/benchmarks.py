@@ -2,7 +2,8 @@
 
 Micro-benchmarks exercise exactly the paths the columnar rework targets —
 batched packet emission into the sniffer, trace query filters, memoized
-TCP transfer math, the event queue's schedule/cancel/poll pattern — plus
+TCP transfer math, short TLS connection cycles, the event queue's
+schedule/cancel/poll pattern — plus
 the open-population engine, dictionary text generation and the zlib
 compressor, and one macro-benchmark runs the default campaign grid end to
 end.
@@ -37,6 +38,9 @@ _PATH = NetworkPath(rtt=0.020, uplink_bps=mbps(50), downlink_bps=mbps(100))
 #: Data records per ``_emit_data`` call in the sniffer benchmark (one
 #: emission burst; the batched path turns it into a single column extend).
 _RECORDS_PER_BURST = 1000
+#: Request body posted per connection cycle: one 10 kB chunk, the Fig. 6
+#: 100 x 10 kB batch's file size.
+_CYCLE_CHUNK_BYTES = 10_000
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,42 @@ def bench_transfers(transfers: int, repeats: int) -> BenchmarkResult:
         unit="transfers/s",
         higher_is_better=True,
         params={"transfers": transfers, "bytes_per_transfer": 100_000},
+        value=round(measured.best, 3),
+        samples=tuple(round(sample, 3) for sample in measured.samples),
+    )
+
+
+def bench_connection_cycles(cycles: int, repeats: int) -> BenchmarkResult:
+    """Cycles/second: open a TLS connection, post one 10 kB chunk, close it.
+
+    Cloud Drive's per-file pattern.  Every burst of a cycle is one to three
+    records — handshake packets, TLS flights, ACK aggregates, the chunk —
+    the small-burst regime the 1000-record sniffer benchmark never reaches.
+    """
+    from repro.netsim.http import HTTPChannel
+    from repro.netsim.simulator import NetworkSimulator
+    from repro.netsim.tls import TLSParameters
+
+    tls = TLSParameters()
+
+    def make_workload():
+        simulator = NetworkSimulator()
+        Sniffer(simulator)
+
+        def workload() -> None:
+            for _ in range(cycles):
+                channel = HTTPChannel(simulator.open_connection(_SERVER, _PATH, tls=tls))
+                channel.post(_CYCLE_CHUNK_BYTES, note="chunk-put")
+                channel.close()
+
+        return workload
+
+    measured = measure_rate(make_workload, cycles, repeats)
+    return BenchmarkResult(
+        name="connection_cycles_per_s",
+        unit="cycles/s",
+        higher_is_better=True,
+        params={"cycles": cycles, "chunk_bytes": _CYCLE_CHUNK_BYTES, "tls_handshake_rtts": tls.handshake_rtts},
         value=round(measured.best, 3),
         samples=tuple(round(sample, 3) for sample in measured.samples),
     )
@@ -419,6 +459,7 @@ def run_benchmarks(
         bench_flow_segments(5_000, repeats),
         bench_trace_queries(50_000, 50, repeats),
         bench_transfers(2_000, repeats),
+        bench_connection_cycles(2_000, repeats),
         bench_events(100_000, repeats),
         bench_load(20_000, repeats),
         bench_filegen_text(repeats),

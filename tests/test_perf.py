@@ -54,6 +54,7 @@ class TestBenchmarkDocument:
             "flow_segments_per_s",
             "trace_queries_per_s",
             "tcp_transfers_per_s",
+            "connection_cycles_per_s",
             "event_queue_events_per_s",
             "load_sessions_per_s",
             "filegen_text_bytes_per_s",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.capture import analysis
@@ -206,13 +207,20 @@ class TestSlowStartClosedForm:
 class TestBatchedEmissionEquivalence:
     """The batched sniffer path and per-packet replay must capture identically."""
 
+    #: Connection set-ups beyond the plain TCP connection: a resumed
+    #: (one-RTT) and a full (two-RTT) TLS handshake, and a connect/request/
+    #: close cycle per transfer (the Cloud Drive per-file pattern).
+    SCENARIOS = ("tls-1rtt", "tls-2rtt", "cycle")
+
     @staticmethod
-    def _run_workload(batched: bool, transfers):
+    def _run_workload(batched: bool, transfers, scenario: str = "plain"):
         from repro.capture.sniffer import Sniffer
         from repro.netsim.endpoint import Endpoint
         from repro.netsim.simulator import NetworkSimulator
+        from repro.netsim.tls import TLSParameters
 
         path = NetworkPath(rtt=0.02, uplink_bps=mbps(50), downlink_bps=mbps(100))
+        server = Endpoint("h.example", "192.0.2.5", 443)
         simulator = NetworkSimulator()
         if batched:
             sniffer = Sniffer(simulator)
@@ -222,7 +230,16 @@ class TestBatchedEmissionEquivalence:
             # each burst and replays it packet by packet (the legacy path).
             trace = PacketTrace()
             simulator.add_sniffer(trace.append)
-        connection = simulator.open_connection(Endpoint("h.example", "192.0.2.5", 443), path)
+        if scenario == "cycle":
+            for nbytes, upstream in transfers:
+                connection = simulator.open_connection(server, path, tls=TLSParameters(), handshake=False)
+                connection.connect()
+                up_bytes, down_bytes = (nbytes, 280) if upstream else (420, nbytes)
+                connection.request(up_bytes, down_bytes, note="chunk-put")
+                connection.close()
+            return trace
+        tls = {"plain": None, "tls-1rtt": TLSParameters().resumed(), "tls-2rtt": TLSParameters()}[scenario]
+        connection = simulator.open_connection(server, path, tls=tls)
         for nbytes, upstream in transfers:
             connection.send(nbytes, upstream=upstream)
         connection.close()
@@ -251,6 +268,24 @@ class TestBatchedEmissionEquivalence:
         assert batched.uploaded_payload_bytes() == replayed.uploaded_payload_bytes()
         assert analysis.count_tcp_syns(batched) == analysis.count_tcp_syns(replayed)
         assert analysis.burst_payload_sizes(batched) == analysis.burst_payload_sizes(replayed)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @given(
+        transfers=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=400_000), st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_connection_scenarios_are_field_identical(self, scenario, transfers):
+        # One-row SYN, FIN and ACK batches and the TLS flights, compared
+        # field by field with the per-packet replay.
+        batched = self._run_workload(True, transfers, scenario)
+        replayed = self._run_workload(False, transfers, scenario)
+        assert len(batched) == len(replayed)
+        assert list(batched.packets) == list(replayed.packets)
+        assert analysis.count_tcp_syns(batched) == analysis.count_tcp_syns(replayed)
 
 
 class TestFlowElisionEquivalence:
