@@ -3,10 +3,12 @@
 
 The paper stresses that its methodology "is generic and can be applied to
 any other service" (§2.4).  This example shows how a downstream user would
-do that with this library: define a profile for a hypothetical provider
-("NimbusDrive" — European storage, bundling, smart compression, but no
-deduplication), register it, and immediately get the full Table 1 row and
-Fig. 6 numbers for it, side by side with Dropbox.
+do that with this library: describe a hypothetical provider ("NimbusDrive"
+— European storage, bundling, smart compression, but no deduplication) as
+a ``[[service]]`` table in ``examples/specs/synthetic.toml``, register it,
+and immediately get the full Table 1 row and Fig. 6 numbers for it, side by
+side with Dropbox.  No Python describes the service: the spec is all there
+is to it.
 
 Run it with::
 
@@ -15,65 +17,17 @@ Run it with::
 
 from __future__ import annotations
 
+import os
 import sys
 
-from repro import PerformanceExperiment, register_service, render_grouped_bars, render_table, workload_by_name
+from repro import PerformanceExperiment, register_services_from_file, render_grouped_bars, render_table, workload_by_name
 from repro.core.capabilities import CapabilityProber
-from repro.geo.datacenters import provider_datacenters
-from repro.services.base import CloudStorageClient
-from repro.services.profile import (
-    ConnectionPolicy,
-    LoginSpec,
-    PollingSpec,
-    ServerSpec,
-    ServiceCapabilities,
-    ServiceProfile,
-    TimingSpec,
-)
-from repro.sync.compression import CompressionPolicy
-from repro.units import MB, mbps
 
-
-def nimbusdrive_profile() -> ServiceProfile:
-    """A hypothetical European provider with a modern but dedup-less client."""
-    # NimbusDrive rents capacity in the same Dublin region Amazon uses.
-    dublin = provider_datacenters("clouddrive")[0]
-    control = ServerSpec(hostname="api.nimbusdrive.example", datacenter=dublin,
-                         rate_up_bps=mbps(20), rate_down_bps=mbps(50), server_processing=0.015)
-    storage = ServerSpec(hostname="blocks.nimbusdrive.example", datacenter=dublin,
-                         rate_up_bps=mbps(25), rate_down_bps=mbps(60), server_processing=0.020)
-    return ServiceProfile(
-        name="nimbusdrive",
-        display_name="NimbusDrive",
-        capabilities=ServiceCapabilities(
-            chunking="fixed",
-            chunk_size=4 * MB,
-            bundling=True,
-            compression=CompressionPolicy.SMART,
-            deduplication=False,
-            delta_encoding=False,
-        ),
-        control_servers=[control],
-        storage_servers=[storage],
-        polling=PollingSpec(interval=90.0, request_bytes=150, response_bytes=200),
-        login=LoginSpec(server_count=2, total_bytes=12_000, hostname_pattern="auth{index}.nimbusdrive.example"),
-        timing=TimingSpec(detection_delay=1.0, bundle_wait=0.8, per_file_preprocess=0.01,
-                          per_mb_preprocess=0.04, per_file_processing=0.0, per_file_storage_commit=0.02),
-        connections=ConnectionPolicy(),
-        max_bundle_bytes=4 * MB,
-        max_bundle_files=50,
-    )
-
-
-class NimbusDriveClient(CloudStorageClient):
-    """Client model for the hypothetical NimbusDrive service."""
-
-    def __init__(self, simulator, profile=None, backend=None):
-        super().__init__(simulator, profile or nimbusdrive_profile(), backend)
+SPEC_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs", "synthetic.toml")
 
 
 def main() -> int:
-    register_service("nimbusdrive", nimbusdrive_profile, NimbusDriveClient)
+    register_services_from_file(SPEC_FILE)
     services = ["dropbox", "nimbusdrive"]
 
     # Table 1 row for the new service, produced by the traffic-based probes.

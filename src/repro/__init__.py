@@ -8,9 +8,10 @@ performance consequences of those design choices.
 
 Because live service accounts and real packet capture are not available,
 the five services studied by the paper are provided as faithful simulation
-models (see ``DESIGN.md`` for the substitution rationale); the benchmarking
-framework itself only ever looks at the traffic those models emit, exactly
-as the paper's testbed does.
+models — declarative service specs interpreted by one generic client
+engine (:mod:`repro.services`); the benchmarking framework itself only ever
+looks at the traffic those models emit, exactly as the paper's testbed
+does.
 
 Quick start::
 
@@ -20,8 +21,10 @@ Quick start::
     for row in result.rows():
         print(row)
 
-See ``examples/`` for complete, runnable scenarios and ``benchmarks/`` for
-the scripts regenerating every table and figure of the paper.
+See ``examples/`` for complete, runnable scenarios.  ``cloudbench all``
+regenerates every table and figure of the paper, and the test suite
+(``tests/``) asserts their qualitative findings, the §4–§6 design-choice
+ablations included.
 """
 
 from repro.core.capabilities import CapabilityMatrix, CapabilityProber
@@ -44,7 +47,6 @@ from repro.services.registry import (
     create_client,
     get_profile,
     get_spec,
-    register_service,
     register_service_spec,
     register_services_from_file,
     temporary_services,
@@ -75,7 +77,6 @@ __all__ = [
     "SERVICE_NAMES",
     "create_client",
     "get_profile",
-    "register_service",
     "register_service_spec",
     "register_services_from_file",
     "unregister_service",

@@ -513,7 +513,7 @@ def worker_service_payload(cells: Sequence[CampaignCell]) -> List[dict]:
 
     Pass the result as ``initargs`` with :func:`init_worker_services` as the
     pool ``initializer``: services registered at runtime (``--services-file``,
-    ablation factories) then exist in every worker even under the
+    ablation variants) then exist in every worker even under the
     ``spawn``/``forkserver`` start methods, where workers do not inherit
     the parent registry.  Under ``fork`` the install is a content-matched
     no-op.

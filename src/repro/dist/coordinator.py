@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.campaign import (
-    CampaignResult,
     CampaignRunner,
     CellResult,
     init_worker_services,
@@ -272,32 +271,12 @@ class MergedCampaign:
     ``sweep`` groups the collected cells per seed
     (:class:`~repro.core.sweep.SweepResult`) — for a single-seed campaign
     it holds exactly one per-seed campaign — and is the artifact
-    ``cloudbench merge`` reports.  :attr:`campaign` is the single-seed view
-    and raises for a multi-seed merge: folding cells of several seeds into
-    one suite would silently mix semantics (map-folded stages would keep
-    only the last seed, list-folded stages would duplicate rows per seed).
+    ``cloudbench merge`` reports.
     """
 
     sweep: SweepResult
     runner_cells: Dict[str, int]  # runner id -> cells computed
     runner_cpu: Dict[str, float]  # runner id -> summed cell wall-clock
-
-    @property
-    def campaign(self) -> CampaignResult:
-        """The merged single-seed campaign result.
-
-        Reuses the sweep's already-folded suite.  For a multi-seed merge
-        there is no meaningful single ``CampaignResult`` — use
-        :attr:`sweep` (per-seed campaigns plus cross-seed aggregates);
-        accessing this raises :class:`~repro.errors.DistributionError`.
-        """
-        campaigns = self.sweep.campaigns
-        if len(campaigns) != 1:
-            raise DistributionError(
-                f"a {len(campaigns)}-seed merge has no single merged campaign; "
-                "read .sweep for per-seed campaigns and cross-seed aggregates"
-            )
-        return campaigns[0]
 
     def runner_rows(self) -> List[dict]:
         """Per-runner accounting rows for the merge report table."""

@@ -108,7 +108,7 @@ class SyncSummary:
 
 
 class CloudStorageClient:
-    """Base class for every simulated service client."""
+    """The client of every simulated service, driven by its profile."""
 
     #: User identity used for the server-side namespace.
     user = "benchmark-user"

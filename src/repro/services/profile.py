@@ -3,8 +3,8 @@
 A profile is a *description* of a service's design — capabilities, server
 placement, connection management, polling and client-side processing costs.
 The generic client engine in :mod:`repro.services.base` interprets the
-profile; the per-service modules provide the concrete values reported by the
-paper plus the small behavioural overrides that do not fit a flag.
+profile; a :class:`~repro.services.spec.ServiceSpec` (the built-ins are
+spec files reporting the paper's values) is its serializable form.
 """
 
 from __future__ import annotations

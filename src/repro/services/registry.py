@@ -2,19 +2,18 @@
 
 The methodology is explicitly designed to be applied to *any* personal cloud
 storage service (§2.4); the registry is the extension point.  A registered
-service is a :class:`~repro.services.spec.ServiceSpec` (plus, optionally, a
-client class): every capability probe, performance benchmark and report
-includes it automatically, and its spec fingerprint joins the campaign
-cache keys, so editing a spec invalidates exactly that service's cells.
+service is a :class:`~repro.services.spec.ServiceSpec`: every capability
+probe, performance benchmark and report includes it automatically, and its
+spec fingerprint joins the campaign cache keys, so editing a spec
+invalidates exactly that service's cells.
 
-Registration is uniform: built-ins are spec files under
-``repro/services/specs/``, third parties register a spec
-(:func:`register_service_spec`, :func:`register_services_from_file`) or a
-legacy profile factory (:func:`register_service`), and
-:func:`create_client` constructs *every* client the same way —
-``client_class(simulator, profile, backend)`` with the generic
-:class:`~repro.services.base.CloudStorageClient` as the default class.
-There is no special-cased constructor path anymore.
+A spec is the only way to define a service.  The built-ins are spec files
+under ``repro/services/specs/``, read on first use; anyone else registers
+a spec (:func:`register_service_spec`, :func:`register_services_from_file`).
+:func:`create_client` builds every client the same way — the generic
+:class:`~repro.services.base.CloudStorageClient` interpreting the spec's
+profile — so a spawn-started worker that receives the specs runs exactly
+the client code of the parent process.
 
 Tests (and ablation studies) that register synthetic services use
 :func:`registry_snapshot`/:func:`registry_restore` — or the
@@ -25,9 +24,9 @@ into :data:`SERVICE_NAMES` ordering for later tests.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, UnknownServiceError
+from repro.errors import UnknownServiceError
 from repro.netsim.simulator import NetworkSimulator
 from repro.services.backend import StorageBackend
 from repro.services.base import CloudStorageClient
@@ -36,7 +35,6 @@ from repro.services.spec import ServiceSpec, builtin_spec, load_service_specs
 
 __all__ = [
     "SERVICE_NAMES",
-    "register_service",
     "register_service_spec",
     "register_services_from_file",
     "registry_sync_payload",
@@ -52,91 +50,24 @@ __all__ = [
     "registered_services",
 ]
 
-ProfileFactory = Callable[[], ServiceProfile]
-
-
-class _ServiceEntry:
-    """One registered service: its spec (possibly lazy) and its client class.
-
-    Legacy registrations hand over a profile *factory*; the spec — needed
-    for fingerprinting — is then derived from the factory's profile on
-    first use and cached, so the registry fingerprints every service the
-    same way regardless of how it was registered.  ``spec_loader`` defers
-    the spec itself (built-ins: one cached file read on first use).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        spec: Optional[ServiceSpec] = None,
-        spec_loader: Optional[Callable[[], ServiceSpec]] = None,
-        profile_factory: Optional[ProfileFactory] = None,
-        client_class: Type[CloudStorageClient] = CloudStorageClient,
-    ) -> None:
-        if sum(source is not None for source in (spec, spec_loader, profile_factory)) != 1:
-            raise ConfigurationError(
-                f"service {name!r}: register exactly one of a spec, a spec loader or a profile factory"
-            )
-        self.name = name
-        self._spec = spec
-        self._loader = spec_loader
-        self._factory = profile_factory
-        self.client_class = client_class
-
-    def spec(self) -> ServiceSpec:
-        if self._spec is None:
-            if self._loader is not None:
-                self._spec = self._loader()
-            else:
-                self._spec = ServiceSpec.from_profile(self._factory())  # type: ignore[misc]
-        return self._spec
-
-    def profile(self) -> ServiceProfile:
-        if self._factory is not None:
-            return self._factory()
-        return self.spec().build_profile()
-
-
-def _builtin_entry(name: str) -> _ServiceEntry:
-    # Lazy spec: builtin_spec caches the file read, so every profile() is
-    # one in-memory build from the already-parsed canonical document.
-    return _ServiceEntry(name, spec_loader=lambda: builtin_spec(name))
-
-
-_REGISTRY: Dict[str, _ServiceEntry] = {
-    name: _builtin_entry(name) for name in ("dropbox", "skydrive", "wuala", "googledrive", "clouddrive")
-}
-
 #: The five services studied in the paper, in the paper's presentation
 #: order, followed by any later registrations in registration order.
 SERVICE_NAMES: List[str] = ["dropbox", "skydrive", "wuala", "clouddrive", "googledrive"]
 
+# Name -> registered spec.  ``None`` marks a built-in whose spec file is
+# read on first use (``builtin_spec`` caches it), so importing the package
+# parses no spec file.
+_REGISTRY: Dict[str, Optional[ServiceSpec]] = dict.fromkeys(SERVICE_NAMES)
 
-def register_service(
-    name: str,
-    profile_factory: ProfileFactory,
-    client_class: Type[CloudStorageClient] = CloudStorageClient,
-) -> None:
-    """Add (or replace, idempotently) a service built from a profile factory.
 
-    ``client_class`` must accept the uniform ``(simulator, profile,
-    backend)`` constructor; re-registering an already-known name replaces
-    its entry without disturbing :data:`SERVICE_NAMES` ordering.
+def register_service_spec(spec: ServiceSpec) -> str:
+    """Register (or replace, idempotently) a service spec; returns its name.
+
+    Re-registering an already-known name replaces its spec without
+    disturbing :data:`SERVICE_NAMES` ordering.
     """
-    key = name.lower()
-    _REGISTRY[key] = _ServiceEntry(key, profile_factory=profile_factory, client_class=client_class)
-    if key not in SERVICE_NAMES:
-        SERVICE_NAMES.append(key)
-
-
-def register_service_spec(
-    spec: ServiceSpec,
-    client_class: Type[CloudStorageClient] = CloudStorageClient,
-) -> str:
-    """Register a declarative service spec; returns the registered name."""
     key = spec.name.lower()
-    _REGISTRY[key] = _ServiceEntry(key, spec=spec, client_class=client_class)
+    _REGISTRY[key] = spec
     if key not in SERVICE_NAMES:
         SERVICE_NAMES.append(key)
     return key
@@ -167,20 +98,20 @@ def unregister_service(name: str) -> bool:
     return present
 
 
-def registry_snapshot() -> Tuple[Dict[str, _ServiceEntry], List[str]]:
-    """An opaque snapshot of the registry state (entries + name ordering)."""
+def registry_snapshot() -> Tuple[Dict[str, Optional[ServiceSpec]], List[str]]:
+    """An opaque snapshot of the registry state (specs + name ordering)."""
     return dict(_REGISTRY), list(SERVICE_NAMES)
 
 
-def registry_restore(snapshot: Tuple[Dict[str, _ServiceEntry], List[str]]) -> None:
+def registry_restore(snapshot: Tuple[Dict[str, Optional[ServiceSpec]], List[str]]) -> None:
     """Restore a snapshot taken with :func:`registry_snapshot`.
 
     Both structures are restored *in place*, because ``SERVICE_NAMES`` is
     imported as a module-level list all over the code base.
     """
-    entries, names = snapshot
+    specs, names = snapshot
     _REGISTRY.clear()
-    _REGISTRY.update(entries)
+    _REGISTRY.update(specs)
     SERVICE_NAMES[:] = list(names)
 
 
@@ -199,7 +130,7 @@ def registry_sync_payload(names) -> List[dict]:
 
     This is what a process-pool *initializer* ships to worker processes so
     that services registered at runtime (``--services-file``, ablation
-    factories) exist in the workers even under the ``spawn``/``forkserver``
+    variants) exist in the workers even under the ``spawn``/``forkserver``
     start methods, where workers do not inherit the parent's registry.
     """
     return [get_spec(name).to_dict() for name in dict.fromkeys(names)]
@@ -209,16 +140,15 @@ def install_registered_specs(documents) -> None:
     """Install spec documents from :func:`registry_sync_payload` (worker side).
 
     Entries whose spec content already matches are left untouched, so under
-    ``fork`` — where workers inherit the full registry, custom client
-    classes included — this is a no-op.  A service missing from the worker
-    registry is registered from its canonical spec and driven by the
-    generic engine (a custom client *class* cannot ride along through a
-    spawn boundary; its declarative behaviour, captured by the spec, can).
+    ``fork`` — where workers inherit the full registry — this is a no-op.
+    A service missing from (or different in) the worker registry is
+    registered from its canonical spec; since a spec is all there is to a
+    service, the worker then runs exactly what the parent runs.
     """
     for document in documents:
         spec = ServiceSpec.from_dict(document)
-        entry = _REGISTRY.get(spec.name.lower())
-        if entry is not None and entry.spec().fingerprint() == spec.fingerprint():
+        key = spec.name.lower()
+        if key in _REGISTRY and get_spec(key).fingerprint() == spec.fingerprint():
             continue
         register_service_spec(spec)
 
@@ -228,32 +158,30 @@ def registered_services() -> List[str]:
     return list(_REGISTRY)
 
 
-def _entry(name: str) -> _ServiceEntry:
+def get_spec(name: str) -> ServiceSpec:
+    """The canonical :class:`~repro.services.spec.ServiceSpec` of a service."""
+    key = name.lower()
     try:
-        return _REGISTRY[name.lower()]
+        spec = _REGISTRY[key]
     except KeyError:
         raise UnknownServiceError(f"unknown service {name!r}; registered: {sorted(_REGISTRY)}") from None
+    return builtin_spec(key) if spec is None else spec
 
 
 def get_profile(name: str) -> ServiceProfile:
     """Build a fresh profile for the named service."""
-    return _entry(name).profile()
-
-
-def get_spec(name: str) -> ServiceSpec:
-    """The canonical :class:`~repro.services.spec.ServiceSpec` of a service."""
-    return _entry(name).spec()
+    return get_spec(name).build_profile()
 
 
 def spec_fingerprint(name: str) -> str:
     """Content hash of the named service's spec.
 
     This is the *service* part of every campaign cache key: two services
-    with equal spec content share fingerprints no matter how they were
-    registered, and any spec edit changes the fingerprint — invalidating
-    exactly the edited service's cached cells.
+    with equal spec content share fingerprints, and any spec edit changes
+    the fingerprint — invalidating exactly the edited service's cached
+    cells.
     """
-    return _entry(name).spec().fingerprint()
+    return get_spec(name).fingerprint()
 
 
 def create_client(
@@ -265,10 +193,10 @@ def create_client(
 
     A dedicated :class:`StorageBackend` is created when none is supplied, so
     independent experiments never share server-side state by accident.
-    Construction is uniform for every service — built-in, spec-defined or
-    factory-registered: ``client_class(simulator, profile, backend)``.
+    Every service — built-in or registered — gets the generic engine
+    interpreting its spec's profile.
     """
-    entry = _entry(name)
+    profile = get_profile(name)
     if backend is None:
         backend = StorageBackend(name.lower())
-    return entry.client_class(simulator, entry.profile(), backend)
+    return CloudStorageClient(simulator, profile, backend)

@@ -1,12 +1,13 @@
 """Declarative service specs: compose arbitrary services from data.
 
 The paper's methodology is explicitly service-agnostic (§2.4): the probes
-and benchmarks only look at traffic.  What *was* service-specific in this
-code base — a Python module pair per service — is really just data: which
-capabilities the client composes, where its servers sit, how it polls, how
-long its local processing takes.  A :class:`ServiceSpec` captures exactly
-that as a serializable document, so a sixth (or sixtieth) service is a TOML
-or JSON file, not code::
+and benchmarks only look at traffic.  What distinguishes one service from
+another is just data: which capabilities the client composes, where its
+servers sit, how it polls, how long its local processing takes.  A
+:class:`ServiceSpec` captures exactly that as a serializable document, so
+a sixth (or sixtieth) service is a TOML or JSON file, not code.  An excerpt
+of ``examples/specs/synthetic.toml``, whose full table repeats every field
+of the built-in ``dropbox.json`` but ``bundling``::
 
     [[service]]
     name = "bundleless-dropbox"
@@ -19,7 +20,7 @@ or JSON file, not code::
     deduplication = true
     delta_encoding = true
     [[service.control_servers]]
-    hostname = "client.bundleless.example"
+    hostname = "client.dropbox.com"
     rate_up = "10Mbps"
     rate_down = "20Mbps"
     [service.control_servers.datacenter]

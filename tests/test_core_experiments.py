@@ -60,7 +60,9 @@ class TestDeltaExperiment:
     @pytest.fixture(scope="class")
     def result(self):
         return DeltaEncodingExperiment(
-            ["dropbox", "googledrive"], append_sizes=[1 * MB], random_sizes=[4 * MB]
+            ["dropbox", "googledrive", "wuala", "skydrive", "clouddrive"],
+            append_sizes=[1 * MB],
+            random_sizes=[4 * MB, 10 * MB],
         ).run()
 
     def test_dropbox_uploads_only_the_change(self, result):
@@ -74,6 +76,23 @@ class TestDeltaExperiment:
     def test_random_case_includes_chunk_shift_effect(self, result):
         dropbox_random = dict(result.series("random")["dropbox"])
         assert 0.1 < dropbox_random[4 * MB] < 1.0
+
+    def test_services_without_delta_or_dedup_reupload_everything(self, result):
+        # Fig. 4 (§4.4): SkyDrive, Google Drive and Cloud Drive upload the
+        # whole file again, whether the change is appended or inserted.
+        append = result.series("append")
+        random_case = {service: dict(points) for service, points in result.series("random").items()}
+        for service in ("skydrive", "googledrive", "clouddrive"):
+            assert all(uploaded > 0.9 * size / 1e6 for size, uploaded in append[service]), service
+            assert random_case[service][10 * MB] > 9.5, service
+
+    def test_delta_and_dedup_spare_most_of_a_10mb_file(self, result):
+        # Fig. 4 right (§4.4): Dropbox's delta encoding stays far below the
+        # full file at 10 MB; Wuala has no delta encoding, but its
+        # deduplication spares the chunks before the insertion point.
+        random_case = {service: dict(points) for service, points in result.series("random").items()}
+        assert random_case["dropbox"][10 * MB] < 2.0
+        assert random_case["wuala"][10 * MB] < 0.9 * 10
 
     def test_run_service_is_concatenation_of_unit_cases(self):
         # The campaign engine's per-case unit cells must fold back into
@@ -92,13 +111,18 @@ class TestDeltaExperiment:
 class TestCompressionExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return CompressionExperiment(["dropbox", "googledrive", "skydrive"], sizes=[500_000]).run()
+        return CompressionExperiment(
+            ["dropbox", "googledrive", "skydrive", "wuala", "clouddrive"], sizes=[500_000]
+        ).run()
 
     def test_text_compressed_only_by_dropbox_and_google(self, result):
+        # Fig. 5a (§4.5): the three services that never compress send the
+        # 500 kB of text as is.
         text = {service: points[0][1] for service, points in result.series(FileKind.TEXT).items()}
         assert text["dropbox"] < 0.3
         assert text["googledrive"] < 0.3
-        assert text["skydrive"] > 0.45
+        for service in ("skydrive", "wuala", "clouddrive"):
+            assert text[service] > 0.45, service
 
     def test_fake_jpeg_separates_smart_from_always(self, result):
         fake = {service: points[0][1] for service, points in result.series(FileKind.FAKE_JPEG).items()}

@@ -190,9 +190,10 @@ class TestShardWorker:
         ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
         merged = CampaignMerger(make_runner(store_dir)).collect()
         sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
-        assert suite_stage_rows(merged.campaign.suite) == suite_stage_rows(sequential.suite)
-        assert merged.campaign.suite.summary_text() == sequential.suite.summary_text()
-        assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
+        assert merged.sweep.seeds == [42]
+        assert suite_stage_rows(merged.sweep.campaigns[0].suite) == suite_stage_rows(sequential.suite)
+        assert merged.sweep.campaigns[0].suite.summary_text() == sequential.suite.summary_text()
+        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == to_json_text(
             sequential.results_json_dict()
         )
 
@@ -222,7 +223,7 @@ class TestShardWorker:
         ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
         merged = CampaignMerger(make_runner(store_dir)).collect()
         sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
-        assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
+        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == to_json_text(
             sequential.results_json_dict()
         )
 
@@ -233,7 +234,7 @@ class TestShardWorker:
         assert report.yielded == []
         merged = CampaignMerger(make_runner(store_dir)).collect()
         sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
-        assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
+        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == to_json_text(
             sequential.results_json_dict()
         )
 
@@ -269,7 +270,7 @@ class TestShardWorker:
         assert report.yielded == [] and len(report.computed) == report.planned
         merged = CampaignMerger(make_runner(store_dir)).collect()
         sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
-        assert to_json_text(merged.campaign.results_json_dict()) == to_json_text(
+        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == to_json_text(
             sequential.results_json_dict()
         )
 
@@ -306,4 +307,4 @@ class TestCampaignMerger:
         merger = CampaignMerger(make_runner(store_dir), poll_interval=0.01)
         merged = merger.collect(wait=True, timeout=5.0)
         assert merger.missing() == []
-        assert len(merged.campaign.cells) == len(plan_cells())
+        assert len(merged.sweep.campaigns[0].cells) == len(plan_cells())

@@ -74,6 +74,18 @@ class TestDiscoveryPipeline:
         services = {row["service"] for row in result.rows()}
         assert services == {"dropbox", "skydrive", "wuala", "clouddrive", "googledrive"}
         assert len(result.google_edge_sites()) > 100
+        reports = result.reports
+        # §3.2 ownership: Cloud Drive runs on AWS alone, SkyDrive on
+        # Microsoft's own sites, and Wuala owns none of its data centers.
+        assert reports["clouddrive"].owners == ["Amazon Web Services"]
+        assert reports["skydrive"].owners == ["Microsoft Corporation"]
+        assert all("wuala" not in owner.lower() for owner in reports["wuala"].owners)
+        # §3.2 placement: SkyDrive's control reaches a Singapore site.
+        assert "Singapore" in reports["skydrive"].countries
+        # §2.1: the hybrid geolocation keeps the paper's ~100 km precision.
+        for name, report in reports.items():
+            error = report.mean_geolocation_error_km()
+            assert error is not None and error < 400, name
 
     def test_wuala_sites_are_all_european(self, world):
         result = world.discovery.discover("wuala", ["storage1.wuala.com", "storage3.wuala.com", "storage4.wuala.com"])

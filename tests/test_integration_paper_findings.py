@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.experiments.compression import CompressionExperiment
 from repro.core.experiments.idle import IdleExperiment
 from repro.core.experiments.performance import PerformanceExperiment
 from repro.core.experiments.synseries import SynSeriesExperiment
 from repro.core.workloads import workload_by_name
+from repro.filegen.model import FileKind
+from repro.services.registry import register_service_spec, temporary_services
+from repro.services.spec import ServiceSpec, builtin_spec
 from repro.units import minutes
 
 
@@ -28,6 +32,10 @@ class TestFigure6Findings:
         completion = performance.figure_series("completion")
         dropbox = completion["dropbox"]["100x10kB"]
         assert all(completion[other]["100x10kB"] > 2 * dropbox for other in completion if other != "dropbox")
+        # Per-file TCP/SSL connections cancel Google Drive's edge advantage,
+        # and Cloud Drive adds three control connections per file (§4.2, Fig. 6b).
+        assert completion["googledrive"]["100x10kB"] > 2.5 * dropbox
+        assert completion["clouddrive"]["100x10kB"] > 5 * dropbox
         # "the upload time of the same file set can take seven times more"
         assert max(c["100x10kB"] for c in completion.values()) > 5 * dropbox
 
@@ -80,7 +88,8 @@ class TestFigure3Findings:
         clouddrive = result.services["clouddrive"]
         assert googledrive.total_connections == 100
         assert clouddrive.total_connections == 400
-        assert clouddrive.completion_time > googledrive.completion_time
+        # ~55 s against ~30 s in the paper (§4.2).
+        assert clouddrive.completion_time > 1.5 * googledrive.completion_time
         assert 15 < googledrive.completion_time < 60
         assert 40 < clouddrive.completion_time < 120
 
@@ -103,3 +112,109 @@ class TestFigure1Findings:
         skydrive = idle.services["skydrive"].login_bytes
         others = [idle.services[s].login_bytes for s in ("dropbox", "wuala", "googledrive")]
         assert all(skydrive > 2.5 * other for other in others)
+
+
+def _variant(name, base, edit):
+    """The built-in spec ``base`` under a new ``name``, with ``edit`` applied to its dict."""
+    document = builtin_spec(base).to_dict()
+    document["name"] = document["display_name"] = name
+    edit(document)
+    return ServiceSpec.from_dict(document)
+
+
+#: Ablation variant -> (the built-in it starts from, its one-field edit).
+ABLATIONS = {
+    "dropbox-nobundle": ("dropbox", lambda spec: spec["capabilities"].update(bundling=False)),
+    "googledrive-bundled": ("googledrive", lambda spec: spec["capabilities"].update(bundling=True)),
+    "dropbox-nocompress": ("dropbox", lambda spec: spec["capabilities"].update(compression="never")),
+    "dropbox-smart": ("dropbox", lambda spec: spec["capabilities"].update(compression="smart")),
+    # Dropbox's storage moved next to the testbed, into Wuala's Nuremberg site.
+    "dropbox-eu": (
+        "dropbox",
+        lambda spec: spec["storage_servers"][0].update(datacenter={"provider": "wuala", "site": "wuala-nuremberg-1"}),
+    ),
+    # Cloud Drive's 15 s polling over one persistent channel.
+    "clouddrive-persistent": (
+        "clouddrive",
+        lambda spec: spec["polling"].update(new_connection_per_poll=False, request_bytes=300, response_bytes=400),
+    ),
+}
+
+
+class TestDesignChoiceAblations:
+    """The paper's design-choice arguments, each checked by changing one field of a built-in spec."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def variants(self):
+        with temporary_services():
+            for name, (base, edit) in ABLATIONS.items():
+                register_service_spec(_variant(name, base, edit))
+            yield
+
+    @pytest.fixture(scope="class")
+    def bundling(self):
+        """100 x 10 kB completion times with bundling switched off and on."""
+        workload = workload_by_name("100x10kB")
+        result = PerformanceExperiment(
+            services=["dropbox", "dropbox-nobundle", "googledrive", "googledrive-bundled"],
+            workloads=[workload],
+            repetitions=2,
+            pause_between_runs=10.0,
+        ).run()
+        return {service: values[workload.name] for service, values in result.figure_series("completion").items()}
+
+    def test_bundling_buys_dropbox_its_small_file_win(self, bundling):
+        # §4.2, §5.2: the x4 win on 100 x 10 kB is mostly bundling's.
+        assert bundling["dropbox-nobundle"] > 1.5 * bundling["dropbox"]
+
+    def test_bundling_removes_googledrive_per_file_penalty(self, bundling):
+        # §4.2, §5.2: bundled, Google Drive reuses one connection instead of
+        # paying a TCP/SSL handshake per file.
+        assert bundling["googledrive-bundled"] < 0.5 * bundling["googledrive"]
+
+    def test_compression_policy_per_content_class(self):
+        # §4.5: compressing everything wastes work on already-compressed
+        # content, compressing nothing wastes bandwidth on text.  Uploaded
+        # volume relative to the file size, at 200 kB.
+        size = 200_000
+        services = ["dropbox", "dropbox-nocompress", "dropbox-smart"]
+        result = CompressionExperiment(services, sizes=[size]).run()
+
+        def uploaded(service, kind):
+            return dict(result.series(kind)[service])[size] / (size / 1e6)
+
+        # Text: any compressing policy beats "never".
+        assert uploaded("dropbox", FileKind.TEXT) < 0.5 * uploaded("dropbox-nocompress", FileKind.TEXT)
+        assert uploaded("dropbox-smart", FileKind.TEXT) < 0.5 * uploaded("dropbox-nocompress", FileKind.TEXT)
+        # Fake JPEGs (text inside): only "smart" trusts the signature and
+        # skips them; "always" still shrinks them (Fig. 5c).
+        assert uploaded("dropbox-smart", FileKind.FAKE_JPEG) > 0.9
+        assert uploaded("dropbox", FileKind.FAKE_JPEG) < 0.5
+        # Random bytes: the policy is irrelevant, nothing shrinks.
+        for service in services:
+            assert uploaded(service, FileKind.BINARY) > 0.9, service
+
+    def test_placement_dominates_single_files_not_batches(self):
+        # §5.2, §6: for one file the distance to the data center dominates;
+        # for many small files the client's per-file costs do.
+        result = PerformanceExperiment(
+            services=["dropbox", "dropbox-eu"],
+            workloads=[workload_by_name("1x1MB"), workload_by_name("100x10kB")],
+            repetitions=2,
+            pause_between_runs=10.0,
+        ).run()
+        completion = result.figure_series("completion")
+        single_gain = completion["dropbox"]["1x1MB"] / completion["dropbox-eu"]["1x1MB"]
+        batch_gain = completion["dropbox"]["100x10kB"] / completion["dropbox-eu"]["100x10kB"]
+        assert single_gain > 1.15
+        assert batch_gain < single_gain
+
+    def test_persistent_poll_channel_cuts_the_idle_footprint(self):
+        # §3.1: Cloud Drive's fresh HTTPS connection per 15 s poll is "a bad
+        # implementation"; the same interval over one persistent channel
+        # cuts the background traffic by more than an order of magnitude.
+        result = IdleExperiment(["clouddrive", "clouddrive-persistent"], duration=minutes(16)).run()
+        wasteful = result.services["clouddrive"]
+        fixed = result.services["clouddrive-persistent"]
+        assert wasteful.background_rate_bps > 8 * fixed.background_rate_bps
+        assert fixed.connections_opened < wasteful.connections_opened / 10

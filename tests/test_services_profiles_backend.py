@@ -9,7 +9,7 @@ from repro.netsim.simulator import NetworkSimulator
 from repro.services.backend import StorageBackend
 from repro.services.base import CloudStorageClient
 from repro.services.profile import ConnectionPolicy, ServiceCapabilities, ServiceProfile
-from repro.services.registry import SERVICE_NAMES, create_client, get_profile, register_service, registered_services
+from repro.services.registry import SERVICE_NAMES, create_client, get_profile, registered_services
 from repro.sync.chunking import FixedChunker
 from repro.sync.compression import CompressionPolicy
 from repro.filegen.binary import generate_binary
@@ -119,21 +119,6 @@ class TestRegistry:
             get_profile("icloud")
         with pytest.raises(UnknownServiceError):
             create_client("icloud", NetworkSimulator())
-
-    def test_register_custom_service(self):
-        profile = get_profile("dropbox")
-        profile.name = "customdrive"
-
-        class CustomClient(CloudStorageClient):
-            pass
-
-        register_service("customdrive", lambda: profile, CustomClient)
-        try:
-            client = create_client("customdrive", NetworkSimulator())
-            assert isinstance(client, CustomClient)
-            assert "customdrive" in SERVICE_NAMES
-        finally:
-            SERVICE_NAMES.remove("customdrive")
 
 
 class TestStorageBackend:

@@ -35,7 +35,6 @@ from repro.services.registry import (
     get_profile,
     get_spec,
     install_registered_specs,
-    register_service,
     register_service_spec,
     register_services_from_file,
     registered_services,
@@ -265,9 +264,22 @@ class TestSpecFiles:
     def test_example_spec_files_load(self):
         root = os.path.join(os.path.dirname(__file__), "..", "examples", "specs")
         services = load_service_specs(os.path.join(root, "synthetic.toml"))
-        assert {spec.name for spec in services} == {"bundleless-dropbox", "synthdrive"}
+        assert {spec.name for spec in services} == {"bundleless-dropbox", "nimbusdrive", "synthdrive"}
         scenarios = load_scenario_specs(os.path.join(root, "scenarios.toml"))
         assert {spec.name for spec in scenarios} == {"conference-wifi", "transatlantic-office"}
+
+    def test_bundleless_dropbox_is_dropbox_without_bundling(self):
+        # The what-if isolates bundling only if nothing else differs:
+        # hostnames key the per-path RTT jitter, and the notification
+        # channel, subscription and bundle timer all shape start-up.
+        root = os.path.join(os.path.dirname(__file__), "..", "examples", "specs")
+        specs = {spec.name: spec for spec in load_service_specs(os.path.join(root, "synthetic.toml"))}
+        variant, dropbox = specs["bundleless-dropbox"].to_dict(), builtin_spec("dropbox").to_dict()
+        assert dropbox["capabilities"].pop("bundling") is True
+        assert "bundling" not in variant["capabilities"]  # False is the default, so canonical form omits it
+        for document in (variant, dropbox):
+            del document["name"], document["display_name"]
+        assert variant == dropbox
 
     def test_toml_loading_without_tomllib(self, tmp_path, monkeypatch):
         # Simulate Python < 3.11: the subset reader serves the whole pipeline.
@@ -330,23 +342,6 @@ class TestRegistry:
         assert isinstance(client, CloudStorageClient)
         assert client.profile.name == "synthtest"
 
-    def test_uniform_construction_custom_class(self, clean_registry):
-        class CustomClient(CloudStorageClient):
-            pass
-
-        register_service_spec(synthetic_spec(), client_class=CustomClient)
-        client = create_client("synthtest", NetworkSimulator())
-        assert isinstance(client, CustomClient)
-
-    def test_factory_registration_gets_fingerprint(self, clean_registry):
-        profile = synthetic_spec().build_profile()
-        register_service("factorydrive", lambda: profile)
-        assert spec_fingerprint("factorydrive")
-        # Equal content (modulo the name) fingerprints differently only
-        # because the name differs; same registration fingerprints stably.
-        assert spec_fingerprint("factorydrive") == spec_fingerprint("factorydrive")
-        assert get_spec("factorydrive").name == "synthtest"
-
     def test_register_services_from_file(self, clean_registry, tmp_path):
         path = tmp_path / "fleet.json"
         path.write_text(json.dumps({"service": [synthetic_spec().to_dict()]}, sort_keys=True))
@@ -368,14 +363,12 @@ class TestWorkerRegistrySync:
         assert spec_fingerprint("synthtest") == fingerprint
 
     def test_install_is_a_noop_for_matching_content(self, clean_registry):
-        class CustomClient(CloudStorageClient):
-            pass
-
-        register_service_spec(synthetic_spec(), client_class=CustomClient)
+        spec = synthetic_spec()
+        register_service_spec(spec)
         install_registered_specs(registry_sync_payload(["synthtest"]))
-        # Content matched, so the fork-inherited entry (custom class
-        # included) survives the worker-side install.
-        assert isinstance(create_client("synthtest", NetworkSimulator()), CustomClient)
+        # Content matched, so the fork-inherited registration survives the
+        # worker-side install untouched.
+        assert get_spec("synthtest") is spec
 
     def test_spec_service_survives_spawn_worker_pool(self, clean_registry, tmp_path):
         # The real thing: a spawn-started process pool, where workers do

@@ -281,17 +281,6 @@ class TestSweepStoreAndShards:
         assert set(merged.runner_cells) == {"w1", "w2"}
         assert sum(merged.runner_cells.values()) == len(sequential.cells())
 
-    def test_multi_seed_merge_campaign_accessor_raises(self, tmp_path):
-        # There is no meaningful single CampaignResult for a sweep merge;
-        # the accessor must refuse rather than return a mixed-seed suite.
-        from repro.errors import DistributionError
-
-        store_dir = str(tmp_path / "store")
-        ShardWorker(make_runner(store=ResultStore(store_dir)), steal=True, runner_id="solo").run()
-        merged = CampaignMerger(make_runner(store=ResultStore(store_dir))).collect()
-        with pytest.raises(DistributionError, match="read .sweep"):
-            merged.campaign
-
     def test_steal_worker_sweep_merges_bit_identical(self, tmp_path):
         sequential = make_runner(jobs=1).run()
         store_dir = str(tmp_path / "store")
