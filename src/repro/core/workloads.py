@@ -55,8 +55,11 @@ class WorkloadSpec:
 
     @property
     def label(self) -> str:
-        """The paper's label style, e.g. ``"100x10kB"``."""
-        return f"{self.file_count}x{format_bytes(self.file_size).replace(' ', '').replace('.00', '').replace('.0', '')}"
+        """The paper's label style, e.g. ``"100x10kB"`` or ``"1x1.05MB"``."""
+        number, unit = format_bytes(self.file_size).split(" ")
+        if "." in number:
+            number = number.rstrip("0").rstrip(".")
+        return f"{self.file_count}x{number}{unit}"
 
     def generate(self, seed: int = DEFAULT_SEED, repetition: int = 0) -> List[GeneratedFile]:
         """Generate the files for one repetition (each repetition gets fresh content)."""

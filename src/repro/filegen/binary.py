@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import random
-
 from repro.filegen.model import FileKind, GeneratedFile
-from repro.randomness import DEFAULT_SEED, make_rng
+from repro.randomness import DEFAULT_SEED, derive_seed, seeded_randbytes
 
 __all__ = ["RandomBinaryGenerator", "generate_binary"]
 
@@ -21,12 +19,15 @@ class RandomBinaryGenerator:
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
         self._seed = seed
 
-    def generate(self, size: int, name: str = "blob.bin", *, rng: random.Random | None = None) -> GeneratedFile:
-        """Generate a binary file of exactly ``size`` random bytes."""
+    def generate(self, size: int, name: str = "blob.bin") -> GeneratedFile:
+        """Generate a binary file of exactly ``size`` random bytes.
+
+        The bytes are ``make_rng(seed, "binary", name, size).randbytes(size)``,
+        drawn in bulk by :func:`~repro.randomness.seeded_randbytes`.
+        """
         if size < 0:
             raise ValueError("size must be non-negative")
-        rng = rng or make_rng(self._seed, "binary", name, size)
-        content = rng.randbytes(size)
+        content = seeded_randbytes(derive_seed(self._seed, "binary", name, size), size)
         return GeneratedFile(name=name, content=content, kind=FileKind.BINARY)
 
 

@@ -18,7 +18,7 @@ import random
 
 from repro.filegen.dictionary import paragraph_bytes
 from repro.filegen.model import FileKind, GeneratedFile
-from repro.randomness import DEFAULT_SEED, make_rng
+from repro.randomness import DEFAULT_SEED, derive_seed, make_rng, seeded_randbytes
 
 __all__ = [
     "JPEG_MAGIC",
@@ -53,12 +53,17 @@ class RandomImageGenerator:
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
         self._seed = seed
 
-    def generate(self, size: int, name: str = "photo.jpg", *, rng: random.Random | None = None) -> GeneratedFile:
-        """Generate an image file of exactly ``size`` bytes."""
+    def generate(self, size: int, name: str = "photo.jpg") -> GeneratedFile:
+        """Generate an image file of exactly ``size`` bytes.
+
+        ``size`` random bytes are drawn, as ``make_rng(seed, "image", name,
+        size).randbytes(size)`` would; the file keeps the first ``size - 22``
+        of them between the JPEG framing's 22 bytes.
+        """
         if size < 0:
             raise ValueError("size must be non-negative")
-        rng = rng or make_rng(self._seed, "image", name, size)
-        content = _with_jpeg_framing(rng.randbytes(size), size)
+        body = seeded_randbytes(derive_seed(self._seed, "image", name, size), size)
+        content = _with_jpeg_framing(body, size)
         return GeneratedFile(name=name, content=content, kind=FileKind.IMAGE)
 
 

@@ -4,9 +4,9 @@ Micro-benchmarks exercise exactly the paths the columnar rework targets —
 batched packet emission into the sniffer, trace query filters, memoized
 TCP transfer math, short TLS connection cycles, the event queue's
 schedule/cancel/poll pattern — plus
-the open-population engine, dictionary text generation and the zlib
-compressor, and one macro-benchmark runs the default campaign grid end to
-end.
+the open-population engine, dictionary text and random binary generation
+and the zlib compressor, and one macro-benchmark runs the default campaign
+grid end to end.
 
 Every workload is a pure function of its parameters (fixed endpoints,
 fixed sizes, fixed seed), so two runs measure the *same* computation and
@@ -333,6 +333,40 @@ def bench_filegen_text(repeats: int) -> BenchmarkResult:
     )
 
 
+def bench_filegen_binary(repeats: int) -> BenchmarkResult:
+    """Bytes/second of random binary files, over the four Fig. 6 upload batches.
+
+    Times :meth:`WorkloadSpec.generate` on each of ``PAPER_WORKLOADS``
+    (3.1 MB in 112 files), the bulk MT19937 draw behind every binary file.
+    """
+    from repro.core.workloads import PAPER_WORKLOADS
+
+    workloads = tuple(PAPER_WORKLOADS)
+
+    def make_workload():
+        def workload() -> None:
+            for spec in workloads:
+                spec.generate(seed=DEFAULT_SEED)
+
+        return workload
+
+    total = sum(spec.total_bytes for spec in workloads)
+    measured = measure_rate(make_workload, total, repeats)
+    return BenchmarkResult(
+        name="filegen_binary_bytes_per_s",
+        unit="bytes/s",
+        higher_is_better=True,
+        params={
+            "workloads": ",".join(spec.name for spec in workloads),
+            "files": sum(spec.file_count for spec in workloads),
+            "bytes": total,
+            "seed": DEFAULT_SEED,
+        },
+        value=round(measured.best, 3),
+        samples=tuple(round(sample, 3) for sample in measured.samples),
+    )
+
+
 def bench_compressor(repeats: int) -> BenchmarkResult:
     """Bytes/second through ``Compressor(ALWAYS).process``, over one Fig. 5 text cell's files.
 
@@ -463,6 +497,7 @@ def run_benchmarks(
         bench_events(100_000, repeats),
         bench_load(20_000, repeats),
         bench_filegen_text(repeats),
+        bench_filegen_binary(repeats),
         bench_compressor(repeats),
     ]
     if quick:

@@ -19,8 +19,12 @@ class TestWorkloads:
         assert labels == {(1, 100 * KB), (1, 1 * MB), (10, 100 * KB), (100, 10 * KB)}
 
     def test_workload_labels(self):
-        assert workload_by_name("100x10kB").label == "100x10kB"
-        assert workload_by_name("1x1MB").label == "1x1MB"
+        assert [workload.label for workload in PAPER_WORKLOADS] == ["1x100kB", "1x1MB", "10x100kB", "100x10kB"]
+        # Only a number's trailing zeros go, never a zero after its point.
+        assert WorkloadSpec(name="a", file_count=1, file_size=1_050_000).label == "1x1.05MB"
+        assert WorkloadSpec(name="b", file_count=3, file_size=2_048_000).label == "3x2.05MB"
+        assert WorkloadSpec(name="c", file_count=1, file_size=1_500_000).label == "1x1.5MB"
+        assert WorkloadSpec(name="d", file_count=1, file_size=100_500).label == "1x100.5kB"
 
     def test_lookup_is_case_insensitive_and_validates(self):
         assert workload_by_name("1X100KB").file_size == 100 * KB

@@ -47,8 +47,10 @@ def per_word_paragraphs(rng, size, end):
     return "".join(pieces).encode("utf-8")
 
 
-#: SHA-256 of generated files as the per-word paragraph loop emits them.
-#: Any change to these bytes shifts every Fig. 5 compression result.
+#: SHA-256 of generated files: text and fake JPEGs as the per-word
+#: paragraph loop emits them, binary files and images as
+#: ``random.Random.randbytes`` draws them.  Any change to these bytes shifts
+#: the results documents.
 CONTENT_DIGESTS = {
     ("text", DEFAULT_SEED, 64): "4f201c412f121f703e576f4edd59e718b75f667e00870ca77e1da2d4a16225de",
     ("text", DEFAULT_SEED, 1000): "544b43052affca4045f38d0c4a3fd38aa178ce9f0bf24e036133fb6eb2d14db5",
@@ -66,6 +68,24 @@ CONTENT_DIGESTS = {
     ("fake_jpeg", 7, 1000): "456e86bb702136d3988dfffbd707bf2ca8665bbf6b7b2f69156a6c7a8c7b961f",
     ("fake_jpeg", 7, 100_000): "c19ef5a4faa91e9b59e8779c0b32707f027306d13a5893762fadcd7b5c6ba374",
     ("fake_jpeg", 7, 1_500_000): "92c622cda81114d03e9607bbda5991d6ce1a17afb91d0a06c00a602e77d45aea",
+    ("binary", DEFAULT_SEED, 1): "5a0ec31daa84fa27666da56af259b9351086bba0b9ab4aa6007e3e6fb1866b47",
+    ("binary", DEFAULT_SEED, 3): "18d9325433af1924ac005ff4992e24d43d64e6191f0312dff27b98f27577a4b4",
+    ("binary", DEFAULT_SEED, 10_000): "d0c37be9e04d341429c1aed8ba89bb810b0cb5191bcba85fdb319e8fe789999f",
+    ("binary", DEFAULT_SEED, 100_001): "522d4df8fa3e2921e5e5c83e76af32fbc49fb4a5ad6664ef765717354509920a",
+    ("binary", DEFAULT_SEED, 1_000_000): "eb4389715c8479b1d94bb3ba0058a36197c626a183f275a78e7f9fecc0134e98",
+    ("binary", 7, 1): "4bfa260a661d68110a7a0a45264d2d43af9727de925cc2e09fb687b3651efe9d",
+    ("binary", 7, 3): "44ced7e8fc76778931444c352ee734ddc9f9b6ccf7dcde73bd959f355b42cb84",
+    ("binary", 7, 10_000): "0c9bb0dc49e71e04f4185af1bddc775cb08f297122c058af352a609c603ae339",
+    ("binary", 7, 100_001): "bd35db66e2fae1afe8584f91eed17355f2bef1db9404061504b0bb0aebbdb774",
+    ("binary", 7, 1_000_000): "ec7ee4300b3d5e457a523bacb4f0e821f559d3f18524f27c475c6e040938503a",
+    ("image", DEFAULT_SEED, 23): "e8b7c5fd32d6d703b989ed2402f965f86054c6182396fbbe062ed47ac8f4311f",
+    ("image", DEFAULT_SEED, 25): "a1e1c221819f485d2f7d9d606e6a8e97e9eeb0f8f27b5cf8732debefe264238e",
+    ("image", DEFAULT_SEED, 10_000): "4113af21294be5fd7714d2fda81f5f08d1a9f13eb6640b7e6c779b8b93be2fc3",
+    ("image", DEFAULT_SEED, 100_001): "3c4b020499731a501aa86a216c7282b39e3a9c262a8cecf3f9c22d90b223c7f7",
+    ("image", 7, 23): "fe1b5d4c64c4745597806ea172a49131afda0da653c1e27d0cc272828a36bda3",
+    ("image", 7, 25): "08e4dc857c7dbc9bb99e86589c20b34ba8fe1de671271f46ff27edf18bace720",
+    ("image", 7, 10_000): "28ba352461a59cac4ead874ca3bcae22624b297e8e14d265f9d84d56399cd221",
+    ("image", 7, 100_001): "377af0ce4d5783df2b9cb679cf4c60f693daed178c7fa0676bcdaf704c32cffe",
 }
 
 
@@ -165,7 +185,12 @@ class TestGenerators:
 
     @pytest.mark.parametrize("kind, seed, size", sorted(CONTENT_DIGESTS, key=repr))
     def test_content_is_pinned(self, kind, seed, size):
-        generate = {"text": generate_text, "fake_jpeg": generate_fake_jpeg}[kind]
+        generate = {
+            "text": generate_text,
+            "fake_jpeg": generate_fake_jpeg,
+            "binary": generate_binary,
+            "image": generate_image,
+        }[kind]
         content = generate(size, seed=seed).content
         assert hashlib.sha256(content).hexdigest() == CONTENT_DIGESTS[(kind, seed, size)]
 

@@ -58,6 +58,7 @@ class TestBenchmarkDocument:
             "event_queue_events_per_s",
             "load_sessions_per_s",
             "filegen_text_bytes_per_s",
+            "filegen_binary_bytes_per_s",
             "compressor_bytes_per_s",
         }
         for entry in metrics.values():
