@@ -11,7 +11,6 @@ property in the rest of the code base; it must hold itself to it first.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
 
 __all__ = ["Finding"]
 
@@ -42,8 +41,3 @@ class Finding:
     def to_dict(self) -> dict:
         """Plain-dict form for the JSON reporter."""
         return dataclasses.asdict(self)
-
-    @property
-    def sort_key(self) -> Tuple[str, int, int, str, str]:
-        """The canonical report order (what ``order=True`` compares)."""
-        return (self.path, self.line, self.column, self.rule, self.message)

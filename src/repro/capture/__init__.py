@@ -2,16 +2,15 @@
 
 This package plays the role of tcpdump/libpcap plus the paper's
 post-processing scripts: a :class:`Sniffer` records every simulated packet
-into a :class:`PacketTrace`, flows are reconstructed from the 5-tuples, and
-the analysis functions compute exactly the quantities the paper reports —
-TCP SYN counts and time series (Fig. 3), cumulative background traffic
-(Fig. 1), upload volumes (Figs. 4 and 5), synchronization start-up time,
-completion time and protocol overhead (Fig. 6).
+into a :class:`PacketTrace`, and the analysis functions compute exactly the
+quantities the paper reports — TCP SYN counts and time series (Fig. 3),
+cumulative background traffic (Fig. 1), upload volumes (Figs. 4 and 5),
+synchronization start-up time, completion time and protocol overhead
+(Fig. 6).
 """
 
 from repro.capture.trace import PacketTrace
 from repro.capture.sniffer import Sniffer
-from repro.capture.flows import Flow, FlowKey, FlowTable, build_flow_table
 from repro.capture.analysis import (
     burst_payload_sizes,
     classify_hosts,
@@ -29,10 +28,6 @@ from repro.capture.analysis import (
 __all__ = [
     "PacketTrace",
     "Sniffer",
-    "Flow",
-    "FlowKey",
-    "FlowTable",
-    "build_flow_table",
     "burst_payload_sizes",
     "classify_hosts",
     "completion_time",

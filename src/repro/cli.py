@@ -46,7 +46,7 @@ cooperating runners that share nothing but a store directory::
     cloudbench shard --store DIR --shard 1/2   # runner 1: static partition
     cloudbench shard --store DIR --shard 2/2   # runner 2 (any machine)
     cloudbench shard --store DIR --steal       # or: dynamic work stealing
-    cloudbench merge --store DIR               # fold the store into one report
+    cloudbench merge --store DIR               # merge the store into one report
 
 ``merge`` re-plans the same deterministic grid (so the campaign flags must
 match the workers'), reads every cell back and prints the same tables —
@@ -504,7 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--schema-foreign",
         dest="schema_foreign",
         action="store_true",
-        help="remove entries written under a different store schema version (not combinable with --stage/--service)",
+        help=(
+            "remove entries written under a different store schema or model code, and .pkl files of "
+            "earlier releases (not combinable with --stage/--service)"
+        ),
     )
     cache_rm.add_argument("--all", action="store_true", help="remove every entry (and leftover claim files)")
     return parser
@@ -610,14 +613,14 @@ def store_listing_rows(store: ResultStore) -> List[dict]:
     """
     rows = [
         {
-            "stage": entry.cell.stage,
-            "service": entry.cell.service,
-            "unit": entry.cell.unit,
-            "seed": entry.cell.seed,
-            "runner": entry.runner if entry.runner is not None else "-",
-            "wall_s": round(entry.result.wall_seconds, 3),
+            "stage": entry["stage"],
+            "service": entry["service"],
+            "unit": entry["unit"],
+            "seed": entry["seed"],
+            "runner": entry["runner"] if entry["runner"] is not None else "-",
+            "wall_s": round(entry["wall_seconds"], 3),
         }
-        for entry in store.entries_with_meta()
+        for entry in store.native_entries()
     ]
     rows.sort(
         key=lambda row: (

@@ -13,7 +13,7 @@ paper's testing application:
 * :mod:`repro.core.experiments` — one experiment class per figure/table of
   the evaluation;
 * :mod:`repro.core.campaign` — the campaign engine: runs every (stage,
-  service, unit, seed) cell and folds each seed's cells into one
+  service, unit, seed) cell and merges each seed's cells' rows into one
   :mod:`repro.core.runner` ``SuiteResult``, reduced across seeds by
   :mod:`repro.core.sweep`;
 * :mod:`repro.core.report` — plain-text/CSV rendering of the paper's tables

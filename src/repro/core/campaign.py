@@ -14,14 +14,21 @@ fine-grained:
 * :func:`run_cell` — executes one cell and times it (a module-level function
   so cells can be shipped to ``concurrent.futures`` worker processes);
 * :class:`CampaignRunner` — plans the cell grid, fans it out over a process
-  pool (``jobs`` workers) and merges the per-cell payloads back into one
+  pool (``jobs`` workers) and merges the per-cell rows back into one
   :class:`~repro.core.runner.SuiteResult` per seed, so ``summary_text()``
-  and every table/figure renderer see the same merged containers however
-  the cells ran.  Given a :class:`~repro.core.store.ResultStore`, the
-  runner consults the store before dispatching: already-computed cells are
-  loaded, fresh cells are persisted as they complete, and an interrupted or
-  extended campaign resumes incrementally — cached and freshly-computed
-  cells merge into a bit-identical suite.
+  and every table/figure renderer see the same rows however the cells ran.
+  Given a :class:`~repro.core.store.ResultStore`, the runner consults the
+  store before dispatching: already-computed cells are loaded, fresh cells
+  are persisted as they complete, and an interrupted or extended campaign
+  resumes incrementally — cached and freshly-computed cells merge into a
+  bit-identical suite.
+
+Every output renders from rows: each cell keeps its
+:attr:`CellResult.records` (the stage's report rows for that cell; one row
+per run for the performance stage, whose report averages runs that
+``--rep-cells`` spreads over several cells), and the store keeps exactly
+those records.  A fresh cell also carries its experiment payload; a cell
+served from the store carries only the records.
 
 A campaign plan is ``grid × seeds``: :class:`CampaignRunner` accepts a
 *seed list*, plans the same (stage, service, unit) grid once per seed
@@ -44,10 +51,12 @@ to a cache-served re-run for the same seed.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,11 +67,12 @@ from repro.core.experiments.delta import DELTA_CASES, DeltaEncodingExperiment, D
 from repro.core.experiments.idle import IdleExperiment, IdleResult
 from repro.core.experiments.performance import DEFAULT_REPETITIONS, PerformanceExperiment, PerformanceResult
 from repro.core.experiments.synseries import SynSeriesExperiment, SynSeriesResult
+from repro.core.metrics import PerformanceMetrics
 from repro.core.store import ResultStore
 from repro.core.workloads import PAPER_WORKLOADS, workload_by_name
 from repro.errors import ConfigurationError, UnknownServiceError
 from repro.filegen.model import FileKind
-from repro.load.population import LoadParameters, LoadStageResult, run_load_cell
+from repro.load.population import LoadParameters, run_load_cell
 from repro.netsim.scenario import BASELINE, ScenarioSpec
 from repro.obs.recorder import campaign_trace_document, cell_flight_record, harness_record
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
@@ -90,6 +100,7 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "run_cell",
+    "stage_rows",
     "merge_cell_results",
     "results_document",
     "suite_stage_rows",
@@ -209,7 +220,7 @@ class CampaignCell:
 
 
 # --------------------------------------------------------------------------- #
-# Stage registry: unit planner + per-cell runner + SuiteResult merge rules
+# Stage registry: unit planner + per-cell runner + row rules
 # --------------------------------------------------------------------------- #
 def _single_unit(config: CampaignConfig) -> Sequence[str]:
     return (WHOLE_SERVICE_UNIT,)
@@ -219,7 +230,7 @@ def _performance_units(config: CampaignConfig) -> Sequence[str]:
     names = tuple(workload.name for workload in PAPER_WORKLOADS)
     if config.rep_cells:
         # One cell per (workload, repetition): units stay workload-major so
-        # folding in plan order reproduces run_pair's repetition loop, and
+        # merging in plan order reproduces run_pair's repetition loop, and
         # the merged rows stay bit-identical to the coarse plan.
         return tuple(
             f"{name}#r{repetition}" for name in names for repetition in range(config.repetitions)
@@ -249,17 +260,19 @@ def _load_units(config: CampaignConfig) -> Sequence[str]:
 class _StageSpec:
     """Everything the engine needs to know about one campaign stage.
 
-    ``name`` doubles as the :class:`~repro.core.runner.SuiteResult`
-    attribute holding the stage's merged container.  ``units`` is the
-    stage's planner: the sub-unit labels one service splits into (most
-    stages have a single whole-service unit).  Adding a stage means adding
-    exactly one spec (plus the ``SuiteResult`` field).
+    ``run`` computes one cell's payload and ``records`` turns it into the
+    rows the cell keeps (and the store persists).  ``report`` turns a
+    stage's records, concatenated in plan order, into its report rows —
+    one cell's or the whole merged stage's.  ``units`` is the stage's
+    planner: the sub-unit labels one service splits into (most stages have
+    a single whole-service unit).  Adding a stage means adding exactly one
+    spec (plus its summary title).
     """
 
     name: str
     run: Callable[[CampaignCell], Any]
-    empty: Callable[[Any], Any]  # payload -> fresh merged-stage container
-    fold: Callable[[Any, CampaignCell, Any], None]  # container, cell, payload
+    records: Callable[[CampaignCell, Any], List[dict]]
+    report: Callable[[List[dict]], List[dict]] = list
     units: Callable[[CampaignConfig], Sequence[str]] = _single_unit
 
 
@@ -334,47 +347,66 @@ def _run_load(cell: CampaignCell) -> Any:
     return run_load_cell(cell.service, params, seed=cell.seed, scenario=config.scenario)
 
 
-def _fold_matrix(container: CapabilityMatrix, cell: CampaignCell, payload: Any) -> None:
-    container.add_service(payload)
+def _capability_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    matrix = CapabilityMatrix()
+    matrix.add_service(payload)
+    return matrix.rows()
 
 
-def _fold_service_map(container: Any, cell: CampaignCell, payload: Any) -> None:
-    container.services[cell.service] = payload
+def _capability_rows(records: List[dict]) -> List[dict]:
+    """Table 1 lists one row per service in registry order, whatever the plan order."""
+    by_service = {row["service"]: row for row in records}
+    order = [name for name in SERVICE_NAMES if name in by_service]
+    return [by_service[name] for name in order + sorted(set(by_service) - set(order))]
 
 
-def _fold_report(container: DataCenterResult, cell: CampaignCell, payload: Any) -> None:
-    container.reports[cell.service] = payload
+def _per_service_rows(records: List[dict]) -> List[dict]:
+    """One row per service, in first-seen order (a service planned twice reports once)."""
+    return list({row["service"]: row for row in records}.values())
 
 
-def _fold_points(container: Any, cell: CampaignCell, payload: Any) -> None:
-    container.points.extend(payload)
+def _performance_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    return [dataclasses.asdict(run) for run in payload]
 
 
-def _fold_runs(container: PerformanceResult, cell: CampaignCell, payload: Any) -> None:
-    container.runs.extend(payload)
-
-
-def _fold_load(container: LoadStageResult, cell: CampaignCell, payload: Any) -> None:
-    container.summaries.append(payload)
+def _performance_rows(records: List[dict]) -> List[dict]:
+    """Fig. 6 rows average the runs of each (service, workload), wherever they ran."""
+    return PerformanceResult([PerformanceMetrics(**record) for record in records]).rows()
 
 
 _STAGE_SPECS: Dict[str, _StageSpec] = {
     spec.name: spec
     for spec in (
-        _StageSpec("capabilities", _run_capabilities, lambda payload: CapabilityMatrix(), _fold_matrix),
-        _StageSpec("idle", _run_idle, lambda payload: IdleResult(duration=payload.duration), _fold_service_map),
-        _StageSpec("datacenters", _run_datacenters, lambda payload: DataCenterResult(), _fold_report),
-        _StageSpec("syn_series", _run_syn_series, lambda payload: SynSeriesResult(), _fold_service_map),
-        _StageSpec("delta", _run_delta, lambda payload: DeltaResult(), _fold_points, _delta_units),
+        _StageSpec("capabilities", _run_capabilities, _capability_records, _capability_rows),
+        _StageSpec(
+            "idle",
+            _run_idle,
+            lambda cell, payload: IdleResult(payload.duration, {cell.service: payload}).rows(),
+            _per_service_rows,
+        ),
+        _StageSpec(
+            "datacenters",
+            _run_datacenters,
+            lambda cell, payload: DataCenterResult({cell.service: payload}).rows(),
+            _per_service_rows,
+        ),
+        _StageSpec(
+            "syn_series",
+            _run_syn_series,
+            lambda cell, payload: SynSeriesResult({cell.service: payload}).rows(),
+            _per_service_rows,
+        ),
+        _StageSpec(
+            "delta", _run_delta, lambda cell, payload: DeltaResult(list(payload)).rows(), units=_delta_units
+        ),
         _StageSpec(
             "compression",
             _run_compression,
-            lambda payload: CompressionExperimentResult(),
-            _fold_points,
-            _compression_units,
+            lambda cell, payload: CompressionExperimentResult(list(payload)).rows(),
+            units=_compression_units,
         ),
-        _StageSpec("performance", _run_performance, lambda payload: PerformanceResult(), _fold_runs, _performance_units),
-        _StageSpec("load", _run_load, lambda payload: LoadStageResult(), _fold_load, _load_units),
+        _StageSpec("performance", _run_performance, _performance_records, _performance_rows, _performance_units),
+        _StageSpec("load", _run_load, lambda cell, payload: [payload.row()], units=_load_units),
     )
 }
 
@@ -389,6 +421,11 @@ def _spec(stage: str) -> _StageSpec:
         raise ConfigurationError(
             f"unknown campaign stage {stage!r}; valid stages: {', '.join(STAGES)}"
         ) from None
+
+
+def stage_rows(stage: str, records: List[dict]) -> List[dict]:
+    """A stage's report rows from its cells' records, concatenated in plan order."""
+    return _spec(stage).report(records)
 
 
 # --------------------------------------------------------------------------- #
@@ -449,12 +486,17 @@ def _failure_for(cell: CampaignCell, error: BaseException) -> CellFailure:
 
 @dataclass
 class CellResult:
-    """One cell's payload plus its wall-clock cost and cache provenance.
+    """One cell's rows plus its wall-clock cost and cache provenance.
 
-    ``cached`` is ``True`` when the payload was served from a
-    :class:`~repro.core.store.ResultStore` rather than computed;
-    ``wall_seconds`` then still reports the *original* compute time.
-    ``failure`` is set (and ``payload`` is ``None``) when the cell's
+    ``records`` are the rows every output renders from and the store
+    keeps: the cell's report rows, or for the performance stage one
+    ``PerformanceMetrics`` row per run.  ``payload`` is the experiment's
+    own result object, present only when the cell was computed in this
+    process tree.  ``cached`` is ``True`` when the cell was served from a
+    :class:`~repro.core.store.ResultStore`; ``wall_seconds`` then still
+    reports the *original* compute time, and ``runner`` the id of the
+    shard worker that computed it (``None`` when untagged).  ``failure``
+    is set (and ``payload`` is ``None``, ``records`` empty) when the cell's
     experiment raised; ``trace`` carries the cell's flight-record document
     when the campaign ran with tracing on.
     """
@@ -465,19 +507,18 @@ class CellResult:
     cached: bool = False
     failure: Optional[CellFailure] = None
     trace: Optional[dict] = None
+    runner: Optional[str] = None
+    records: List[dict] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
         return self.failure is not None
 
     def rows(self) -> List[dict]:
-        """This cell's result rendered as flat report rows (empty on failure)."""
+        """This cell's report rows (empty on failure)."""
         if self.failure is not None:
             return []
-        spec = _spec(self.cell.stage)
-        container = spec.empty(self.payload)
-        spec.fold(container, self.cell, self.payload)
-        return container.rows()
+        return stage_rows(self.cell.stage, self.records)
 
 
 def run_cell(cell: CampaignCell, trace: bool = False) -> CellResult:
@@ -494,18 +535,23 @@ def run_cell(cell: CampaignCell, trace: bool = False) -> CellResult:
     tracer = Tracer(label=cell.key) if trace else NULL_TRACER
     started = time.perf_counter()
     payload = None
+    records: List[dict] = []
     failure: Optional[CellFailure] = None
     with activate(tracer):
         try:
             payload = spec.run(cell)
+            records = spec.records(cell, payload)
         except Exception as error:
+            payload = None
             failure = _failure_for(cell, error)
     wall_seconds = time.perf_counter() - started
     record = None
     if trace:
         tracer.record_wall("cell.run", 0.0, tracer.wall_now(), key=cell.key)
         record = cell_flight_record(tracer, cell, failure=failure.to_dict() if failure is not None else None)
-    return CellResult(cell=cell, payload=payload, wall_seconds=wall_seconds, failure=failure, trace=record)
+    return CellResult(
+        cell=cell, payload=payload, wall_seconds=wall_seconds, failure=failure, trace=record, records=records
+    )
 
 
 def worker_service_payload(cells: Sequence[CampaignCell]) -> List[dict]:
@@ -664,7 +710,7 @@ class CampaignRunner:
         derives them from ``(seed, service, ...)`` labels.  A single-stage,
         single-seed campaign therefore reproduces the standalone experiment
         bit-for-bit.  Within one (stage, service), units appear in the
-        stage's canonical order, so folding in plan order reproduces the
+        stage's canonical order, so merging in plan order reproduces the
         sequential run order exactly.
         """
         plan: List[CampaignCell] = []
@@ -701,7 +747,7 @@ class CampaignRunner:
         """Group plan-ordered ``results`` into this campaign's sweep.
 
         ``started`` is the :func:`time.perf_counter` reading the sweep's
-        wall clock runs from.  The distributed merger folds the cells it
+        wall clock runs from.  The distributed merger merges the cells it
         reads back from the store through here as well.
         """
         from repro.core.sweep import sweep_from_results  # circular-free: sweep builds on this module
@@ -718,7 +764,7 @@ class CampaignRunner:
     def run_cells(self, cells: Sequence[CampaignCell]) -> List[CellResult]:
         """Run the given cells (store-aware, possibly in parallel), in order.
 
-        No :class:`SuiteResult` fold: shard workers (:mod:`repro.dist`) run
+        No :class:`SuiteResult` merge: shard workers (:mod:`repro.dist`) run
         their slice of the plan through this, and a slice may span several
         sweep seeds.
         """
@@ -751,11 +797,20 @@ class CampaignRunner:
                         # Persist in completion order (resume granularity); results
                         # land by plan index, so merging stays in plan order.
                         for future in as_completed(futures):
-                            results[futures[future]] = self._completed(future.result())
+                            index = futures[future]
+                            try:
+                                result = future.result()
+                            except BrokenProcessPool as error:
+                                # A dead worker breaks the pool and fails every
+                                # unfinished future; the finished ones are saved,
+                                # and a --resume recomputes these.
+                                failure = _failure_for(plan[index], error)
+                                result = CellResult(cell=plan[index], payload=None, wall_seconds=0.0, failure=failure)
+                            results[index] = self._completed(result)
         return [result for result in results if result is not None]
 
     def _completed(self, result: CellResult) -> CellResult:
-        # Failed cells are never persisted: the store caches *pure payloads*,
+        # Failed cells are never persisted: the store caches *pure rows*,
         # and a failure is run-specific, not a function of the cell identity.
         if self.store is not None and result.failure is None:
             self.store.save(result)
@@ -770,32 +825,27 @@ class CampaignRunner:
 
 
 def merge_cell_results(results: Sequence[CellResult]) -> "SuiteResult":
-    """Fold per-cell payloads back into the sequential-era ``SuiteResult``.
+    """Concatenate per-cell records, per stage, into one ``SuiteResult``.
 
     ``results`` must be in plan order (stage-major, services in campaign
-    order, units in stage order); the merged per-stage containers then list
-    services and rows exactly as the old sequential loops did — regardless
-    of whether each payload was computed this run or loaded from the store.
+    order, units in stage order); the merged stages then list services and
+    rows exactly as the sequential experiments do — regardless of whether
+    each cell was computed this run or loaded from the store.  A stage
+    appears once at least one of its cells succeeded.
     """
     from repro.core.runner import SuiteResult  # local import: cell execution never needs it
 
-    suite = SuiteResult()
+    records: Dict[str, List[dict]] = {}
     for result in results:
-        if result.failure is not None:
-            continue  # a failed cell has no payload to fold
-        spec = _spec(result.cell.stage)
-        container = getattr(suite, spec.name)
-        if container is None:
-            container = spec.empty(result.payload)
-            setattr(suite, spec.name, container)
-        spec.fold(container, result.cell, result.payload)
-    return suite
+        if result.failure is None:
+            records.setdefault(result.cell.stage, []).extend(result.records)
+    return SuiteResult(records)
 
 
 def results_document(results: Sequence[CellResult], *, seed: int) -> dict:
     """Deterministic, machine-readable results for a sequence of cell results.
 
-    The document is a pure function of the cell identities and payloads —
+    The document is a pure function of the cell identities and rows —
     no wall clocks, worker counts or cache provenance — so any two
     executions of the same (plan, seed, config), sequential, parallel or
     sharded across machines and merged from the store, produce the same
@@ -822,9 +872,4 @@ def results_document(results: Sequence[CellResult], *, seed: int) -> dict:
 
 def suite_stage_rows(suite: "SuiteResult") -> Dict[str, List[dict]]:
     """Flat report rows for every completed stage, keyed by stage name."""
-    rows: Dict[str, List[dict]] = {}
-    for stage in STAGES:
-        container = getattr(suite, stage)
-        if container is not None:
-            rows[stage] = container.rows()
-    return rows
+    return {stage: suite.rows(stage) for stage in STAGES if stage in suite.records}

@@ -20,7 +20,7 @@ they are
   documents verbatim.
 
 Determinism: everything in this module is a pure function of the cell
-identities and payloads.  Because the campaign engine normalizes the seed
+identities and rows.  Because the campaign engine normalizes the seed
 list (sorted, deduplicated) and merging happens in plan order, the sweep
 document is bit-identical across ``--jobs N``, sharded multi-runner and
 cache-resumed executions, and independent of the order the seeds were
@@ -79,7 +79,7 @@ def _reduce_rows(
 ) -> "tuple[Dict[str, List[dict]], Dict[str, List[dict]]]":
     """One pass over the seed-aligned report rows: (aggregates, consensus).
 
-    Folds every cell's payload into rows exactly once and derives both
+    Reads every cell's report rows exactly once and derives both
     reductions from the aligned rows: per-stage *aggregate* rows for every
     numeric column, and per-stage column-wise *consensus* rows (``~``
     where seeds disagree) for the stages that yield no aggregates at all,
@@ -177,9 +177,9 @@ class SweepResult:
     #: half — never part of :meth:`document`.
     trace: Optional[dict] = None
     # Lazily computed by aggregate_rows()/consensus_rows(); summary, CSV
-    # and document all consume the same reductions, so refolding every
-    # cell payload per consumer would triple the reduction cost of a
-    # large sweep.
+    # and document all consume the same reductions, so re-reducing every
+    # cell's rows per consumer would triple the reduction cost of a large
+    # sweep.
     _aggregate_cache: Optional[Dict[str, List[dict]]] = field(default=None, repr=False, compare=False)
     _consensus_cache: Optional[Dict[str, List[dict]]] = field(default=None, repr=False, compare=False)
 
@@ -219,7 +219,7 @@ class SweepResult:
         return sum(campaign.cache_misses() for campaign in self.campaigns)
 
     def _reduced(self) -> "tuple[Dict[str, List[dict]], Dict[str, List[dict]]]":
-        """Both reductions, computed in one payload fold and cached."""
+        """Both reductions, computed in one pass over the rows and cached."""
         if self._aggregate_cache is None or self._consensus_cache is None:
             self._aggregate_cache, self._consensus_cache = _reduce_rows(self.campaigns)
         return self._aggregate_cache, self._consensus_cache
@@ -227,7 +227,7 @@ class SweepResult:
     def aggregate_rows(self) -> Dict[str, List[dict]]:
         """Cross-seed aggregate rows per stage (see :func:`cross_seed_rows`).
 
-        Computed once and cached: the reduction refolds every cell payload,
+        Computed once and cached: the reduction reads every cell's rows,
         and the summary table, the CSVs and the sweep document all read it.
         """
         return self._reduced()[0]
@@ -240,7 +240,7 @@ class SweepResult:
         it must not vanish from a sweep report.  For those stages this
         returns the stage's ordinary rows with each value kept where every
         seed agrees and replaced by ``~`` where seeds disagree.  Computed
-        in the same single payload fold as :meth:`aggregate_rows`.
+        in the same single pass as :meth:`aggregate_rows`.
         """
         return self._reduced()[1]
 
@@ -290,7 +290,7 @@ class SweepResult:
     def document(self) -> dict:
         """The deterministic results document for this sweep.
 
-        A pure function of the cell identities and payloads: no wall
+        A pure function of the cell identities and rows: no wall
         clocks, worker counts or cache provenance.  With a single seed it
         *is* the legacy single-seed document (same schema, same bytes);
         with several it wraps the per-seed documents and the cross-seed

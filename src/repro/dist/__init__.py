@@ -13,7 +13,7 @@ merged output bit-identical to a sequential run.
 * :mod:`repro.dist.claims` — atomic lease files with heartbeats and
   stale-lease reclaim, for dynamic work stealing (``--steal``);
 * :mod:`repro.dist.coordinator` — the :class:`ShardWorker` execution loop
-  and the :class:`CampaignMerger` that folds the shared store back into
+  and the :class:`CampaignMerger` that merges the shared store back into
   one campaign result with per-runner accounting.
 """
 

@@ -13,7 +13,7 @@ lease file's mtime.  A lease whose mtime is older than the timeout is
 it by atomically replacing the lease file with its own record.
 
 The reclaim race is deliberately benign: if two runners reclaim the same
-stale lease in the same instant, both recompute the cell.  Cell payloads
+stale lease in the same instant, both recompute the cell.  Cell rows
 are pure functions of their identity and store saves are atomic
 last-writer-wins, so a duplicated execution wastes a little work but can
 never corrupt the merged result.  That property is what lets the whole
@@ -172,10 +172,6 @@ class ClaimBoard:
     def holder(self, cell: CampaignCell) -> Optional[Lease]:
         """The current lease on a cell, if any."""
         return self._read_lease(self.path_for(cell))
-
-    def is_stale(self, lease: Lease, now: Optional[float] = None) -> bool:
-        """Whether a lease has outlived the heartbeat timeout."""
-        return lease.age(now) >= self.lease_timeout
 
     def leases(self) -> List[Lease]:
         """Every readable lease on the board."""

@@ -12,12 +12,12 @@ shared store directory:
   coordination media.
 * :class:`CampaignMerger` — usually run once, anywhere, after (or while)
   the workers run.  Re-plans the same grid, waits for every cell to appear
-  in the store, folds the payloads in plan order into the same per-seed
+  in the store, merges the cells' rows in plan order into the same per-seed
   :class:`~repro.core.sweep.SweepResult` that
   :meth:`CampaignRunner.run() <repro.core.campaign.CampaignRunner.run>`
   returns, and reports which runner computed what.
 
-Because each cell's payload is a pure function of its identity and merging
+Because each cell's rows are a pure function of its identity and merging
 happens in plan order, the merged sweep — tables, CSVs and the
 deterministic ``--json`` document — is bit-identical to what a sequential
 ``cloudbench all --jobs 1`` produces for the same seeds and config, no
@@ -291,7 +291,7 @@ class MergedCampaign:
 
 
 class CampaignMerger:
-    """Collect one campaign's cells from the shared store and fold them.
+    """Collect one campaign's cells from the shared store and merge them.
 
     The merger never computes anything: it re-plans the same deterministic
     grid the workers used (same services, stages, seed, config — those
@@ -310,20 +310,12 @@ class CampaignMerger:
     def missing(self) -> List["object"]:
         """Plan cells whose entry file is absent from the store, in plan order.
 
-        Existence is probed cheaply (no unpickling) because this runs in
+        Existence is probed cheaply (no parsing) because this runs in
         the ``--wait`` poll loop; a present-but-corrupt entry is only
         discovered — healed and reported missing — by the full read in
         :meth:`collect`.
         """
         return [cell for cell in self.runner.cells() if not os.path.exists(self.store.path_for(cell))]
-
-    def wait_until_complete(self, timeout: Optional[float] = None) -> None:
-        """Poll the store until every plan cell's entry is present.
-
-        Raises :class:`~repro.errors.DistributionError` on timeout, naming
-        the cells still missing so the operator can see which shard died.
-        """
-        self._wait(None if timeout is None else time.monotonic() + timeout)
 
     def _wait(self, deadline: Optional[float]) -> None:
         while True:
@@ -335,14 +327,14 @@ class CampaignMerger:
             time.sleep(self.poll_interval)
 
     def collect(self, *, wait: bool = False, timeout: Optional[float] = None) -> MergedCampaign:
-        """Fold every stored cell into one campaign result.
+        """Merge every stored cell into one campaign result.
 
         Without ``wait`` a store that is still incomplete raises
         immediately (fail-fast, listing the missing cells); with ``wait``
         the merger polls until complete or ``timeout`` elapses.  A corrupt
         entry discovered during the full read is deleted (see
-        :meth:`~repro.core.store.ResultStore.load_entry`) and, under
-        ``wait``, simply waited on again — a live worker will recompute it.
+        :meth:`~repro.core.store.ResultStore.load`) and, under ``wait``,
+        simply waited on again — a live worker will recompute it.
         """
         started = time.perf_counter()
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -350,12 +342,12 @@ class CampaignMerger:
             if wait:
                 self._wait(deadline)
             plan = self.runner.cells()
-            entries = []
+            results = []
             missing = []
             for cell in plan:
-                entry = self.store.load_entry(cell)
-                if entry is not None:
-                    entries.append(entry)
+                result = self.store.load(cell)
+                if result is not None:
+                    results.append(result)
                 else:
                     missing.append(cell)
             if not missing:
@@ -369,13 +361,13 @@ class CampaignMerger:
             time.sleep(self.poll_interval)
         # Flight records ride the store sidecars, so a traced merge
         # reassembles the full campaign trace without recomputing a cell.
-        sweep = self.runner.sweep([entry.result for entry in entries], started=started)
+        sweep = self.runner.sweep(results, started=started)
         runner_cells: Counter = Counter()
         runner_cpu: Dict[str, float] = {}
-        for entry in entries:
-            tag = entry.runner if entry.runner is not None else "(untagged)"
+        for result in results:
+            tag = result.runner if result.runner is not None else "(untagged)"
             runner_cells[tag] += 1
-            runner_cpu[tag] = runner_cpu.get(tag, 0.0) + entry.result.wall_seconds
+            runner_cpu[tag] = runner_cpu.get(tag, 0.0) + result.wall_seconds
         return MergedCampaign(sweep=sweep, runner_cells=dict(runner_cells), runner_cpu=runner_cpu)
 
     def _missing_message(self, missing: List["object"], verb: str) -> str:
@@ -383,6 +375,6 @@ class CampaignMerger:
         shown = ", ".join(keys[:8]) + (", ..." if len(keys) > 8 else "")
         return (
             f"{verb} {len(keys)} of {len(self.runner.cells())} campaign cell(s): {shown} "
-            f"(store: {self.store.root}; are all shard workers done, and launched with "
-            f"the same --services/--stages/--seed and config flags?)"
+            f"(store: {self.store.root}; are all shard workers done, and launched from the same "
+            f"code with the same --services/--stages/--seed and config flags?)"
         )

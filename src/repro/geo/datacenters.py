@@ -58,19 +58,11 @@ class DataCenter:
     roles: FrozenSet[DataCenterRole]
     ip_prefix: str  # first three octets, e.g. "108.160.165"
 
-    def has_role(self, role: DataCenterRole) -> bool:
-        """True if this site serves the given role."""
-        return role in self.roles
-
     def address(self, host_index: int = 1) -> str:
         """Return an IP address inside this site's prefix."""
         if not 1 <= host_index <= 254:
             raise ConfigurationError("host index must be in [1, 254]")
         return f"{self.ip_prefix}.{host_index}"
-
-    def contains_ip(self, ip: str) -> bool:
-        """True if ``ip`` falls inside this site's /24 prefix."""
-        return ip.rsplit(".", 1)[0] == self.ip_prefix
 
 
 def _loc(name: str) -> Location:
@@ -178,11 +170,6 @@ class DataCenterCatalogue:
     def all(self) -> List[DataCenter]:
         """Every site in the catalogue."""
         return list(self._datacenters)
-
-    def for_provider(self, provider: str) -> List[DataCenter]:
-        """Sites belonging to one provider."""
-        key = provider.lower()
-        return [dc for dc in self._datacenters if dc.provider == key]
 
     def find_by_ip(self, ip: str) -> Optional[DataCenter]:
         """Ground-truth site owning ``ip``, or ``None``."""

@@ -27,7 +27,6 @@ from repro.load.population import (
     LoadCellSummary,
     LoadParameters,
     LoadResult,
-    LoadStageResult,
     lane_for,
     reduce_load,
     run_load_cell,
@@ -42,7 +41,6 @@ __all__ = [
     "LoadCellSummary",
     "LoadParameters",
     "LoadResult",
-    "LoadStageResult",
     "SharedLink",
     "TailSummary",
     "arrival_times",

@@ -64,7 +64,6 @@ __all__ = [
     "LoadParameters",
     "LoadResult",
     "LoadCellSummary",
-    "LoadStageResult",
     "lane_for",
     "simulate_population",
     "run_load_cell",
@@ -357,16 +356,6 @@ class LoadCellSummary:
             "queued_fraction": _round6(self.queued_fraction),
             "peak_active": self.peak_active,
         }
-
-
-@dataclass
-class LoadStageResult:
-    """Container the campaign folds load-cell payloads into, in plan order."""
-
-    summaries: List[LoadCellSummary] = field(default_factory=list)
-
-    def rows(self) -> List[dict]:
-        return [summary.row() for summary in self.summaries]
 
 
 def reduce_load(service: str, params: LoadParameters, result: LoadResult) -> LoadCellSummary:

@@ -332,11 +332,6 @@ class FlowSegment:
         """Total bytes on the wire (headers + payload) across the range."""
         return self.payload_bytes + self.header_bytes
 
-    def record_timestamps(self) -> List[float]:
-        """Timestamps of every elided record, in record order."""
-        start, span, records = self.start, self.span, self.records
-        return [start + span * (index + 1) / records for index in range(self.first_record, self.last_record)]
-
     def subrange(self, first: int, last: int) -> "FlowSegment":
         """The sub-segment covering records ``[first, last)`` of the burst."""
         _, payload, headers = burst_range_totals(self.nbytes, self.segments, self.records, first, last)

@@ -31,7 +31,7 @@ from repro.obs.recorder import (
 
 __all__ = ["TRACE_SIDECAR_SUFFIX", "sidecar_paths", "load_trace_file", "execute_ls", "execute_show", "execute_export"]
 
-#: Flight-record sidecars live next to their store entry: ``<entry>.trace.json``.
+#: Flight-record sidecars live next to their store entry ``<base>.cell.json``: ``<base>.trace.json``.
 TRACE_SIDECAR_SUFFIX = ".trace.json"
 
 

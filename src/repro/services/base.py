@@ -99,13 +99,6 @@ class SyncSummary:
         """Client-side elapsed time of the batch."""
         return self.finished_at - self.started_at
 
-    @property
-    def savings_ratio(self) -> float:
-        """Transmitted payload over logical bytes (< 1 means capabilities saved traffic)."""
-        if self.logical_bytes == 0:
-            return 1.0
-        return self.transmitted_payload_bytes / self.logical_bytes
-
 
 class CloudStorageClient:
     """The client of every simulated service, driven by its profile."""

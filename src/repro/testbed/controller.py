@@ -48,10 +48,6 @@ class Observation:
         """Packets exchanged with storage servers during the window."""
         return self.trace.to_hosts(self.storage_hostnames)
 
-    def control_trace(self) -> PacketTrace:
-        """Packets exchanged with control servers during the window."""
-        return self.trace.to_hosts(self.control_hostnames)
-
 
 class TestbedController:
     """Drives one service through one experiment run.

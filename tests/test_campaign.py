@@ -88,7 +88,7 @@ class TestCampaignPlan:
 
         campaign = CampaignRunner(["googledrive"], ["syn_series"], seed=99, jobs=1, config=CONFIG).run().campaigns[0]
         standalone = SynSeriesExperiment(["googledrive"], seed=99).run()
-        assert campaign.suite.syn_series.rows() == standalone.rows()
+        assert campaign.suite.rows("syn_series") == standalone.rows()
 
     def test_unit_cells_merge_identical_to_standalone_runs(self):
         # The per-unit split (per-workload and per-content-class cells)
@@ -101,9 +101,9 @@ class TestCampaignPlan:
 
         runner = CampaignRunner(["dropbox"], ["compression", "performance"], seed=7, jobs=1, config=CONFIG)
         campaign = runner.run().campaigns[0]
-        assert campaign.suite.compression.rows() == CompressionExperiment(["dropbox"], seed=7).run().rows()
+        assert campaign.suite.rows("compression") == CompressionExperiment(["dropbox"], seed=7).run().rows()
         standalone_perf = PerformanceExperiment(["dropbox"], repetitions=1, seed=7).run()
-        assert campaign.suite.performance.rows() == standalone_perf.rows()
+        assert campaign.suite.rows("performance") == standalone_perf.rows()
 
     def test_whole_service_unit_cells_still_runnable(self):
         # Back-compat: a cell without a unit runs the whole service.
@@ -111,7 +111,7 @@ class TestCampaignPlan:
         assert cell.unit == WHOLE_SERVICE_UNIT
         whole = run_cell(cell)
         split = CampaignRunner(["dropbox"], ["performance"], seed=7, jobs=1, config=CONFIG).run().campaigns[0]
-        assert whole.payload == split.suite.performance.runs
+        assert whole.records == split.suite.records["performance"]
 
     def test_stage_order_is_canonical_regardless_of_request_order(self):
         runner = CampaignRunner(SERVICES, ["performance", "idle"], config=CONFIG)
@@ -160,9 +160,9 @@ class TestCampaignExecution:
 
     def test_merge_preserves_service_order(self, sequential):
         suite = sequential.suite
-        assert list(suite.idle.services) == SERVICES
-        assert suite.syn_series is not None and suite.performance is not None
-        assert [run.service for run in suite.performance.runs] == ["dropbox"] * 4 + ["googledrive"] * 4
+        assert [row["service"] for row in suite.rows("idle")] == SERVICES
+        assert "syn_series" in suite.records and "performance" in suite.records
+        assert [run["service"] for run in suite.records["performance"]] == ["dropbox"] * 4 + ["googledrive"] * 4
 
     def test_parallel_equals_sequential_bit_identical(self, sequential):
         parallel = CampaignRunner(SERVICES, STAGE_SUBSET, jobs=4, config=CONFIG).run().campaigns[0]

@@ -1,4 +1,4 @@
-"""Tests for packet traces, the sniffer and flow reconstruction."""
+"""Tests for packet traces and the sniffer."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.capture.flows import FlowKey, build_flow_table
 from repro.capture.sniffer import Sniffer
 from repro.capture.trace import PacketTrace, _first_record_after, _first_record_at_or_after
 from repro.netsim.endpoint import Endpoint
@@ -108,52 +107,6 @@ class TestSniffer:
         sniffer.reset()
         assert sniffer.trace.is_empty()
         assert sniffer.marks == {}
-
-
-class TestFlows:
-    def test_flow_key_is_direction_invariant(self):
-        outbound = make_packet(1.0, direction=PacketDirection.OUT)
-        inbound = make_packet(2.0, direction=PacketDirection.IN)
-        assert FlowKey.from_packet(outbound) == FlowKey.from_packet(inbound)
-
-    def test_flow_statistics(self):
-        trace = PacketTrace(
-            [
-                make_packet(1.0, flags=TCPFlags.SYN),
-                make_packet(1.1, payload=500),
-                make_packet(1.2, direction=PacketDirection.IN, payload=100),
-            ]
-        )
-        table = build_flow_table(trace)
-        assert len(table) == 1
-        flow = table.flows()[0]
-        assert flow.packets == 3
-        assert flow.syn_packets == 1
-        assert flow.payload_up == 500
-        assert flow.payload_down == 100
-        assert flow.duration == pytest.approx(0.2)
-        assert flow.first_payload == pytest.approx(1.1)
-
-    def test_flows_to_hosts_and_largest(self):
-        trace = PacketTrace(
-            [
-                make_packet(1.0, payload=100, hostname="control.example", connection_id=1),
-                make_packet(2.0, payload=90_000, hostname="storage.example", connection_id=2),
-            ]
-        )
-        # Different connection ids map to different ports in the real capture;
-        # here the same 5-tuple is reused, so force distinct ports.
-        packets = list(trace)
-        table = build_flow_table(PacketTrace([packets[0]]))
-        assert table.flows_to_hosts(["control.example"])[0].hostname == "control.example"
-
-    def test_largest_flow_identifies_storage(self, simulator, server_endpoint, fast_path):
-        sniffer = Sniffer(simulator)
-        connection = simulator.open_connection(server_endpoint, fast_path)
-        connection.send(500_000)
-        table = build_flow_table(sniffer.trace)
-        assert table.largest_flow() is not None
-        assert table.largest_flow().payload_up >= 500_000
 
 
 # --------------------------------------------------------------------------- #

@@ -740,7 +740,7 @@ class TestLoadStage:
     def test_stage_rows_report_tails_and_fairness(self):
         runner = CampaignRunner(["dropbox", "googledrive"], ["load"], seed=7, jobs=1, config=self.CONFIG)
         campaign = runner.run().campaigns[0]
-        rows = campaign.suite.load.rows()
+        rows = campaign.suite.rows("load")
         assert [(row["service"], row["population"]) for row in rows] == [
             ("dropbox", "200"),
             ("dropbox", "1k"),
@@ -785,7 +785,7 @@ class TestLoadStage:
         cell = CampaignCell(stage="load", service="dropbox", seed=7, unit="10k", config=config)
         hit = store.load(cell)
         assert hit is not None and hit.cached
-        assert hit.payload == run_cell(cell).payload
+        assert hit.records == run_cell(cell).records
 
     def test_sweep_aggregates_include_ci95(self):
         runner = CampaignRunner(["dropbox"], ["load"], seeds=[7, 8], jobs=1, config=self.CONFIG)
@@ -809,8 +809,8 @@ class TestRepetitionCells:
         ).run().campaigns[0]
         assert len(fine.cells) == 2 * len(coarse.cells)
         assert {cell.cell.unit.rpartition("#r")[2] for cell in fine.cells} == {"0", "1"}
-        assert fine.suite.performance.runs == coarse.suite.performance.runs
-        assert fine.suite.performance.rows() == coarse.suite.performance.rows()
+        assert fine.suite.records["performance"] == coarse.suite.records["performance"]
+        assert fine.suite.rows("performance") == coarse.suite.rows("performance")
 
 
 class TestLoadCLI:

@@ -199,8 +199,8 @@ class TestStoreSidecars:
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=7, config=CONFIG)
         result = run_cell(cell, True)
-        path = store.save(result)
-        sidecar = path[: -len(".pkl")] + ".trace.json"
+        store.save(result)
+        sidecar = store.trace_path_for(cell)
         assert os.path.exists(sidecar)
         loaded = store.load(cell)
         assert loaded.cached
@@ -212,8 +212,8 @@ class TestStoreSidecars:
     def test_untraced_save_writes_no_sidecar(self, tmp_path):
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(stage="syn_series", service="googledrive", seed=7, config=CONFIG)
-        path = store.save(run_cell(cell))
-        assert not os.path.exists(path[: -len(".pkl")] + ".trace.json")
+        store.save(run_cell(cell))
+        assert not os.path.exists(store.trace_path_for(cell))
 
 
 def sim_bytes_record(record):

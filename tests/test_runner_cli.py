@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.campaign import CampaignConfig, CampaignRunner
+from repro.core.experiments import DataCenterExperiment
 from repro.core.runner import SuiteResult
 
 
@@ -42,12 +43,12 @@ class TestSuiteResult:
         stages = ["idle", "datacenters", "performance"]
         sweep = CampaignRunner(["dropbox", "googledrive"], stages, jobs=1, config=config).run()
         suite = sweep.campaigns[0].suite
-        assert set(suite.performance.figure_series("completion")) == {"dropbox", "googledrive"}
+        assert {row["service"] for row in suite.rows("performance")} == {"dropbox", "googledrive"}
         text = sweep.summary_text()
         assert text == suite.summary_text()
         for title in ("Fig. 1", "Fig. 2", "Fig. 6 — aggregated metrics", "Fig. 6a", "Fig. 6b", "Fig. 6c"):
             assert title in text
-        edges = suite.datacenters.google_edge_sites()
+        edges = DataCenterExperiment(["googledrive"], resolver_count=100).run().google_edge_sites()
         assert edges and f"Google Drive edge locations discovered: {len(edges)}" in text
 
     def test_empty_result_summary(self):

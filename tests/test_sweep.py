@@ -170,8 +170,8 @@ class TestSweepExecution:
             cells = [(result.cell.stage, result.cell.unit, result.cell.seed) for result in campaign.cells]
             assert cells == [("idle", "-", seed), ("delta", "append", seed), ("delta", "random", seed)]
             assert campaign.results_json_dict()["seed"] == seed
-            assert len(campaign.suite.idle.rows()) == 1
-            assert len(campaign.suite.delta.rows()) == 11
+            assert len(campaign.suite.rows("idle")) == 1
+            assert len(campaign.suite.rows("delta")) == 11
 
     def test_each_seed_slice_equals_its_single_seed_campaign(self, sequential):
         for campaign, seed in zip(sequential.campaigns, SEEDS):
@@ -252,7 +252,7 @@ class TestSweepExecution:
         for row in rows:
             assert "~" not in row.values() or all(value != "" for value in row.values())
         single = make_runner(seeds=[7], stages=["capabilities"]).run().campaigns[0]
-        assert rows == single.suite.capabilities.rows()
+        assert rows == single.suite.rows("capabilities")
 
     def test_summary_text_renders_aggregate_tables(self, sequential):
         text = sequential.summary_text()
