@@ -670,7 +670,8 @@ class CampaignRunner:
         store: Optional[ResultStore] = None,
         trace: bool = False,
     ) -> None:
-        self.services = list(services) if services is not None else list(SERVICE_NAMES)
+        # Deduplicate while keeping the order the services were named in.
+        self.services = list(dict.fromkeys(services)) if services is not None else list(SERVICE_NAMES)
         wanted = list(stages) if stages is not None else list(STAGES)
         unknown = [stage for stage in wanted if stage not in STAGES]
         if unknown:

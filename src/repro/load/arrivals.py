@@ -14,7 +14,8 @@ self-throttle).  Two arrival models:
 Both draw exclusively from an injected :class:`random.Random` built via
 :func:`repro.randomness.make_rng` — never the module-level ``random``
 state (the DET002 lint rule enforces this) — so a cell's arrival
-schedule is a pure function of its seed labels.
+schedule is a pure function of its seed labels.  Both return the
+schedule as a float64 array, the form the population engine computes on.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ ARRIVAL_KINDS = ("poisson", "diurnal")
 DIURNAL_AMPLITUDE = 0.6
 
 
-def poisson_times(count: int, rate: float, rng: random.Random) -> List[float]:
+def poisson_times(count: int, rate: float, rng: random.Random) -> np.ndarray:
     """``count`` arrival instants of a Poisson process with ``rate`` (1/s).
 
     Returned ascending from time 0: a clock that starts at ``0.0`` and adds
@@ -53,12 +54,12 @@ def poisson_times(count: int, rate: float, rng: random.Random) -> List[float]:
     (and leaves ``rng`` where it would) however it is later consumed.
     """
     if count <= 0:
-        return []
+        return np.empty(0)
     if rate <= 0.0:
         raise ValueError("arrival rate must be positive")
     # The loop's clock starts at +0.0: adding 0.0 turns the -0.0 a zero
     # first gap would leave into the loop's 0.0, and changes nothing else.
-    return (np.cumsum(expovariate_block(rng, count, rate)) + 0.0).tolist()
+    return np.cumsum(expovariate_block(rng, count, rate)) + 0.0
 
 
 def diurnal_times(
@@ -68,7 +69,7 @@ def diurnal_times(
     *,
     amplitude: float = DIURNAL_AMPLITUDE,
     period: float,
-) -> List[float]:
+) -> np.ndarray:
     """``count`` arrivals of a sinusoidally modulated Poisson process.
 
     Lewis–Shedler thinning: candidate arrivals are drawn at the peak
@@ -78,7 +79,7 @@ def diurnal_times(
     therefore the schedule) deterministic.
     """
     if count <= 0:
-        return []
+        return np.empty(0)
     if base_rate <= 0.0:
         raise ValueError("arrival rate must be positive")
     if not 0.0 <= amplitude < 1.0:
@@ -93,10 +94,10 @@ def diurnal_times(
         intensity = base_rate * (1.0 + amplitude * math.sin(2.0 * math.pi * clock / period))
         if rng.random() * peak <= intensity:
             times.append(clock)
-    return times
+    return np.array(times)
 
 
-def arrival_times(kind: str, count: int, window: float, rng: random.Random) -> List[float]:
+def arrival_times(kind: str, count: int, window: float, rng: random.Random) -> np.ndarray:
     """Arrival schedule for ``count`` sessions offered over ``window`` seconds.
 
     The mean rate is ``count / window`` for both models, so a bigger

@@ -43,7 +43,7 @@ import heapq
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
@@ -129,14 +129,19 @@ class LoadParameters:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class LoadResult:
-    """Raw per-session outcome columns plus cell-level saturation facts."""
+    """Raw per-session outcome columns plus cell-level saturation facts.
 
-    arrivals: List[float] = field(default_factory=list)
-    queue_waits: List[float] = field(default_factory=list)
-    completions: List[float] = field(default_factory=list)
-    goodputs_bps: List[float] = field(default_factory=list)
+    The four columns are float64 arrays, one entry per session in arrival
+    order.  Two results are compared column by column: an array has no
+    single truth value, so the dataclass defines no ``==``.
+    """
+
+    arrivals: np.ndarray
+    queue_waits: np.ndarray
+    completions: np.ndarray
+    goodputs_bps: np.ndarray
     total_bytes: int = 0
     makespan_s: float = 0.0
     peak_active: int = 0
@@ -277,7 +282,8 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
     raw outputs (:func:`repro.randomness.expovariate_block`), the slow-start
     penalty is a per-cell table lookup, and the result columns repeat the
     loop's float operations in its order.  Only the admission/completion
-    boundary walk (:func:`_admission_walk`) is sequential.
+    boundary walk (:func:`_admission_walk`) is sequential; it alone reads
+    the columns as lists, one element at a time.
     """
     count = params.population
     link = SharedLink(capacity_bps=params.link_capacity_bps, tick_s=params.tick_s)
@@ -286,11 +292,10 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
     size_column = np.maximum(expovariate_block(rng, count, 1.0 / params.transfer_bytes).astype(np.int64), 1)
     # Arrivals live on the tick lattice: an arrival mid-tick takes effect
     # at the next boundary, like every other state change.
-    arrival_column = link.quantize_up_array(np.array(raw_arrivals))
-    arrivals = arrival_column.tolist()
+    arrival_column = link.quantize_up_array(raw_arrivals)
     cap = lane.cap_bps
     admit_at, fluid_end, peak_active, peak_queue = _admission_walk(
-        arrivals, size_column.tolist(), params.edge_concurrency, cap, link.capacity_bps, link.tick_s
+        arrival_column.tolist(), size_column.tolist(), params.edge_concurrency, cap, link.capacity_bps, link.tick_s
     )
 
     admit_column = np.array(admit_at)
@@ -299,10 +304,10 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
     queue_waits = admit_column - arrival_column
     transfers = end_column - admit_column
     return LoadResult(
-        arrivals=arrivals,
-        queue_waits=queue_waits.tolist(),
-        completions=(queue_waits + latency + transfers).tolist(),
-        goodputs_bps=(size_column * 8.0 / (latency + transfers)).tolist(),
+        arrivals=arrival_column,
+        queue_waits=queue_waits,
+        completions=queue_waits + latency + transfers,
+        goodputs_bps=size_column * 8.0 / (latency + transfers),
         total_bytes=int(size_column.sum()),
         makespan_s=float(np.max(end_column + latency, initial=0.0)),
         peak_active=peak_active,
@@ -360,8 +365,8 @@ class LoadCellSummary:
 
 def reduce_load(service: str, params: LoadParameters, result: LoadResult) -> LoadCellSummary:
     """Reduce raw session columns to the cell's summary (order-independent)."""
-    queue_waits = np.array(result.queue_waits)
-    goodputs = np.array(result.goodputs_bps)
+    queue_waits = np.asarray(result.queue_waits)
+    goodputs = np.asarray(result.goodputs_bps)
     queued = int(np.count_nonzero(queue_waits > 0.0))
     offered_bps = result.total_bytes * 8.0 / params.window_s
     makespan = result.makespan_s

@@ -7,14 +7,17 @@ reproducible run-to-run.  This module centralises seed derivation so that
 independent components get independent but deterministic streams.
 
 It also owns the one hand-off between a :class:`random.Random` and numpy:
-:func:`peek_outputs` reads the rng's raw MT19937 outputs ahead of it and
-:func:`skip_outputs` advances it past them.  Bulk replays of the
-``random`` module's draws build on that pair — :func:`random_block` and
-:func:`expovariate_block` here, :func:`repro.filegen.dictionary.paragraph_bytes`
-for the text stream — and return exactly what the per-draw calls would,
-leaving the rng exactly where those calls would.  :func:`seeded_randbytes`
-replays ``random.Random(seed).randbytes(size)`` without a
-:class:`random.Random` at all.
+:func:`take_outputs` draws the rng's next raw MT19937 outputs and advances
+it past them in one pass, :func:`peek_outputs` reads outputs ahead of it
+and :func:`skip_outputs` advances it past them.  Bulk replays of the
+``random`` module's draws build on these — :func:`random_block` and
+:func:`expovariate_block` here take what they use, and
+:func:`repro.filegen.dictionary.paragraph_bytes`, which decodes more
+outputs than the text consumes, peeks and skips — and return exactly
+what the per-draw calls would, leaving the rng exactly where those calls
+would.  :func:`seeded_randbytes` replays
+``random.Random(seed).randbytes(size)`` without a :class:`random.Random`
+at all.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import math
 import random
 import threading
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +36,7 @@ __all__ = [
     "DEFAULT_SEED",
     "peek_outputs",
     "skip_outputs",
+    "take_outputs",
     "random_block",
     "expovariate_block",
     "seeded_randbytes",
@@ -109,11 +114,31 @@ def skip_outputs(rng: random.Random, count: int) -> None:
 
     Leaves ``rng`` where ``count`` calls of ``rng.getrandbits(32)`` would.
     """
+    _advance(rng, count, output=False)
+
+
+def take_outputs(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` raw 32-bit outputs of ``rng``, advancing it past them.
+
+    :func:`peek_outputs` followed by :func:`skip_outputs`, with each output
+    generated once instead of twice: entry ``i`` is what the ``i``-th
+    following ``rng.getrandbits(32)`` would return, ``rng`` ends where those
+    calls would leave it, and ``gauss_next`` is kept.
+    """
+    return _advance(rng, count, output=True)
+
+
+def _advance(rng: random.Random, count: int, *, output: bool) -> Optional[np.ndarray]:
+    """Draw ``count`` outputs of ``rng`` on this thread's MT19937, then copy its final state back.
+
+    Returns the outputs when ``output`` is true, else ``None``.
+    """
     version, internal, gauss_next = rng.getstate()
     bitgen = _bit_generator(internal)
-    bitgen.random_raw(count, output=False)
+    raw = bitgen.random_raw(count, output=output)
     after = bitgen.state["state"]
     rng.setstate((version, tuple(after["key"].tolist()) + (int(after["pos"]),), gauss_next))
+    return raw
 
 
 def random_block(rng: random.Random, count: int) -> np.ndarray:
@@ -123,8 +148,7 @@ def random_block(rng: random.Random, count: int) -> np.ndarray:
     consecutive outputs ``a``, ``b``: every step is exact in float64, so the
     array form equals the C expression.  ``rng`` ends where the loop leaves it.
     """
-    raw = peek_outputs(rng, 2 * count)
-    skip_outputs(rng, 2 * count)
+    raw = take_outputs(rng, 2 * count)
     high = (raw[0::2] >> 5).astype(np.float64)
     low = (raw[1::2] >> 6).astype(np.float64)
     return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)

@@ -5,12 +5,16 @@ placement, connection management, polling and client-side processing costs.
 The generic client engine in :mod:`repro.services.base` interprets the
 profile; a :class:`~repro.services.spec.ServiceSpec` (the built-ins are
 spec files reporting the paper's values) is its serializable form.
+
+Every class here is frozen and a profile holds its servers in tuples, so
+the one profile a spec builds is shared by every client and load cell of
+the process without any of them being able to change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geo.datacenters import DataCenter
@@ -91,18 +95,34 @@ class ServerSpec:
     #: Whether connections to this server use TLS.
     tls: bool = True
 
+    def __post_init__(self) -> None:
+        # Memos of endpoint() and path_from() by argument.  Both are pure
+        # functions of the frozen fields, so a memo never goes stale; they
+        # are attributes, not fields, so equality, hashing and the spec's
+        # canonical form ignore them.
+        object.__setattr__(self, "_endpoints", {})
+        object.__setattr__(self, "_paths", {})
+
     def endpoint(self, host_index: int = 1) -> Endpoint:
         """Network endpoint (hostname + IP inside the data center's prefix)."""
-        return Endpoint(hostname=self.hostname, ip=self.datacenter.address(host_index), port=self.port)
+        endpoint = self._endpoints.get(host_index)
+        if endpoint is None:
+            endpoint = Endpoint(hostname=self.hostname, ip=self.datacenter.address(host_index), port=self.port)
+            self._endpoints[host_index] = endpoint
+        return endpoint
 
     def path_from(self, vantage: Location = TESTBED_LOCATION) -> NetworkPath:
         """Network path from the test computer's location to this server."""
-        return NetworkPath(
-            rtt=rtt_between(vantage, self.datacenter.location, jitter_label=self.hostname),
-            uplink_bps=self.rate_up_bps,
-            downlink_bps=self.rate_down_bps,
-            server_processing=self.server_processing,
-        )
+        path = self._paths.get(vantage)
+        if path is None:
+            path = NetworkPath(
+                rtt=rtt_between(vantage, self.datacenter.location, jitter_label=self.hostname),
+                uplink_bps=self.rate_up_bps,
+                downlink_bps=self.rate_down_bps,
+                server_processing=self.server_processing,
+            )
+            self._paths[vantage] = path
+        return path
 
 
 @dataclass(frozen=True)
@@ -175,15 +195,19 @@ class ConnectionPolicy:
     per_file_commit_on_control: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceProfile:
-    """Complete description of one personal cloud storage service."""
+    """Complete description of one personal cloud storage service.
+
+    Frozen: the server collections are stored as tuples, whatever sequence
+    the caller passed.
+    """
 
     name: str
     display_name: str
     capabilities: ServiceCapabilities
-    control_servers: List[ServerSpec]
-    storage_servers: List[ServerSpec]
+    control_servers: Tuple[ServerSpec, ...]
+    storage_servers: Tuple[ServerSpec, ...]
     notification_server: Optional[ServerSpec] = None
     polling: PollingSpec = field(default_factory=PollingSpec)
     login: LoginSpec = field(default_factory=LoginSpec)
@@ -199,6 +223,8 @@ class ServiceProfile:
     max_bundle_files: int = 50
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "control_servers", tuple(self.control_servers))
+        object.__setattr__(self, "storage_servers", tuple(self.storage_servers))
         if not self.control_servers:
             raise ConfigurationError(f"{self.name}: at least one control server is required")
         if not self.storage_servers:
@@ -211,7 +237,7 @@ class ServiceProfile:
     def primary_control(self) -> ServerSpec:
         """The control server the client talks to by default.
 
-        List order encodes the server-selection behaviour observed in the
+        Tuple order encodes the server-selection behaviour observed in the
         paper: the first entry is the one the client actually uses from the
         European testbed (services doing geo-steering, like Google Drive,
         place their nearest front-end first when the profile is built).

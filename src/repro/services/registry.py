@@ -169,7 +169,12 @@ def get_spec(name: str) -> ServiceSpec:
 
 
 def get_profile(name: str) -> ServiceProfile:
-    """Build a fresh profile for the named service."""
+    """The named service's profile: one frozen object per registered spec.
+
+    Registering a spec under the name again yields that spec's own
+    profile; :func:`temporary_services` restores the old spec objects and,
+    with them, their profiles.
+    """
     return get_spec(name).build_profile()
 
 

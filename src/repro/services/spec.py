@@ -289,6 +289,7 @@ class ServiceSpec:
         # ``document`` must already be canonical; external callers use
         # ``from_dict`` / ``from_profile`` / ``load_service_specs``.
         self._document = document
+        self._profile: Optional[ServiceProfile] = None
 
     # -- constructors ----------------------------------------------------- #
     @classmethod
@@ -327,8 +328,15 @@ class ServiceSpec:
 
     # -- interpretation --------------------------------------------------- #
     def build_profile(self) -> ServiceProfile:
-        """A fresh :class:`ServiceProfile` interpreting this spec."""
-        return profile_from_spec_dict(self._document)
+        """The :class:`ServiceProfile` interpreting this spec, built on first use.
+
+        Built once and shared: the spec's document never changes (it is
+        never handed out, ``to_dict`` deep-copies) and the profile is
+        frozen, so no caller can change what another sees.
+        """
+        if self._profile is None:
+            self._profile = profile_from_spec_dict(self._document)
+        return self._profile
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ServiceSpec) and other._document == self._document

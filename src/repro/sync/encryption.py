@@ -56,8 +56,14 @@ class ConvergentEncryptor:
         self.per_megabyte_cpu_seconds = per_megabyte_cpu_seconds
 
     def content_key(self, plaintext: bytes) -> str:
-        """Derive the convergent content key for ``plaintext``."""
-        return hashlib.sha256(b"convergent-key:" + plaintext).hexdigest()
+        """Derive the convergent content key for ``plaintext``.
+
+        The hash of ``b"convergent-key:" + plaintext``, fed in two parts so
+        the plaintext is hashed in place rather than copied behind the prefix.
+        """
+        hasher = hashlib.sha256(b"convergent-key:")
+        hasher.update(plaintext)
+        return hasher.hexdigest()
 
     def encrypt(self, plaintext: bytes) -> EncryptedPayload:
         """Encrypt ``plaintext`` and return the payload description."""

@@ -93,6 +93,14 @@ def _copy_rng(rng):
     return twin
 
 
+def _result_document(result):
+    """A :class:`LoadResult` as a plain dict, its float64 columns as lists."""
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in dataclasses.asdict(result).items()
+    }
+
+
 def _poisson_times_loop(count, rate, rng):
     """The per-draw clock :func:`poisson_times` replays in bulk: the oracle."""
     times = []
@@ -297,16 +305,23 @@ class TestArrivals:
     def test_poisson_schedule_is_sorted_and_deterministic(self):
         first = poisson_times(500, 10.0, make_rng(7, "arrivals"))
         second = poisson_times(500, 10.0, make_rng(7, "arrivals"))
-        assert first == second
-        assert first == sorted(first)
+        assert np.array_equal(first, second)
+        assert first.tolist() == sorted(first.tolist())
         assert len(first) == 500
 
     def test_diurnal_schedule_is_sorted_and_deterministic(self):
         first = diurnal_times(500, 10.0, make_rng(7, "arrivals"), period=60.0)
         second = diurnal_times(500, 10.0, make_rng(7, "arrivals"), period=60.0)
-        assert first == second
-        assert first == sorted(first)
+        assert np.array_equal(first, second)
+        assert first.tolist() == sorted(first.tolist())
         assert len(first) == 500
+
+    @pytest.mark.parametrize("kind", ["poisson", "diurnal"])
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_schedules_are_float64_arrays(self, kind, count):
+        times = arrival_times(kind, count, 30.0, make_rng(7, "dtype"))
+        assert isinstance(times, np.ndarray) and times.dtype == np.float64
+        assert times.shape == (count,)
 
     @given(
         seed=seeds,
@@ -321,7 +336,7 @@ class TestArrivals:
         expected_rng = _used_rng(seed, warmup)
         actual_rng = _copy_rng(expected_rng)
         times = poisson_times(count, rate, actual_rng)
-        assert type(times) is list
+        assert isinstance(times, np.ndarray) and times.dtype == np.float64
         assert _bits(times) == _bits(_poisson_times_loop(count, rate, expected_rng))
         assert actual_rng.getstate() == expected_rng.getstate()
 
@@ -534,7 +549,7 @@ class TestPopulationEngine:
         # serialization at its own cap, no queueing.
         params = LoadParameters(population=1, window_s=1.0, link_capacity_bps=mbps(400.0))
         result = simulate_population(params, self.LANE, make_rng(7, "solo"))
-        assert result.queue_waits == [0.0]
+        assert result.queue_waits.tolist() == [0.0]
         from repro.netsim.tcp import slow_start_penalty
 
         size = result.total_bytes
@@ -557,7 +572,15 @@ class TestPopulationEngine:
         params = LoadParameters(population=2000)
         first = simulate_population(params, self.LANE, make_rng(11, "det"))
         second = simulate_population(params, self.LANE, make_rng(11, "det"))
-        assert first == second
+        assert _result_document(first) == _result_document(second)
+
+    @pytest.mark.parametrize("arrival", ["poisson", "diurnal"])
+    def test_session_columns_are_float64_arrays(self, arrival):
+        params = LoadParameters(population=300, arrival=arrival)
+        result = simulate_population(params, self.LANE, make_rng(7, "columns"))
+        for column in (result.arrivals, result.queue_waits, result.completions, result.goodputs_bps):
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert column.shape == (300,)
 
     def test_saturation_bounds(self):
         # 50k sessions * ~100 kB over 10 s >> 400 Mb/s: the link saturates
@@ -682,7 +705,7 @@ def test_population_outcome_is_pinned(name):
     rng = make_rng(*labels)
     result = simulate_population(params, lane, rng)
     document = {
-        "result": dataclasses.asdict(result),
+        "result": _result_document(result),
         "row": reduce_load(service, params, result).row(),
         "rng_after": rng.getrandbits(64),
     }

@@ -12,7 +12,15 @@ from hypothesis import example, given, settings
 
 from repro import randomness
 from repro.filegen import generate_binary
-from repro.randomness import DEFAULT_SEED, derive_seed, make_rng, peek_outputs, seeded_randbytes, skip_outputs
+from repro.randomness import (
+    DEFAULT_SEED,
+    derive_seed,
+    make_rng,
+    peek_outputs,
+    seeded_randbytes,
+    skip_outputs,
+    take_outputs,
+)
 
 
 def test_derive_seed_is_deterministic():
@@ -62,6 +70,31 @@ def test_peek_reads_ahead_and_skip_advances_like_getrandbits(warmup, count):
     skip_outputs(rng, count)
     # gauss_next is part of the state, so it is kept too.
     assert rng.getstate() == twin.getstate()
+    assert rng.gauss(0.0, 1.0) == twin.gauss(0.0, 1.0)
+
+
+@given(
+    warmup=st.integers(min_value=0, max_value=1300),
+    count=st.one_of(st.sampled_from([0, 1, 623, 624, 625, 1249]), st.integers(min_value=0, max_value=3000)),
+)
+@example(warmup=0, count=0)
+@example(warmup=1, count=1)
+@example(warmup=623, count=623)
+@example(warmup=624, count=624)
+@example(warmup=1, count=625)
+@example(warmup=625, count=1249)
+@settings(max_examples=60, deadline=None)
+def test_take_is_peek_then_skip(warmup, count):
+    rng = _used_rng(warmup)
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    block = take_outputs(rng, count)
+    expected = peek_outputs(twin, count)
+    skip_outputs(twin, count)
+    assert block.tolist() == expected.tolist()
+    # The state includes the cached gauss value, which both must keep.
+    assert rng.getstate() == twin.getstate()
+    assert rng.getstate()[2] is not None
     assert rng.gauss(0.0, 1.0) == twin.gauss(0.0, 1.0)
 
 

@@ -75,6 +75,17 @@ class TestStageAliases:
         for command in ("performance", "datacenters", "all"):
             assert planned_runner([command]).config == CampaignConfig()
 
+    def test_repeated_service_is_planned_once(self, tmp_path, capsys):
+        # `--services wuala,wuala` used to plan and run every wuala cell
+        # twice and report Fig. 6 rows over two copies of one repetition.
+        flags = ["--seed", "7", "all", "--stages", "idle,performance", "--minutes", "1", "--repetitions", "1"]
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert main(["--services", "wuala", *flags, "--json", str(once)]) == 0
+        assert main(["--services", "wuala,wuala", *flags, "--json", str(twice)]) == 0
+        capsys.readouterr()
+        assert twice.read_bytes() == once.read_bytes()
+        assert planned_runner(["--services", "wuala,dropbox,wuala", *flags]).services == ["wuala", "dropbox"]
+
     def test_delta_alias_json_matches_all(self, tmp_path, capsys):
         alias, full = tmp_path / "alias.json", tmp_path / "all.json"
         base = ["--services", "wuala", "--seed", "7"]

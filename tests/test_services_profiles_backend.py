@@ -2,14 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import StorageBackendError, UnknownServiceError
+from repro.geo.locations import TESTBED_LOCATION, find_location
+from repro.geo.vantage import rtt_between
+from repro.netsim.endpoint import Endpoint
+from repro.netsim.link import NetworkPath
 from repro.netsim.simulator import NetworkSimulator
 from repro.services.backend import StorageBackend
 from repro.services.base import CloudStorageClient
 from repro.services.profile import ConnectionPolicy, ServiceCapabilities, ServiceProfile
-from repro.services.registry import SERVICE_NAMES, create_client, get_profile, registered_services
+from repro.services.registry import (
+    SERVICE_NAMES,
+    create_client,
+    get_profile,
+    get_spec,
+    register_service_spec,
+    registered_services,
+    temporary_services,
+)
+from repro.services.spec import ServiceSpec
 from repro.sync.chunking import FixedChunker
 from repro.sync.compression import CompressionPolicy
 from repro.filegen.binary import generate_binary
@@ -93,6 +108,35 @@ class TestProfileStructure:
         profile = get_profile("wuala")
         assert set(profile.control_servers) <= set(profile.storage_servers)
 
+    @pytest.mark.parametrize("service", SERVICE_NAMES)
+    def test_profile_and_its_servers_are_frozen(self, service):
+        profile = get_profile(service)
+        assert isinstance(profile.control_servers, tuple) and isinstance(profile.storage_servers, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.name = "renamed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.storage_servers = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.primary_storage.rate_up_bps = 1.0
+
+    @pytest.mark.parametrize("service", SERVICE_NAMES)
+    def test_memoized_path_and_endpoint_equal_fresh_ones(self, service):
+        server = get_profile(service).primary_storage
+        for vantage in (TESTBED_LOCATION, find_location("Tokyo")):
+            fresh = NetworkPath(
+                rtt=rtt_between(vantage, server.datacenter.location, jitter_label=server.hostname),
+                uplink_bps=server.rate_up_bps,
+                downlink_bps=server.rate_down_bps,
+                server_processing=server.server_processing,
+            )
+            assert server.path_from(vantage) == fresh
+            assert server.path_from(vantage) is server.path_from(vantage)
+        for host_index in (1, 7):
+            fresh = Endpoint(hostname=server.hostname, ip=server.datacenter.address(host_index), port=server.port)
+            assert server.endpoint(host_index) == fresh
+        # The memos are not fields: an equal server built afresh compares equal.
+        assert dataclasses.replace(server) == server
+
     def test_profile_requires_servers(self):
         with pytest.raises(Exception):
             ServiceProfile(
@@ -113,6 +157,21 @@ class TestRegistry:
         client = create_client("dropbox", NetworkSimulator())
         assert isinstance(client, CloudStorageClient)
         assert client.profile.name == "dropbox"
+
+    @pytest.mark.parametrize("service", SERVICE_NAMES)
+    def test_profile_is_built_once_per_spec(self, service):
+        assert get_profile(service) is get_profile(service)
+
+    def test_reregistered_spec_gets_its_own_profile(self):
+        original = get_profile("dropbox")
+        variant = get_spec("dropbox").to_dict()
+        variant["capabilities"]["bundling"] = False
+        with temporary_services():
+            register_service_spec(ServiceSpec.from_dict(variant))
+            replaced = get_profile("dropbox")
+            assert replaced is not original
+            assert not replaced.capabilities.bundling and original.capabilities.bundling
+        assert get_profile("dropbox") is original
 
     def test_unknown_service_raises(self):
         with pytest.raises(UnknownServiceError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -122,6 +124,12 @@ class TestConvergentEncryption:
     def test_cpu_time_scales_with_size(self):
         encryptor = ConvergentEncryptor(per_megabyte_cpu_seconds=0.01)
         assert encryptor.cpu_time(2_000_000) == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("size", [0, 1, 4096, 1_000_000])
+    def test_content_key_hashes_prefix_then_plaintext(self, size):
+        plaintext = generate_binary(size, seed=3).content
+        expected = hashlib.sha256(b"convergent-key:" + plaintext).hexdigest()
+        assert ConvergentEncryptor().content_key(plaintext) == expected
 
 
 class TestProtocolMessages:
