@@ -6,10 +6,8 @@ byte-identical across ``--jobs N``, seed order and worker topology.
 This package enforces that contract *statically*: an AST rule engine
 (:mod:`~repro.analysis.engine`) with determinism rules
 (:mod:`~repro.analysis.rules.det`: unsorted filesystem enumeration,
-global RNG use, wall clocks, implicit JSON key order, set iteration),
-a cross-file purity rule (:mod:`~repro.analysis.rules.pur`: every
-``CampaignConfig`` field must be covered by the store's cache-key
-manifest), and a spec-document linter
+global RNG use, wall clocks, implicit JSON key order, set iteration,
+numpy's global RNG) and a spec-document linter
 (:mod:`~repro.analysis.speclint`) that runs declarative
 ServiceSpec/ScenarioSpec files through the real runtime loaders.
 

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudbench lint",
         description=(
-            "Static determinism analysis: AST rules (DET/PUR) over Python sources plus "
+            "Static determinism analysis: AST rules (DET) over Python sources plus "
             "ServiceSpec/ScenarioSpec document checks (SPEC).  Directories are walked "
             "recursively; .py files are rule-checked and .toml/.json files under a "
             "'specs' directory are spec-linted."

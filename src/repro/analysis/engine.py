@@ -2,10 +2,8 @@
 
 The engine is deliberately minimal: a :class:`SourceModule` wraps one
 parsed file (text + AST with parent links), a :class:`Rule` contributes
-findings either per module (:meth:`Rule.check_module`) or once over the
-whole file set (:meth:`Rule.check_project`, for cross-file invariants
-like the cache-key coverage rule), and :class:`LintEngine` glues them
-together: collect, suppress, sort.
+findings per module (:meth:`Rule.check_module`), and :class:`LintEngine`
+glues them together: collect, suppress, sort.
 
 Everything here obeys the determinism discipline the rules enforce
 elsewhere: directory walks are sorted, findings are reported in the
@@ -127,8 +125,8 @@ class SourceModule:
 class Rule:
     """Base class of one lint rule.
 
-    Subclasses set ``rule_id`` and ``title`` and override one of the two
-    check hooks.  ``allowlist`` is a tuple of ``/``-separated path
+    Subclasses set ``rule_id`` and ``title`` and override
+    :meth:`check_module`.  ``allowlist`` is a tuple of ``/``-separated path
     suffixes the rule never fires in — the sanctioned homes of otherwise
     forbidden constructs (e.g. the TTL wall clocks of the claim board).
     """
@@ -143,10 +141,6 @@ class Rule:
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
         """Per-module findings; default none."""
-        return ()
-
-    def check_project(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
-        """Whole-file-set findings (cross-file invariants); default none."""
         return ()
 
 
@@ -168,8 +162,6 @@ class LintEngine:
                 if rule.exempt(module):
                     continue
                 findings.extend(rule.check_module(module))
-        for rule in self.rules:
-            findings.extend(rule.check_project(modules))
         kept = [
             finding
             for finding in findings

@@ -19,7 +19,6 @@ from repro.analysis.rules.det import (
     UnsortedEnumerationRule,
     WallClockRule,
 )
-from repro.analysis.rules.pur import CacheKeyCoverageRule
 
 __all__ = ["RULE_CLASSES", "all_rules", "rule_catalogue"]
 
@@ -30,7 +29,6 @@ RULE_CLASSES: List[Type[Rule]] = [
     ImplicitJsonKeyOrderRule,
     SetIterationRule,
     NumpyGlobalRandomRule,
-    CacheKeyCoverageRule,
 ]
 
 

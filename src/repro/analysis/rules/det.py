@@ -19,7 +19,7 @@ corrupt a store:
   from :func:`repro.randomness.make_rng`.
 * **DET003** — wall clocks (``time.time()``, ``datetime.now()``/
   ``utcnow()``/``today()``) outside the four allowlisted homes: the
-  work-stealing lease board (:mod:`repro.dist.claims`, heartbeat ages),
+  claim lease board (:mod:`repro.dist.claims`, heartbeat ages),
   the store's TTL GC (:mod:`repro.core.store`), the benchmark
   harness's environment block (:mod:`repro.perf.environment`, the run
   timestamp of a ``BENCH`` document) and the tracer's wall-domain

@@ -41,12 +41,12 @@ stages or repetitions only compute the missing cells, and cached plus
 fresh cells merge into a bit-identical summary.
 
 Distributed campaigns (:mod:`repro.dist`) split one campaign across N
-cooperating runners that share nothing but a store directory::
+cooperating runners that share nothing but a store directory.  Every
+runner runs the same command and claims cells through lease files in the
+store until none are left::
 
-    cloudbench shard --store DIR --shard 1/2   # runner 1: static partition
-    cloudbench shard --store DIR --shard 2/2   # runner 2 (any machine)
-    cloudbench shard --store DIR --steal       # or: dynamic work stealing
-    cloudbench merge --store DIR               # merge the store into one report
+    cloudbench shard --store DIR   # on each runner (any machine, any count)
+    cloudbench merge --store DIR   # merge the store into one report
 
 ``merge`` re-plans the same deterministic grid (so the campaign flags must
 match the workers'), reads every cell back and prints the same tables —
@@ -85,7 +85,7 @@ from repro.core.campaign import STAGES, CampaignConfig, CampaignRunner
 from repro.core.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.core.report import render_table, to_csv, write_json
 from repro.core.sweep import SweepResult
-from repro.dist import DEFAULT_LEASE_TIMEOUT, CampaignMerger, ShardWorker, parse_shard_spec
+from repro.dist import DEFAULT_LEASE_TIMEOUT, CampaignMerger, ShardWorker
 from repro.errors import ConfigurationError, DistributionError
 from repro.netsim.scenario import ScenarioSpec, get_scenario, register_scenarios_from_file, registered_scenarios
 from repro.obs.logconfig import configure_logging
@@ -298,23 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard = subparsers.add_parser(
         "shard",
-        help="run one shard of a distributed campaign against a shared result store",
+        help="claim and run the cells of a distributed campaign against a shared result store",
     )
     add_campaign_options(shard)
     shard.add_argument("--store", required=True, help="shared result store directory (all runners point here)")
-    mode = shard.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--shard",
-        dest="shard_spec",
-        metavar="I/N",
-        default=None,
-        help="static partition: this runner computes shard I of N (1-based), e.g. --shard 2/4",
-    )
-    mode.add_argument(
-        "--steal",
-        action="store_true",
-        help="dynamic mode: claim any unowned cell via lease files, so stragglers never idle fast workers",
-    )
     shard.add_argument(
         "--jobs",
         type=int,
@@ -401,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="static determinism analysis: DET/PUR AST rules over Python, SPEC checks over spec files",
+        help="static determinism analysis: DET AST rules over Python, SPEC checks over spec files",
     )
     lint.add_argument(
         "paths",
@@ -778,19 +765,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("no regressions against the baseline")
     elif args.command == "shard":
         runner = _campaign_runner(parser, args, services, scenario, ResultStore(args.store))
-        try:
-            spec = parse_shard_spec(args.shard_spec) if args.shard_spec is not None else None
-            worker = ShardWorker(
-                runner,
-                shard=spec,
-                steal=args.steal,
-                runner_id=args.runner_id,
-                lease_timeout=args.lease_timeout,
-            )
-            report = worker.run()
-        except DistributionError as error:
-            parser.error(str(error))
-        print(render_table(report.rows(), title=f"Shard worker {report.runner} ({report.mode})"))
+        report = ShardWorker(runner, runner_id=args.runner_id, lease_timeout=args.lease_timeout).run()
+        print(render_table(report.rows(), title=f"Shard worker {report.runner}"))
         if report.yielded:
             print(f"left to other live runners: {', '.join(report.yielded)}")
         print(

@@ -307,15 +307,11 @@ def _run_syn_series(cell: CampaignCell) -> Any:
 
 def _run_delta(cell: CampaignCell) -> Any:
     experiment = DeltaEncodingExperiment([cell.service], seed=cell.seed, scenario=cell.config.scenario)
-    if cell.unit == WHOLE_SERVICE_UNIT:
-        return experiment.run_service(cell.service)
     return experiment.run_case(cell.service, cell.unit)
 
 
 def _run_compression(cell: CampaignCell) -> Any:
     experiment = CompressionExperiment([cell.service], seed=cell.seed, scenario=cell.config.scenario)
-    if cell.unit == WHOLE_SERVICE_UNIT:
-        return experiment.run_service(cell.service)
     return experiment.run_kind(cell.service, FileKind(cell.unit))
 
 
@@ -326,8 +322,6 @@ def _run_performance(cell: CampaignCell) -> Any:
         seed=cell.seed,
         scenario=cell.config.scenario,
     )
-    if cell.unit == WHOLE_SERVICE_UNIT:
-        return experiment.run_service(cell.service)
     name, marker, repetition = cell.unit.rpartition("#r")
     if marker and repetition.isdigit():
         return [experiment.run_single(cell.service, workload_by_name(name), int(repetition))]
@@ -765,9 +759,8 @@ class CampaignRunner:
     def run_cells(self, cells: Sequence[CampaignCell]) -> List[CellResult]:
         """Run the given cells (store-aware, possibly in parallel), in order.
 
-        No :class:`SuiteResult` merge: shard workers (:mod:`repro.dist`) run
-        their slice of the plan through this, and a slice may span several
-        sweep seeds.
+        No :class:`SuiteResult` merge: the cells may span several sweep
+        seeds, and :meth:`run` groups them per seed.
         """
         plan = list(cells)
         results: List[Optional[CellResult]] = [None] * len(plan)

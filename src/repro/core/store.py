@@ -29,11 +29,11 @@ on disk: on a shared store it may belong to a runner on other code.
 
 The store is also the substrate for cross-machine sharding
 (:mod:`repro.dist`): any number of runners pointed at a shared directory
-compute disjoint cells and merge for free.  To support that, every entry
+claim and compute cells and merge for free.  To support that, every entry
 records which runner computed it (``runner`` provenance, surfaced by
 ``cloudbench cache ls`` and the ``cloudbench merge`` accounting), and the
 sibling ``.claims`` directory (managed by
-:class:`repro.dist.claims.ClaimBoard`) holds the work-stealing lease files.
+:class:`repro.dist.claims.ClaimBoard`) holds the runners' claim lease files.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import tempfile
 import time
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.errors import ConfigurationError
 from repro.obs.export import to_canonical_json
 from repro.obs.tracer import current_tracer
 
@@ -59,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
-    "CONFIG_KEY_FIELDS",
     "code_fingerprint",
     "model_fingerprint",
     "cache_key",
@@ -102,29 +100,6 @@ _ENTRY_FIELDS = {
 #: module is model code and feeds :func:`model_fingerprint`.
 _NON_MODEL_ENTRIES = ("analysis", "cli.py", "obs", "perf")
 
-#: Every :class:`~repro.core.campaign.CampaignConfig` field the key material
-#: of :func:`cache_key` covers, in the sorted order the material serializes
-#: them.  This manifest is the cache-key coverage contract: lint rule PUR001
-#: cross-checks it against the dataclass, and :func:`cache_key` verifies it
-#: at runtime — so adding a config field without extending the key (and
-#: bumping :data:`STORE_SCHEMA_VERSION`) is an error, never a silent
-#: cache-collision between campaigns that differ only in the new field.
-CONFIG_KEY_FIELDS = (
-    "idle_duration",
-    "load_arrival",
-    "load_edge_concurrency",
-    "load_link_capacity_bps",
-    "load_populations",
-    "load_transfer_bytes",
-    "load_window",
-    "planetlab_count",
-    "rep_cells",
-    "repetitions",
-    "resolver_count",
-    "scenario",
-)
-
-
 def code_fingerprint(package_dir: str) -> str:
     """sha256 over the model sources of the package tree at ``package_dir``.
 
@@ -165,21 +140,14 @@ def cache_key(cell: "CampaignCell") -> str:
     invalidates every entry), the (stage, service, unit) coordinates, the
     *content* of the service's declarative spec (its fingerprint — so
     editing a spec file invalidates exactly that service's cells), the
-    campaign seed and every knob of the
-    :class:`~repro.core.campaign.CampaignConfig` (by field name, so
-    reordering fields does not silently alias keys) — including the network
+    campaign seed and every field of the
+    :class:`~repro.core.campaign.CampaignConfig` (by name, so a new field
+    joins the key by construction and reordering fields does not alias
+    keys) — including the network
     :class:`~repro.netsim.scenario.ScenarioSpec` the campaign runs under.
     """
     from repro.services.registry import spec_fingerprint  # deferred: registry imports are heavy
 
-    config_items = sorted(dataclasses.asdict(cell.config).items())
-    covered = tuple(name for name, _ in config_items)
-    if covered != CONFIG_KEY_FIELDS:
-        raise ConfigurationError(
-            f"cache_key covers config fields {covered}, but CONFIG_KEY_FIELDS declares "
-            f"{CONFIG_KEY_FIELDS}; extend the manifest (and bump STORE_SCHEMA_VERSION) "
-            "so the new field cannot alias existing store entries"
-        )
     material = repr(
         (
             STORE_SCHEMA_VERSION,
@@ -189,7 +157,7 @@ def cache_key(cell: "CampaignCell") -> str:
             spec_fingerprint(cell.service),
             cell.unit,
             cell.seed,
-            config_items,
+            sorted(dataclasses.asdict(cell.config).items()),
         )
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -243,7 +211,7 @@ class ResultStore:
         return self._base_for(cell) + _TRACE_SUFFIX
 
     def claims_root(self) -> str:
-        """Directory holding the work-stealing lease files for this store."""
+        """Directory holding the claim lease files for this store."""
         return os.path.join(self.root, ".claims")
 
     def load(self, cell: "CampaignCell") -> Optional["CellResult"]:
@@ -435,7 +403,7 @@ class ResultStore:
 
         With no selector at all every entry file is removed (``cloudbench
         cache rm --all``) — foreign entries and pickles included — along
-        with any leftover work-stealing claim files.
+        with any leftover claim files.
 
         Every pass also sweeps orphaned flight-record sidecars (see
         :meth:`orphan_sidecars`), subject only to the ``older_than`` cutoff.

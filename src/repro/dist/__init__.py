@@ -1,4 +1,4 @@
-"""repro.dist — sharded multi-runner campaign execution.
+"""repro.dist — multi-runner campaign execution over a shared store.
 
 The campaign engine (:mod:`repro.core.campaign`) reduces the paper's whole
 measurement study to a deterministic grid of pure (stage, service, unit,
@@ -8,23 +8,17 @@ third leg: letting *N cooperating runners* — processes or machines sharing
 nothing but a store directory — complete one campaign together, with the
 merged output bit-identical to a sequential run.
 
-* :mod:`repro.dist.plan` — deterministic partitioning of the cell grid
-  into K disjoint, exhaustive shards (``--shard i/N``);
 * :mod:`repro.dist.claims` — atomic lease files with heartbeats and
-  stale-lease reclaim, for dynamic work stealing (``--steal``);
-* :mod:`repro.dist.coordinator` — the :class:`ShardWorker` execution loop
+  stale-lease reclaim, through which runners claim cells;
+* :mod:`repro.dist.coordinator` — the :class:`ShardWorker` claim loop
   and the :class:`CampaignMerger` that merges the shared store back into
   one campaign result with per-runner accounting.
 """
 
 from repro.dist.claims import DEFAULT_LEASE_TIMEOUT, ClaimBoard, Lease
 from repro.dist.coordinator import CampaignMerger, MergedCampaign, ShardWorker, WorkerReport
-from repro.dist.plan import ShardPlan, ShardSpec, parse_shard_spec
 
 __all__ = [
-    "ShardPlan",
-    "ShardSpec",
-    "parse_shard_spec",
     "ClaimBoard",
     "Lease",
     "DEFAULT_LEASE_TIMEOUT",

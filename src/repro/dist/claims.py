@@ -1,7 +1,7 @@
-"""Atomic claim files: cooperative work-stealing leases over a shared store.
+"""Atomic claim files: cooperative leases over a shared store.
 
-In ``--steal`` mode there is no static partition: every runner walks the
-same plan and *claims* cells one by one.  A claim is a small JSON lease
+Every ``shard`` runner walks the same plan and *claims* cells one by
+one.  A claim is a small JSON lease
 file inside the store's ``.claims`` directory, created with
 ``O_CREAT | O_EXCL`` — the POSIX-atomic "exactly one winner" primitive that
 works on any shared filesystem, needing no server, no locks and no clock

@@ -4,12 +4,12 @@ A distributed campaign has exactly two roles, both stateless beyond the
 shared store directory:
 
 * :class:`ShardWorker` — one per runner.  Computes the deterministic
-  campaign plan locally, takes its slice (a static ``--shard i/N``
-  partition, or dynamically via work-stealing claims), executes each cell
-  through the ordinary :func:`repro.core.campaign.run_cell`, and persists
-  results into the shared :class:`~repro.core.store.ResultStore`.  Workers
-  never talk to each other; the store and the claim board are the only
-  coordination media.
+  campaign plan locally, claims cells one at a time through lease files
+  (:class:`~repro.dist.claims.ClaimBoard`), executes each through the
+  ordinary :func:`repro.core.campaign.run_cell`, and persists results into
+  the shared :class:`~repro.core.store.ResultStore`.  Workers never talk
+  to each other; the store and the claim board are the only coordination
+  media, so every runner is launched with the same command.
 * :class:`CampaignMerger` — usually run once, anywhere, after (or while)
   the workers run.  Re-plans the same grid, waits for every cell to appear
   in the store, merges the cells' rows in plan order into the same per-seed
@@ -21,10 +21,9 @@ Because each cell's rows are a pure function of its identity and merging
 happens in plan order, the merged sweep — tables, CSVs and the
 deterministic ``--json`` document — is bit-identical to what a sequential
 ``cloudbench all --jobs 1`` produces for the same seeds and config, no
-matter how many workers took part, how work was split, or how often a
-worker died and was relaunched.  Workers shard the seed-expanded plan (the
-seed is a plan dimension, so the dealing stays disjoint and exhaustive
-across seeds).
+matter how many workers took part, which cells each claimed, or how often
+a worker died and was relaunched.  Workers claim from the seed-expanded
+plan (the seed is a plan dimension), so one fleet serves a whole sweep.
 """
 
 from __future__ import annotations
@@ -33,11 +32,13 @@ import os
 import socket
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.campaign import (
+    CampaignCell,
     CampaignRunner,
     CellResult,
     init_worker_services,
@@ -47,7 +48,6 @@ from repro.core.campaign import (
 from repro.core.store import ResultStore
 from repro.core.sweep import SweepResult
 from repro.dist.claims import DEFAULT_LEASE_TIMEOUT, ClaimBoard
-from repro.dist.plan import ShardPlan, ShardSpec
 from repro.errors import DistributionError
 from repro.obs.tracer import activate
 
@@ -64,12 +64,11 @@ class WorkerReport:
     """What one shard worker did: its accounting half of the campaign."""
 
     runner: str
-    mode: str  # "shard i/N" or "steal"
-    planned: int  # cells in this worker's scope
+    planned: int  # cells in the campaign plan
     computed: List[str] = field(default_factory=list)  # cell keys run here
     hits: int = 0  # cells already present in the store
     yielded: List[str] = field(default_factory=list)  # left to live rivals
-    failed: List[str] = field(default_factory=list)  # cells whose experiment raised
+    failed: List[str] = field(default_factory=list)  # cells whose experiment raised or whose worker died
     wall_seconds: float = 0.0
 
     def rows(self) -> List[dict]:
@@ -77,7 +76,6 @@ class WorkerReport:
         return [
             {
                 "runner": self.runner,
-                "mode": self.mode,
                 "planned": self.planned,
                 "computed": len(self.computed),
                 "store_hits": self.hits,
@@ -94,28 +92,21 @@ class ShardWorker:
     ``runner`` supplies the deterministic plan, the execution config and the
     process pool width (``jobs``); it must carry a
     :class:`~repro.core.store.ResultStore` — that store *is* the campaign's
-    shared state.  Exactly one of ``shard`` (static partition) or ``steal``
-    (dynamic claims) selects the scheduling mode.
+    shared state.
     """
 
     def __init__(
         self,
         runner: CampaignRunner,
         *,
-        shard: Optional[ShardSpec] = None,
-        steal: bool = False,
         runner_id: Optional[str] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         heartbeat_interval: Optional[float] = None,
     ) -> None:
         if runner.store is None:
             raise DistributionError("a shard worker needs a CampaignRunner with a result store attached")
-        if (shard is None) == (not steal):
-            raise DistributionError("choose exactly one scheduling mode: a static shard spec or work stealing")
         self.runner = runner
         self.store: ResultStore = runner.store
-        self.shard = shard
-        self.steal = steal
         self.runner_id = runner_id if runner_id is not None else default_runner_id()
         # Tag every entry this worker saves, for per-runner merge accounting.
         self.store.runner = self.runner_id
@@ -125,107 +116,53 @@ class ShardWorker:
         )
 
     def run(self) -> WorkerReport:
-        """Work until this runner can contribute nothing more, then report."""
-        started = time.perf_counter()
-        # The runner's harness tracer (recording iff the campaign is traced)
-        # is active for the whole loop, so store hit/miss and claim
-        # acquire/reclaim counters land in the worker's harness section.
-        with activate(self.runner.tracer):
-            if self.shard is not None:
-                report = self._run_static(self.shard)
-            else:
-                report = self._run_steal()
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
-    # Static partition ----------------------------------------------------- #
-    def _run_static(self, spec: ShardSpec) -> WorkerReport:
-        """Run exactly the cells of shard ``spec`` (store hits are skipped).
-
-        Relaunch-friendly for free: a worker killed mid-shard left its
-        completed cells in the store, so running the same shard again only
-        computes the remainder.
-        """
-        cells = ShardPlan(self.runner.cells(), spec.count).shard(spec.index)
-        results = self.runner.run_cells(cells)
-        return WorkerReport(
-            runner=self.runner_id,
-            mode=f"shard {spec}",
-            planned=len(cells),
-            computed=[result.cell.key for result in results if not result.cached and result.failure is None],
-            hits=sum(1 for result in results if result.cached),
-            failed=[result.cell.key for result in results if result.failure is not None],
-        )
-
-    # Work stealing -------------------------------------------------------- #
-    def _run_steal(self) -> WorkerReport:
-        """Claim any unowned (or stale-leased) cell until none remain.
+        """Claim any unowned (or stale-leased) cell until none remain, then report.
 
         The loop keeps up to ``jobs`` claimed cells in flight in a process
         pool, heartbeats their leases while they run, and exits once every
         plan cell is either in the store or freshly leased by a live rival
         (those are reported as ``yielded``; the rival — or a relaunched
         worker reclaiming its stale leases — finishes them).
+
+        A dead pool worker breaks the pool, as in
+        :meth:`CampaignRunner.run_cells
+        <repro.core.campaign.CampaignRunner.run_cells>`: its cell and every
+        other cell still in flight are reported as ``failed`` and their
+        leases released, finished cells stay in the store, and the runner
+        claims nothing more — the cells it never claimed are left for other
+        runners or a relaunch.
         """
+        started = time.perf_counter()
+        # The runner's harness tracer (recording iff the campaign is traced)
+        # is active for the whole loop, so store hit/miss and claim
+        # acquire/reclaim counters land in the worker's harness section.
+        with activate(self.runner.tracer):
+            report = self._claim_loop()
+        report.wall_seconds = time.perf_counter() - started
+        return report
+
+    def _claim_loop(self) -> WorkerReport:
         plan = self.runner.cells()
-        report = WorkerReport(runner=self.runner_id, mode="steal", planned=len(plan))
+        report = WorkerReport(runner=self.runner_id, planned=len(plan))
         pending = {cell.key: cell for cell in plan}
-        in_flight: Dict[object, object] = {}  # future -> cell
+        in_flight: Dict[Future, CampaignCell] = {}
+        launched: Dict[Future, float] = {}  # future -> wall_now() at submit
         tracer = self.runner.tracer
-        launched: Dict[object, float] = {}  # future -> wall_now() at submit
+        broken = False  # a dead pool worker broke the pool: claim nothing more
         try:
             with ProcessPoolExecutor(
                 max_workers=self.runner.jobs,
                 initializer=init_worker_services,
                 initargs=(worker_service_payload(plan),),
             ) as pool:
-                while pending or in_flight:
-                    progressed = self._fill(pool, pending, in_flight, launched, report)
+                while in_flight or (pending and not broken):
+                    progressed = False
+                    if not broken:
+                        progressed, broken = self._fill(pool, pending, in_flight, launched, report)
                     if tracer.enabled:
                         tracer.gauge_set("shard.in_flight", len(in_flight))
                     if in_flight:
-                        done, _ = wait(set(in_flight), timeout=self.heartbeat_interval, return_when=FIRST_COMPLETED)
-                        failure: Optional[BaseException] = None
-                        for future in done:
-                            cell = in_flight[future]
-                            try:
-                                result: CellResult = future.result()
-                            except BaseException as error:  # save siblings first, re-raise below
-                                del in_flight[future]
-                                self.claims.release(cell)
-                                if failure is None:
-                                    failure = error
-                                continue
-                            if result.failure is not None:
-                                # The experiment raised inside the cell: the
-                                # failure context rides the result; nothing to
-                                # cache, and the lease goes back so a fixed
-                                # relaunch can recompute the cell.
-                                del in_flight[future]
-                                self.claims.release(cell)
-                                report.failed.append(cell.key)
-                            else:
-                                # Keep the cell in in_flight until the save
-                                # lands, so a failing save still releases its
-                                # lease via the crash cleanup below.
-                                self.store.save(result)
-                                del in_flight[future]
-                                self.claims.release(cell)
-                                report.computed.append(cell.key)
-                            if tracer.enabled:
-                                tracer.record_wall(
-                                    "shard.cell",
-                                    launched.pop(future, 0.0),
-                                    tracer.wall_now(),
-                                    key=cell.key,
-                                    outcome="failed" if result.failure is not None else "computed",
-                                )
-                        if failure is not None:
-                            raise failure
-                        for cell in in_flight.values():
-                            self.claims.heartbeat(cell)
-                        if tracer.enabled and in_flight:
-                            tracer.count("shard.heartbeats", len(in_flight))
+                        broken = self._collect(in_flight, launched, report) or broken
                     elif not progressed:
                         # Everything left is freshly leased by live rivals.
                         report.yielded = sorted(pending)
@@ -240,10 +177,17 @@ class ShardWorker:
 
     def _fill(
         self, pool: ProcessPoolExecutor, pending: dict, in_flight: dict, launched: dict, report: WorkerReport
-    ) -> bool:
-        """Claim and submit work up to the pool width; True if anything moved."""
+    ) -> Tuple[bool, bool]:
+        """Claim and submit work up to the pool width.
+
+        Returns whether anything moved, and whether the pool turned out to
+        be broken (a worker died since the last collection).
+        """
         progressed = False
         tracer = self.runner.tracer
+        # Match CampaignRunner.run_cells: the trace argument only appears
+        # when tracing, keeping run_cell's one-argument shape.
+        cell_args = (True,) if self.runner.trace else ()
         for key in list(pending):
             if len(in_flight) >= self.runner.jobs:
                 break
@@ -253,15 +197,66 @@ class ShardWorker:
                 report.hits += 1
                 progressed = True
             elif self.claims.claim(cell):
-                # Match CampaignRunner.run_cells: the trace argument only
-                # appears when tracing, keeping run_cell's one-argument shape.
-                future = pool.submit(run_cell, cell, True) if self.runner.trace else pool.submit(run_cell, cell)
+                del pending[key]
+                try:
+                    future = pool.submit(run_cell, cell, *cell_args)
+                except BrokenProcessPool:
+                    self.claims.release(cell)
+                    report.failed.append(cell.key)
+                    return True, True
                 in_flight[future] = cell
                 if tracer.enabled:
                     launched[future] = tracer.wall_now()
-                del pending[key]
                 progressed = True
-        return progressed
+        return progressed, False
+
+    def _collect(self, in_flight: dict, launched: dict, report: WorkerReport) -> bool:
+        """Wait up to one heartbeat interval, settle the finished cells, heartbeat the rest.
+
+        Returns whether a dead pool worker broke the pool.
+        """
+        tracer = self.runner.tracer
+        done, _ = wait(set(in_flight), timeout=self.heartbeat_interval, return_when=FIRST_COMPLETED)
+        broken = False
+        failure: Optional[BaseException] = None
+        for future in done:
+            cell = in_flight[future]
+            try:
+                result: Optional[CellResult] = future.result()
+            except BrokenProcessPool:
+                # A dead worker fails every unfinished future of the pool.
+                result, broken = None, True
+            except BaseException as error:  # save siblings first, re-raise below
+                del in_flight[future]
+                self.claims.release(cell)
+                if failure is None:
+                    failure = error
+                continue
+            if result is None or result.failure is not None:
+                # The experiment raised inside the cell (the failure context
+                # rides the result) or its worker died: nothing to cache, and
+                # the lease goes back so a relaunch can recompute the cell.
+                outcome = "failed"
+                report.failed.append(cell.key)
+            else:
+                # Keep the cell in in_flight until the save lands, so a
+                # failing save still releases its lease via the crash cleanup.
+                self.store.save(result)
+                outcome = "computed"
+                report.computed.append(cell.key)
+            del in_flight[future]
+            self.claims.release(cell)
+            if tracer.enabled:
+                tracer.record_wall(
+                    "shard.cell", launched.pop(future, 0.0), tracer.wall_now(), key=cell.key, outcome=outcome
+                )
+        if failure is not None:
+            raise failure
+        for cell in in_flight.values():
+            self.claims.heartbeat(cell)
+        if tracer.enabled and in_flight:
+            tracer.count("shard.heartbeats", len(in_flight))
+        return broken
 
 
 @dataclass

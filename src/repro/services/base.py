@@ -182,18 +182,8 @@ class CloudStorageClient:
             return
         login_started = self._sim.now
         spec = self.profile.login
-        control = self.profile.primary_control
         per_server = max(spec.total_bytes // max(spec.server_count, 1), 500)
-        for index, hostname in enumerate(self.profile.login_hostnames()):
-            server = ServerSpec(
-                hostname=hostname,
-                datacenter=control.datacenter,
-                rate_up_bps=control.rate_up_bps,
-                rate_down_bps=control.rate_down_bps,
-                server_processing=control.server_processing,
-                port=control.port,
-                tls=control.tls,
-            )
+        for index, server in enumerate(self.profile.login_servers):
             channel = self._open_channel(server)
             self.control_connections_opened += 1
             # Roughly one quarter of the login volume goes up (credentials,

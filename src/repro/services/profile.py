@@ -13,7 +13,8 @@ the process without any of them being able to change it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -271,6 +272,16 @@ class ServiceProfile:
     def login_hostnames(self) -> List[str]:
         """Hostnames contacted during login, derived from the login pattern."""
         return [self.login.hostname_pattern.format(index=index + 1) for index in range(self.login.server_count)]
+
+    @functools.cached_property
+    def login_servers(self) -> Tuple[ServerSpec, ...]:
+        """The login servers: the primary control server under each login hostname.
+
+        Built once per profile, so every login reuses their memoized paths
+        and endpoints.  The tuple lives in the instance dict, not in a
+        field, so equality, hashing and the spec's canonical form ignore it.
+        """
+        return tuple(replace(self.primary_control, hostname=name) for name in self.login_hostnames())
 
     def datacenters(self) -> List[DataCenter]:
         """Distinct ground-truth data centers used by this service."""

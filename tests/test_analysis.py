@@ -1,9 +1,7 @@
 """Tests for repro.analysis: the determinism lint engine and its rules.
 
 Covers per-rule positive/negative fixture snippets, suppression-comment
-handling, deterministic finding order, the PUR cache-key coverage
-cross-check (including the "field added without extending the key"
-acceptance case against the real sources), spec-document linting (the
+handling, deterministic finding order, spec-document linting (the
 built-in service specs and the example spec files must be clean), the
 CLI entry points, and a self-clean assertion over the repository tree.
 """
@@ -41,11 +39,9 @@ BUILTIN_SPEC_DIR = os.path.join(SRC_DIR, "repro", "services", "specs")
 EXAMPLE_SPEC_DIR = os.path.join(REPO_ROOT, "examples", "specs")
 
 
-def lint_source(code, path="pkg/mod.py", extra=()):
+def lint_source(code, path="pkg/mod.py"):
     """Findings of one (dedented) source snippet under the full rule set."""
-    modules = [SourceModule(path, textwrap.dedent(code))]
-    modules.extend(SourceModule(p, textwrap.dedent(t)) for p, t in extra)
-    return LintEngine(all_rules()).lint_modules(modules)
+    return LintEngine(all_rules()).lint_modules([SourceModule(path, textwrap.dedent(code))])
 
 
 def rule_ids(findings):
@@ -227,91 +223,6 @@ class TestNumpyGlobalRandom:
         assert lint_source(snippet) == []
 
 
-CONFIG_FIXTURE = """
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    repetitions: int = 3
-    idle_duration: float = 960.0
-"""
-
-STORE_FIXTURE_OK = 'CONFIG_KEY_FIELDS = ("idle_duration", "repetitions")\n'
-STORE_FIXTURE_STALE = 'CONFIG_KEY_FIELDS = ("repetitions",)\n'
-STORE_FIXTURE_EXTRA = 'CONFIG_KEY_FIELDS = ("ghost", "idle_duration", "repetitions")\n'
-
-
-class TestCacheKeyCoverage:
-    CONFIG_PATH = "tree/repro/core/campaign.py"
-    STORE_PATH = "tree/repro/core/store.py"
-
-    def project(self, store_text):
-        return lint_source(CONFIG_FIXTURE, path=self.CONFIG_PATH, extra=[(self.STORE_PATH, store_text)])
-
-    def test_matching_manifest_is_clean(self):
-        assert self.project(STORE_FIXTURE_OK) == []
-
-    def test_missing_field_is_flagged(self):
-        findings = self.project(STORE_FIXTURE_STALE)
-        assert rule_ids(findings) == ["PUR001"]
-        assert "idle_duration" in findings[0].message
-        assert findings[0].path == self.STORE_PATH
-
-    def test_unknown_manifest_entry_is_flagged(self):
-        findings = self.project(STORE_FIXTURE_EXTRA)
-        assert rule_ids(findings) == ["PUR001"]
-        assert "ghost" in findings[0].message
-
-    def test_absent_manifest_is_flagged(self):
-        findings = self.project("cache = {}\n")
-        assert rule_ids(findings) == ["PUR001"]
-        assert "CONFIG_KEY_FIELDS" in findings[0].message
-
-    def test_rule_is_silent_without_both_modules(self):
-        assert lint_source(CONFIG_FIXTURE, path=self.CONFIG_PATH) == []
-        assert lint_source(STORE_FIXTURE_STALE, path=self.STORE_PATH) == []
-
-    def test_new_config_field_without_key_extension_fails_on_real_sources(self):
-        # The acceptance case: graft a new field onto the *real*
-        # CampaignConfig and lint it against the *real* store module.
-        with open(os.path.join(SRC_DIR, "repro", "core", "campaign.py"), encoding="utf-8") as handle:
-            campaign_text = handle.read()
-        with open(os.path.join(SRC_DIR, "repro", "core", "store.py"), encoding="utf-8") as handle:
-            store_text = handle.read()
-        anchor = "    planetlab_count: int = 300\n"
-        assert anchor in campaign_text
-        grown = campaign_text.replace(anchor, anchor + "    brand_new_knob: int = 0\n")
-        findings = LintEngine(all_rules()).lint_modules(
-            [
-                SourceModule("src/repro/core/campaign.py", grown),
-                SourceModule("src/repro/core/store.py", store_text),
-            ]
-        )
-        assert [f.rule for f in findings] == ["PUR001"]
-        assert "brand_new_knob" in findings[0].message
-
-    def test_real_sources_are_covered(self):
-        findings = lint_paths(
-            [
-                os.path.join(SRC_DIR, "repro", "core", "campaign.py"),
-                os.path.join(SRC_DIR, "repro", "core", "store.py"),
-            ]
-        ).findings
-        assert findings == []
-
-
-class TestRuntimeCoverageGuard:
-    def test_cache_key_raises_on_stale_manifest(self, monkeypatch):
-        from repro.core import store as store_module
-        from repro.core.campaign import CampaignCell
-
-        cell = CampaignCell(stage="idle", service="dropbox", seed=7)
-        assert len(store_module.cache_key(cell)) == 64  # healthy manifest
-        monkeypatch.setattr(store_module, "CONFIG_KEY_FIELDS", ("repetitions",))
-        with pytest.raises(ConfigurationError, match="CONFIG_KEY_FIELDS"):
-            store_module.cache_key(cell)
-
-
 class TestSuppressions:
     def test_same_line_suppression_silences(self):
         code = "import time\nstamp = time.time()  # repro: disable=DET003\n"
@@ -416,7 +327,7 @@ class TestEngineBasics:
     def test_rule_catalogue_lists_every_rule(self):
         catalogue = rule_catalogue()
         assert sorted(catalogue) == [
-            "DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "PUR001",
+            "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
         ]
 
 
@@ -579,7 +490,7 @@ class TestLintCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET005", "PUR001", "SPEC001", "SPEC003"):
+        for rule_id in ("DET001", "DET005", "SPEC001", "SPEC003"):
             assert rule_id in out
 
     def test_missing_target_is_usage_error(self, tmp_path):

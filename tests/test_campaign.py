@@ -105,13 +105,16 @@ class TestCampaignPlan:
         standalone_perf = PerformanceExperiment(["dropbox"], repetitions=1, seed=7).run()
         assert campaign.suite.rows("performance") == standalone_perf.rows()
 
-    def test_whole_service_unit_cells_still_runnable(self):
-        # Back-compat: a cell without a unit runs the whole service.
-        cell = CampaignCell(stage="performance", service="dropbox", seed=7, config=CONFIG)
+    @pytest.mark.parametrize("stage", ["delta", "compression", "performance"])
+    def test_whole_service_unit_is_a_failed_cell_of_sub_unit_stages(self, stage):
+        # These stages plan one cell per sub-unit, never a whole-service
+        # cell; a hand-built one fails as a cell instead of raising.
+        cell = CampaignCell(stage=stage, service="dropbox", seed=7, config=CONFIG)
         assert cell.unit == WHOLE_SERVICE_UNIT
-        whole = run_cell(cell)
-        split = CampaignRunner(["dropbox"], ["performance"], seed=7, jobs=1, config=CONFIG).run().campaigns[0]
-        assert whole.records == split.suite.records["performance"]
+        assert all(planned.unit != WHOLE_SERVICE_UNIT for planned in CampaignRunner(["dropbox"], [stage]).cells())
+        result = run_cell(cell)
+        assert result.failure is not None and result.records == []
+        assert result.failure.unit == WHOLE_SERVICE_UNIT
 
     def test_stage_order_is_canonical_regardless_of_request_order(self):
         runner = CampaignRunner(SERVICES, ["performance", "idle"], config=CONFIG)

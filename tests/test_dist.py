@@ -1,23 +1,25 @@
-"""Tests for repro.dist: shard plans, claim leases, workers and the merger."""
+"""Tests for repro.dist: claim leases, claiming workers and the merger."""
 
 from __future__ import annotations
 
+import dataclasses
+import glob
+import multiprocessing
 import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.core.campaign as campaign_module
+import repro.dist.coordinator as coordinator_module
+from repro.cli import main
 from repro.core.campaign import CampaignConfig, CampaignRunner, suite_stage_rows
 from repro.core.report import to_json_text
 from repro.core.store import ResultStore
-from repro.dist import (
-    CampaignMerger,
-    ClaimBoard,
-    ShardPlan,
-    ShardSpec,
-    ShardWorker,
-    parse_shard_spec,
-)
+from repro.dist import CampaignMerger, ClaimBoard, ShardWorker
 from repro.errors import DistributionError
 
 SERVICES = ["dropbox", "googledrive"]
@@ -33,64 +35,6 @@ def make_runner(store_dir, *, seed=42, jobs=1, stages=STAGE_SUBSET):
 
 def plan_cells(**kwargs):
     return CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG, **kwargs).cells()
-
-
-class TestShardSpec:
-    def test_parse_valid_specs(self):
-        assert parse_shard_spec("1/1") == ShardSpec(1, 1)
-        assert parse_shard_spec(" 2/4 ") == ShardSpec(2, 4)
-        assert str(ShardSpec(3, 8)) == "3/8"
-
-    @pytest.mark.parametrize("text", ["", "2", "0/4", "5/4", "a/b", "1/0", "-1/4", "1//2"])
-    def test_parse_rejects_malformed_or_out_of_range(self, text):
-        with pytest.raises(DistributionError):
-            parse_shard_spec(text)
-
-
-class TestShardPlan:
-    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 11])
-    def test_partition_is_disjoint_and_exhaustive(self, count):
-        cells = plan_cells()
-        shards = ShardPlan(cells, count).shards()
-        flattened = [cell for shard in shards for cell in shard]
-        assert sorted(c.key for c in flattened) == sorted(c.key for c in cells)
-        assert len(flattened) == len(set(c.key for c in flattened)) == len(cells)
-
-    def test_partition_is_deterministic_across_processes_and_calls(self):
-        # Two independently-planned runners (as two machines would build)
-        # deal identical shards — no coordinator needed.
-        first = ShardPlan(plan_cells(), 3)
-        second = ShardPlan(plan_cells(), 3)
-        for index in range(1, 4):
-            assert [c.key for c in first.shard(index)] == [c.key for c in second.shard(index)]
-        assert first.assignment() == second.assignment()
-
-    def test_shards_preserve_plan_order(self):
-        cells = plan_cells()
-        order = {cell.key: position for position, cell in enumerate(cells)}
-        for shard in ShardPlan(cells, 4).shards():
-            positions = [order[cell.key] for cell in shard]
-            assert positions == sorted(positions)
-
-    def test_round_robin_interleaves_stages(self):
-        # Round-robin dealing means no shard holds only one stage's cells
-        # (the plan is stage-major; modulo spreads each stage around).
-        shards = ShardPlan(plan_cells(), 2).shards()
-        for shard in shards:
-            assert len({cell.stage for cell in shard}) > 1
-
-    def test_single_shard_is_the_whole_plan(self):
-        cells = plan_cells()
-        assert ShardPlan(cells, 1).shard(1) == cells
-
-    def test_invalid_indices_and_counts_raise(self):
-        plan = ShardPlan(plan_cells(), 2)
-        with pytest.raises(DistributionError):
-            plan.shard(0)
-        with pytest.raises(DistributionError):
-            plan.shard(3)
-        with pytest.raises(DistributionError):
-            ShardPlan([], 0)
 
 
 class TestClaimBoard:
@@ -163,31 +107,108 @@ class TestClaimBoard:
         leases = alpha.leases()
         assert len(leases) == 3 and {lease.runner for lease in leases} == {"alpha"}
 
+    def test_empty_board_has_no_leases_and_no_holder(self, tmp_path):
+        cell = plan_cells()[0]
+        alpha = self.setup_board(tmp_path, "alpha")
+        assert alpha.leases() == [] and alpha.holder(cell) is None
+        assert not os.path.exists(alpha.root)  # the board directory appears with the first claim
+
+    def test_fresh_unreadable_claim_file_is_left_to_its_writer(self, tmp_path):
+        # A rival between its O_EXCL create and its record write leaves an
+        # empty, fresh claim file: the cell is taken, not junk.
+        cell = plan_cells()[0]
+        alpha = self.setup_board(tmp_path, "alpha")
+        os.makedirs(alpha.root, exist_ok=True)
+        open(alpha.path_for(cell), "wb").close()
+        assert alpha.claim(cell) is False
+        assert alpha.holder(cell) is None and os.path.getsize(alpha.path_for(cell)) == 0
+
+    def test_heartbeat_after_release_recreates_no_lease(self, tmp_path):
+        # A heartbeat racing a release (or a rival's reclaim and release)
+        # must not resurrect the claim.
+        cell = plan_cells()[0]
+        alpha = self.setup_board(tmp_path, "alpha")
+        beta = self.setup_board(tmp_path, "beta")
+        assert alpha.claim(cell)
+        alpha.release(cell)
+        alpha.heartbeat(cell)
+        assert alpha.holder(cell) is None and alpha.leases() == []
+        assert beta.claim(cell) is True
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 11])
+    def test_racing_runners_claim_each_cell_exactly_once(self, tmp_path, count):
+        # Every runner walks the whole plan at the same moment, as
+        # concurrently launched `shard` commands do: the claims partition
+        # the plan, disjoint and exhaustive, with no runner index.
+        cells = plan_cells()
+        boards = [self.setup_board(tmp_path, f"r{index}") for index in range(count)]
+        start = threading.Barrier(count, timeout=30.0)
+
+        def claim_all(board):
+            start.wait()
+            return [cell.key for cell in cells if board.claim(cell)]
+
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            won = list(pool.map(claim_all, boards))
+        flattened = [key for keys in won for key in keys]
+        assert len(flattened) == len(set(flattened)) == len(cells)
+        assert sorted(flattened) == sorted(cell.key for cell in cells)
+        holders = {cell.key: boards[0].holder(cell).runner for cell in cells}
+        assert holders == {key: board.runner_id for board, keys in zip(boards, won) for key in keys}
+
+
+def claim_files(store_dir):
+    """The lease files left on a store's claim board."""
+    return sorted(glob.glob(os.path.join(str(store_dir), ".claims", "*.claim")))
+
+
+def sequential_document():
+    sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
+    return to_json_text(sequential.results_json_dict())
+
 
 class TestShardWorker:
-    def test_worker_requires_store_and_exactly_one_mode(self, tmp_path):
+    def test_worker_requires_store(self):
         bare = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG)
         with pytest.raises(DistributionError, match="store"):
-            ShardWorker(bare, shard=ShardSpec(1, 2))
-        stored = make_runner(tmp_path / "store")
-        with pytest.raises(DistributionError, match="exactly one"):
-            ShardWorker(stored)
-        with pytest.raises(DistributionError, match="exactly one"):
-            ShardWorker(stored, shard=ShardSpec(1, 2), steal=True)
+            ShardWorker(bare)
 
-    def test_two_static_workers_complete_disjoint_halves(self, tmp_path):
+    def test_merge_reports_per_runner_accounting(self, tmp_path):
+        # w1 saved a prefix of the plan and stopped; a claiming w2 finishes.
         store_dir = tmp_path / "store"
-        one = ShardWorker(make_runner(store_dir), shard=ShardSpec(1, 2), runner_id="w1").run()
-        two = ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
-        total = len(plan_cells())
-        assert len(one.computed) + len(two.computed) == total
-        assert not set(one.computed) & set(two.computed)
-        assert one.hits == 0 and two.hits == 0
+        plan = plan_cells()
+        prefix = len(plan) // 2
+        CampaignRunner(
+            SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG, store=ResultStore(str(store_dir), runner="w1")
+        ).run_cells(plan[:prefix])
+        report = ShardWorker(make_runner(store_dir), runner_id="w2").run()
+        assert report.hits == prefix and len(report.computed) == len(plan) - prefix
+        merged = CampaignMerger(make_runner(store_dir)).collect()
+        assert merged.runner_cells == {"w1": prefix, "w2": len(plan) - prefix}
+        rows = merged.runner_rows()
+        assert [row["runner"] for row in rows] == ["w1", "w2"]
+        assert all(row["cell_cpu_s"] >= 0 for row in rows)
 
-    def test_sharded_run_merges_bit_identical_to_sequential(self, tmp_path):
+    def test_killed_worker_relaunch_converges(self, tmp_path):
+        # Simulate a worker dying mid-campaign: only a prefix of the plan
+        # reached the store.  The relaunch computes just the remainder, and
+        # the merge equals the sequential run.
         store_dir = tmp_path / "store"
-        ShardWorker(make_runner(store_dir), shard=ShardSpec(1, 2), runner_id="w1").run()
-        ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
+        runner = make_runner(store_dir)
+        plan = runner.cells()
+        runner.run_cells(plan[: len(plan) // 2])  # "killed" here
+        relaunched = ShardWorker(make_runner(store_dir), runner_id="w1").run()
+        assert relaunched.hits == len(plan) // 2
+        assert len(relaunched.computed) == len(plan) - len(plan) // 2
+        merged = CampaignMerger(make_runner(store_dir)).collect()
+        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == sequential_document()
+
+    def test_worker_computes_everything_alone(self, tmp_path):
+        store_dir = tmp_path / "store"
+        report = ShardWorker(make_runner(store_dir), runner_id="solo").run()
+        assert len(report.computed) == report.planned == len(plan_cells())
+        assert report.yielded == [] and report.failed == []
+        assert claim_files(store_dir) == []
         merged = CampaignMerger(make_runner(store_dir)).collect()
         sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
         assert merged.sweep.seeds == [42]
@@ -197,65 +218,24 @@ class TestShardWorker:
             sequential.results_json_dict()
         )
 
-    def test_merge_reports_per_runner_accounting(self, tmp_path):
+    def test_second_worker_sees_only_hits(self, tmp_path):
         store_dir = tmp_path / "store"
-        ShardWorker(make_runner(store_dir), shard=ShardSpec(1, 2), runner_id="w1").run()
-        ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
-        merged = CampaignMerger(make_runner(store_dir)).collect()
-        total = len(plan_cells())
-        assert set(merged.runner_cells) == {"w1", "w2"}
-        assert sum(merged.runner_cells.values()) == total
-        rows = merged.runner_rows()
-        assert [row["runner"] for row in rows] == ["w1", "w2"]
-        assert all(row["cell_cpu_s"] >= 0 for row in rows)
-
-    def test_killed_static_worker_relaunch_converges(self, tmp_path):
-        # Simulate a worker dying mid-shard: run only a prefix of its cells
-        # into the store, then relaunch the full shard — it computes just
-        # the remainder, and the merge equals the sequential run.
-        store_dir = tmp_path / "store"
-        runner = make_runner(store_dir)
-        shard_cells = ShardPlan(runner.cells(), 2).shard(1)
-        runner.run_cells(shard_cells[: len(shard_cells) // 2])  # "killed" here
-        relaunched = ShardWorker(make_runner(store_dir), shard=ShardSpec(1, 2), runner_id="w1").run()
-        assert relaunched.hits == len(shard_cells) // 2
-        assert len(relaunched.computed) == len(shard_cells) - len(shard_cells) // 2
-        ShardWorker(make_runner(store_dir), shard=ShardSpec(2, 2), runner_id="w2").run()
-        merged = CampaignMerger(make_runner(store_dir)).collect()
-        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
-        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == to_json_text(
-            sequential.results_json_dict()
-        )
-
-    def test_steal_worker_computes_everything_alone(self, tmp_path):
-        store_dir = tmp_path / "store"
-        report = ShardWorker(make_runner(store_dir), steal=True, runner_id="solo").run()
-        assert len(report.computed) == report.planned == len(plan_cells())
-        assert report.yielded == []
-        merged = CampaignMerger(make_runner(store_dir)).collect()
-        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
-        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == to_json_text(
-            sequential.results_json_dict()
-        )
-
-    def test_second_steal_worker_sees_only_hits(self, tmp_path):
-        store_dir = tmp_path / "store"
-        ShardWorker(make_runner(store_dir), steal=True, runner_id="first").run()
-        second = ShardWorker(make_runner(store_dir), steal=True, runner_id="second").run()
+        ShardWorker(make_runner(store_dir), runner_id="first").run()
+        second = ShardWorker(make_runner(store_dir), runner_id="second").run()
         assert second.computed == [] and second.hits == second.planned
 
-    def test_steal_worker_yields_cells_leased_by_live_rival(self, tmp_path):
+    def test_worker_yields_cells_leased_by_live_rival(self, tmp_path):
         store_dir = tmp_path / "store"
         runner = make_runner(store_dir)
         held = runner.cells()[0]
         rival = ClaimBoard(ResultStore(str(store_dir)), "rival", lease_timeout=120.0)
         assert rival.claim(held)
-        report = ShardWorker(make_runner(store_dir), steal=True, runner_id="fast", lease_timeout=120.0).run()
+        report = ShardWorker(make_runner(store_dir), runner_id="fast", lease_timeout=120.0).run()
         assert report.yielded == [held.key]
         assert len(report.computed) == report.planned - 1
         assert [cell.key for cell in CampaignMerger(make_runner(store_dir)).missing()] == [held.key]
 
-    def test_steal_worker_reclaims_stale_lease_of_killed_rival(self, tmp_path):
+    def test_worker_reclaims_stale_lease_of_killed_rival(self, tmp_path):
         # A rival claimed a cell and died (no heartbeats): after the lease
         # timeout any worker reclaims it, and the campaign still converges
         # to the sequential result.
@@ -266,23 +246,79 @@ class TestShardWorker:
         assert rival.claim(held)
         old = time.time() - 600.0  # repro: disable=DET003 (aging a lease file is the point)
         os.utime(rival.path_for(held), (old, old))
-        report = ShardWorker(make_runner(store_dir), steal=True, runner_id="survivor", lease_timeout=5.0).run()
+        report = ShardWorker(make_runner(store_dir), runner_id="survivor", lease_timeout=5.0).run()
         assert report.yielded == [] and len(report.computed) == report.planned
         merged = CampaignMerger(make_runner(store_dir)).collect()
-        sequential = CampaignRunner(SERVICES, STAGE_SUBSET, seed=42, jobs=1, config=CONFIG).run().campaigns[0]
-        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == to_json_text(
-            sequential.results_json_dict()
-        )
+        assert to_json_text(merged.sweep.campaigns[0].results_json_dict()) == sequential_document()
 
-    def test_static_and_steal_workers_cooperate_on_one_store(self, tmp_path):
-        # Mixed fleet: a static half-shard plus a stealing mop-up worker.
+    def test_crash_releases_every_lease_and_reraises(self, tmp_path):
         store_dir = tmp_path / "store"
-        ShardWorker(make_runner(store_dir), shard=ShardSpec(1, 2), runner_id="static").run()
-        mop_up = ShardWorker(make_runner(store_dir), steal=True, runner_id="steal").run()
-        assert mop_up.hits == len(ShardPlan(plan_cells(), 2).shard(1))
-        merged = CampaignMerger(make_runner(store_dir)).collect()
-        assert sum(merged.runner_cells.values()) == len(plan_cells())
-        assert set(merged.runner_cells) == {"static", "steal"}
+        runner = make_runner(store_dir)
+
+        def failing_save(result):
+            raise OSError("disk full")
+
+        runner.store.save = failing_save
+        with pytest.raises(OSError, match="disk full"):
+            ShardWorker(runner, runner_id="w1").run()
+        assert claim_files(store_dir) == []
+
+    def test_submit_to_a_broken_pool_fails_the_cell_and_claims_no_more(self, tmp_path, monkeypatch):
+        # A pool worker died between two submits, so the pool refuses work.
+        class BreaksAfterOneSubmit(ProcessPoolExecutor):
+            submitted = False
+
+            def submit(self, *args, **kwargs):
+                if self.submitted:
+                    raise BrokenProcessPool("a child process terminated abruptly")
+                self.submitted = True
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "ProcessPoolExecutor", BreaksAfterOneSubmit)
+        store_dir = tmp_path / "store"
+        plan = plan_cells()
+        report = ShardWorker(make_runner(store_dir, jobs=2), runner_id="w1").run()
+        assert report.computed == [plan[0].key] and report.failed == [plan[1].key]
+        assert report.yielded == [] and report.hits == 0
+        assert claim_files(store_dir) == []
+        assert [cell.key for cell in CampaignMerger(make_runner(store_dir)).missing()] == [
+            cell.key for cell in plan[1:]
+        ]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the injected fault reaches pool workers only by fork"
+)
+class TestDeadPoolWorker:
+    SERVICES = ["dropbox", "skydrive", "wuala", "clouddrive", "googledrive"]
+    BASE = ["--services", ",".join(SERVICES), "--seed", "7"]
+    CAMPAIGN = ["--stages", "idle", "--minutes", "1"]
+
+    def test_failed_cells_are_reported_and_relaunch_completes(self, tmp_path, monkeypatch, capsys):
+        uninterrupted = tmp_path / "uninterrupted.json"
+        assert main(self.BASE + ["all", *self.CAMPAIGN, "--jobs", "2", "--json", str(uninterrupted)]) == 0
+        spec = campaign_module._spec("idle")
+
+        def dying(cell):
+            if cell.service == "wuala":
+                os._exit(3)  # the worker process dies mid-cell
+            return spec.run(cell)
+
+        monkeypatch.setitem(campaign_module._STAGE_SPECS, "idle", dataclasses.replace(spec, run=dying))
+        root = str(tmp_path / "store")
+        shard = self.BASE + ["shard", *self.CAMPAIGN, "--jobs", "2", "--store", root]
+        capsys.readouterr()
+        assert main(shard + ["--runner-id", "d1"]) == 1
+        assert "idle/wuala@7" in capsys.readouterr().err
+        assert claim_files(root) == []
+        plan = CampaignRunner(self.SERVICES, ["idle"], seed=7, config=CampaignConfig(idle_duration=60.0)).cells()
+        wuala = next(cell for cell in plan if cell.service == "wuala")
+        assert ResultStore(root).load(wuala) is None
+        monkeypatch.undo()
+        assert main(shard + ["--runner-id", "d2"]) == 0
+        merged = tmp_path / "merged.json"
+        assert main(self.BASE + ["merge", *self.CAMPAIGN, "--store", root, "--json", str(merged)]) == 0
+        assert merged.read_bytes() == uninterrupted.read_bytes()
 
 
 class TestCampaignMerger:
@@ -303,7 +339,7 @@ class TestCampaignMerger:
 
     def test_wait_returns_once_store_completes(self, tmp_path):
         store_dir = tmp_path / "store"
-        ShardWorker(make_runner(store_dir), steal=True, runner_id="solo").run()
+        ShardWorker(make_runner(store_dir), runner_id="solo").run()
         merger = CampaignMerger(make_runner(store_dir), poll_interval=0.01)
         merged = merger.collect(wait=True, timeout=5.0)
         assert merger.missing() == []

@@ -32,7 +32,7 @@ from hypothesis import example, given, settings
 from repro.cli import main, store_listing_rows
 from repro.core.campaign import CampaignCell, CampaignConfig, CampaignRunner, run_cell
 from repro.core.metrics import quantile
-from repro.core.store import CONFIG_KEY_FIELDS, ResultStore, cache_key
+from repro.core.store import ResultStore, cache_key
 from repro.errors import ConfigurationError
 from repro.load import (
     AccessLane,
@@ -52,7 +52,7 @@ from repro.load import (
 )
 from repro.load.contention import TAG_EPSILON
 from repro.load.population import _admission_walk
-from repro.netsim.scenario import BASELINE
+from repro.netsim.scenario import BASELINE, ScenarioSpec, get_scenario
 from repro.netsim.tcp import INITIAL_CWND_BYTES, slow_start_penalties, slow_start_penalty
 from repro.randomness import DEFAULT_SEED, expovariate_block, make_rng, random_block
 from repro.specio import canonical_json
@@ -775,26 +775,31 @@ class TestLoadStage:
                 assert column in row
             assert 0.0 < row["jain"] <= 1.0
 
-    def test_cache_key_covers_load_parameters(self):
-        base = CampaignCell(stage="load", service="dropbox", seed=7, unit="1k", config=CampaignConfig())
-        assert cache_key(base) == cache_key(base)  # runtime guard passes
-        for variant in (
-            CampaignConfig(load_populations=(1000,)),
-            CampaignConfig(load_window=30.0),
-            CampaignConfig(load_arrival="diurnal"),
-            CampaignConfig(load_edge_concurrency=8),
-            CampaignConfig(load_link_capacity_bps=mbps(100.0)),
-            CampaignConfig(load_transfer_bytes=50_000),
-            CampaignConfig(rep_cells=True),
-        ):
-            cell = CampaignCell(stage="load", service="dropbox", seed=7, unit="1k", config=variant)
-            assert cache_key(cell) != cache_key(base)
-
-    def test_config_key_fields_match_dataclass(self):
-        import dataclasses
-
-        names = tuple(sorted(field.name for field in dataclasses.fields(CampaignConfig)))
-        assert names == CONFIG_KEY_FIELDS
+    @pytest.mark.parametrize("field", dataclasses.fields(CampaignConfig), ids=lambda field: field.name)
+    def test_cache_key_covers_every_config_field(self, field):
+        # Changing any one CampaignConfig field changes the key, so a new
+        # field can never alias the store entries of existing campaigns.
+        # The cases come from the dataclass itself: a new field is covered
+        # without a test edit, or fails here for want of a variant rule.
+        config = CampaignConfig()
+        base = CampaignCell(stage="load", service="dropbox", seed=7, unit="1k", config=config)
+        value = getattr(config, field.name)
+        if isinstance(value, bool):
+            variant = not value
+        elif isinstance(value, int):
+            variant = value + 1
+        elif isinstance(value, float):
+            variant = value * 2
+        elif isinstance(value, tuple):
+            variant = value + value[-1:]
+        elif isinstance(value, str):
+            variant = value + "-variant"
+        elif isinstance(value, ScenarioSpec):
+            variant = get_scenario("lossy-dsl")
+        else:
+            pytest.fail(f"CampaignConfig.{field.name}: no variant rule for {type(value).__name__}")
+        cell = dataclasses.replace(base, config=dataclasses.replace(config, **{field.name: variant}))
+        assert cache_key(cell) != cache_key(base), field.name
 
     def test_store_round_trip_and_listing_order(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
@@ -855,8 +860,8 @@ class TestLoadCLI:
         base = ["--services", "dropbox"]
         assert main(base + ["all", *self.ARGS, "--jobs", "1", "--json", str(sequential)]) == 0
         store = str(tmp_path / "store")
-        for shard in ("1/2", "2/2"):
-            assert main(base + ["shard", *self.ARGS, "--store", store, "--shard", shard, "--jobs", "1"]) == 0
+        for runner_id in ("w1", "w2"):
+            assert main(base + ["shard", *self.ARGS, "--store", store, "--jobs", "1", "--runner-id", runner_id]) == 0
         merged = tmp_path / "merged.json"
         assert main(base + ["merge", *self.ARGS, "--store", store, "--json", str(merged)]) == 0
         capsys.readouterr()

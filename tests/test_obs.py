@@ -27,7 +27,7 @@ from repro.core.campaign import (
     run_cell,
 )
 from repro.core.store import ResultStore
-from repro.dist import ClaimBoard, ShardSpec, ShardWorker, CampaignMerger
+from repro.dist import ClaimBoard, ShardWorker, CampaignMerger
 from repro.obs.export import chrome_trace, to_canonical_json
 from repro.obs.logconfig import configure_logging
 from repro.obs.metrics import MetricsRegistry
@@ -148,13 +148,14 @@ class TestByteIdentity:
         assert sim_bytes(sequential.trace) == sim_bytes(parallel.trace)
 
     def test_shard_merge_trace_matches_sequential(self, tmp_path):
+        # w1 saved a prefix of the plan and stopped; a claiming w2 finishes,
+        # so the merged trace reassembles flight records of both runners.
         baseline = make_runner(jobs=1).run()
-        store = ResultStore(str(tmp_path))
-        for index in (1, 2):
-            worker_runner = make_runner(store=ResultStore(str(tmp_path)))
-            ShardWorker(worker_runner, shard=ShardSpec(index, 2), runner_id=f"w{index}").run()
-        merge_runner = make_runner(store=store)
-        merged = CampaignMerger(merge_runner).collect()
+        first = make_runner(store=ResultStore(str(tmp_path), runner="w1"))
+        first.run_cells(first.cells()[:2])
+        ShardWorker(make_runner(store=ResultStore(str(tmp_path))), runner_id="w2").run()
+        merged = CampaignMerger(make_runner(store=ResultStore(str(tmp_path)))).collect()
+        assert set(merged.runner_cells) == {"w1", "w2"}
         assert merged.sweep.trace is not None
         assert sim_bytes(merged.sweep.trace) == sim_bytes(baseline.trace)
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import glob
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,11 @@ from repro.cli import build_parser, main
 from repro.core.campaign import CampaignConfig, CampaignRunner
 from repro.core.experiments import DataCenterExperiment
 from repro.core.runner import SuiteResult
+from repro.core.store import ResultStore
+from repro.dist import CampaignMerger
+
+#: The checkout's ``src`` directory, for subprocesses that run the CLI.
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 #: Each per-artifact subcommand and the campaign stage it is an alias for.
@@ -256,55 +265,97 @@ class TestDistributedCLI:
         assert main(argv) == 0
         return path
 
-    def test_two_static_shard_workers_merge_byte_identical(self, tmp_path, capsys):
-        sequential = self.sequential_json(tmp_path)
-        store = str(tmp_path / "store")
-        base = ["--services", "dropbox,googledrive", "--seed", "13"]
-        assert main(base + ["shard", *self.CAMPAIGN, "--store", store, "--shard", "1/2", "--jobs", "1", "--runner-id", "w1"]) == 0
-        assert main(base + ["shard", *self.CAMPAIGN, "--store", store, "--shard", "2/2", "--jobs", "1", "--runner-id", "w2"]) == 0
-        out = capsys.readouterr().out
-        assert "Shard worker w1 (shard 1/2)" in out and "Shard worker w2 (shard 2/2)" in out
-        merged = tmp_path / "merged.json"
-        assert main(base + ["merge", *self.CAMPAIGN, "--store", store, "--json", str(merged)]) == 0
-        merge_out = capsys.readouterr().out
-        assert "Per-runner accounting" in merge_out
-        assert "w1" in merge_out and "w2" in merge_out
-        assert merged.read_bytes() == sequential.read_bytes()
-
-    def test_two_steal_workers_merge_byte_identical(self, tmp_path, capsys):
+    def test_two_workers_merge_byte_identical(self, tmp_path, capsys):
         sequential = self.sequential_json(tmp_path)
         store = str(tmp_path / "store")
         base = ["--services", "dropbox,googledrive", "--seed", "13"]
         for runner_id in ("s1", "s2"):
-            argv = base + ["shard", *self.CAMPAIGN, "--store", store, "--steal", "--jobs", "1", "--runner-id", runner_id]
+            argv = base + ["shard", *self.CAMPAIGN, "--store", store, "--jobs", "1", "--runner-id", runner_id]
             assert main(argv) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert "Shard worker s1" in out and "Shard worker s2" in out
         merged = tmp_path / "merged.json"
         assert main(base + ["merge", *self.CAMPAIGN, "--store", store, "--json", str(merged)]) == 0
+        assert "Per-runner accounting" in capsys.readouterr().out
+        assert merged.read_bytes() == sequential.read_bytes()
+
+    def test_two_concurrent_runners_merge_byte_identical(self, tmp_path, capsys):
+        # Two runner processes launched at once contend for every cell
+        # through the claim board of one store.
+        services = ["dropbox", "skydrive", "wuala", "clouddrive", "googledrive"]
+        base = ["--services", ",".join(services), "--seed", "7"]
+        campaign = ["--stages", "idle,syn_series", "--minutes", "1"]
+        sequential = tmp_path / "sequential.json"
+        assert main(base + ["all", *campaign, "--jobs", "1", "--json", str(sequential)]) == 0
+        store = str(tmp_path / "store")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        runners = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *base, "shard", *campaign,
+                 "--store", store, "--jobs", "1", "--runner-id", runner_id],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for runner_id in ("w1", "w2")
+        ]
+        try:
+            for runner in runners:
+                _, err = runner.communicate(timeout=300)
+                assert runner.returncode == 0, err
+        finally:
+            for runner in runners:
+                if runner.poll() is None:
+                    runner.kill()
+                    runner.communicate()
+        assert sorted(glob.glob(os.path.join(store, ".claims", "*.claim"))) == []
+        plan = CampaignRunner(
+            services, ["idle", "syn_series"], seed=7, jobs=1,
+            config=CampaignConfig(idle_duration=60.0), store=ResultStore(store),
+        )
+        runner_cells = CampaignMerger(plan).collect().runner_cells
+        assert set(runner_cells) <= {"w1", "w2"}
+        assert sum(runner_cells.values()) == len(plan.cells())
+        merged = tmp_path / "merged.json"
+        capsys.readouterr()
+        assert main(base + ["merge", *campaign, "--store", store, "--json", str(merged)]) == 0
         assert merged.read_bytes() == sequential.read_bytes()
 
     def test_merge_fails_fast_on_incomplete_store(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         base = ["--services", "dropbox,googledrive", "--seed", "13"]
-        assert main(base + ["shard", *self.CAMPAIGN, "--store", store, "--shard", "1/2", "--jobs", "1"]) == 0
+        narrower = ["--stages", "idle", "--minutes", "1", "--repetitions", "1"]
+        assert main(base + ["shard", *narrower, "--store", store, "--jobs", "1"]) == 0
         capsys.readouterr()
         assert main(base + ["merge", *self.CAMPAIGN, "--store", store]) == 1
         err = capsys.readouterr().err
         assert "missing" in err and "shard workers" in err
 
-    def test_shard_rejects_bad_spec_and_missing_mode(self, tmp_path):
-        store = str(tmp_path / "store")
-        with pytest.raises(SystemExit):
-            main(["shard", "--store", store, "--shard", "3/2"])
-        with pytest.raises(SystemExit):
-            main(["shard", "--store", store])
-        with pytest.raises(SystemExit):
-            main(["shard", "--store", store, "--shard", "1/2", "--steal"])
+    def test_shard_help_lists_no_scheduling_mode_flag(self, capsys):
+        # The scheduling-mode flags of earlier releases, by name: claiming
+        # is the only scheduler.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["shard", "--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--store" in usage
+        assert "--shard" not in usage and "--steal" not in usage
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--shard", "1/2"], ["--steal"], None],
+        ids=["removed-shard-flag", "removed-steal-flag", "missing-store"],
+    )
+    def test_shard_rejects_removed_mode_flags_and_missing_store(self, tmp_path, extra):
+        argv = ["shard"] if extra is None else ["shard", "--store", str(tmp_path / "store"), *extra]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "store").exists()
 
     def test_cache_ls_and_rm(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         base = ["--services", "dropbox,googledrive", "--seed", "13"]
-        assert main(base + ["shard", *self.CAMPAIGN, "--store", store, "--steal", "--jobs", "1", "--runner-id", "w1"]) == 0
+        assert main(base + ["shard", *self.CAMPAIGN, "--store", store, "--jobs", "1", "--runner-id", "w1"]) == 0
         capsys.readouterr()
         assert main(["cache", "ls", "--store", store]) == 0
         out = capsys.readouterr().out
@@ -334,7 +385,7 @@ class TestDistributedCLI:
 
         store = str(tmp_path / "store")
         base = ["--services", "googledrive", "--seed", "13"]
-        assert main(base + ["shard", "--stages", "idle", "--minutes", "1", "--store", store, "--steal", "--jobs", "1"]) == 0
+        assert main(base + ["shard", "--stages", "idle", "--minutes", "1", "--store", store, "--jobs", "1"]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(["cache", "rm", "--store", store, "--older-than", "bogus"])
@@ -351,7 +402,7 @@ class TestDistributedCLI:
     def test_cache_rm_schema_foreign_flag(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         base = ["--services", "googledrive", "--seed", "13"]
-        assert main(base + ["shard", "--stages", "idle", "--minutes", "1", "--store", store, "--steal", "--jobs", "1"]) == 0
+        assert main(base + ["shard", "--stages", "idle", "--minutes", "1", "--store", store, "--jobs", "1"]) == 0
         capsys.readouterr()
         assert main(["cache", "rm", "--store", store, "--schema-foreign"]) == 0
         assert "removed 0 entries" in capsys.readouterr().out  # nothing foreign yet
@@ -433,8 +484,8 @@ class TestSweepCLI:
         sweep_args = [*self.SWEEP, "--seeds", "7,9"]
         assert main(base + ["all", *sweep_args, "--jobs", "1", "--json", str(sequential)]) == 0
         store = str(tmp_path / "store")
-        assert main(base + ["shard", *sweep_args, "--store", store, "--shard", "1/2", "--jobs", "1", "--runner-id", "w1"]) == 0
-        assert main(base + ["shard", *sweep_args, "--store", store, "--shard", "2/2", "--jobs", "1", "--runner-id", "w2"]) == 0
+        for runner_id in ("w1", "w2"):
+            assert main(base + ["shard", *sweep_args, "--store", store, "--jobs", "1", "--runner-id", runner_id]) == 0
         capsys.readouterr()
         merged = tmp_path / "merged.json"
         assert main(base + ["merge", *sweep_args, "--store", store, "--json", str(merged)]) == 0

@@ -14,7 +14,7 @@ from repro.netsim.link import NetworkPath
 from repro.netsim.simulator import NetworkSimulator
 from repro.services.backend import StorageBackend
 from repro.services.base import CloudStorageClient
-from repro.services.profile import ConnectionPolicy, ServiceCapabilities, ServiceProfile
+from repro.services.profile import ConnectionPolicy, ServerSpec, ServiceCapabilities, ServiceProfile
 from repro.services.registry import (
     SERVICE_NAMES,
     create_client,
@@ -136,6 +136,27 @@ class TestProfileStructure:
             assert server.endpoint(host_index) == fresh
         # The memos are not fields: an equal server built afresh compares equal.
         assert dataclasses.replace(server) == server
+
+    @pytest.mark.parametrize("service", SERVICE_NAMES)
+    def test_login_servers_are_built_once_per_profile(self, service):
+        profile = get_profile(service)
+        assert profile.login_servers is get_profile(service).login_servers
+        control = profile.primary_control
+        per_login = tuple(
+            ServerSpec(
+                hostname=hostname,
+                datacenter=control.datacenter,
+                rate_up_bps=control.rate_up_bps,
+                rate_down_bps=control.rate_down_bps,
+                server_processing=control.server_processing,
+                port=control.port,
+                tls=control.tls,
+            )
+            for hostname in profile.login_hostnames()
+        )
+        assert profile.login_servers == per_login
+        # Not a field: the profile still equals one built afresh.
+        assert dataclasses.replace(profile) == profile
 
     def test_profile_requires_servers(self):
         with pytest.raises(Exception):

@@ -17,7 +17,7 @@ from repro.core.metrics import MetricAggregate
 from repro.core.report import to_json_text
 from repro.core.store import ResultStore
 from repro.core.sweep import SWEEP_DOC_VERSION, SweepResult, cross_seed_rows, sweep_from_results
-from repro.dist import CampaignMerger, ShardSpec, ShardWorker
+from repro.dist import CampaignMerger, ShardWorker
 from repro.errors import ConfigurationError, ExperimentError
 from repro.units import parse_duration, parse_seeds
 
@@ -270,21 +270,24 @@ class TestSweepExecution:
 
 class TestSweepStoreAndShards:
     def test_sharded_two_worker_sweep_merges_bit_identical(self, tmp_path):
+        # w1 saved a prefix of the sweep plan that crosses the first seed's
+        # boundary and stopped; a claiming w2 finishes the rest.
         sequential = make_runner(jobs=1).run()
         store_dir = str(tmp_path / "store")
-        for index, runner_id in ((1, "w1"), (2, "w2")):
-            worker_runner = make_runner(store=ResultStore(store_dir))
-            ShardWorker(worker_runner, shard=ShardSpec(index, 2), runner_id=runner_id).run()
+        first = make_runner(store=ResultStore(store_dir, runner="w1"))
+        plan = first.cells()
+        first.run_cells(plan[: len(plan) * 2 // 3])
+        ShardWorker(make_runner(store=ResultStore(store_dir)), runner_id="w2").run()
         merged = CampaignMerger(make_runner(store=ResultStore(store_dir))).collect()
         assert merged.sweep.seeds == SEEDS
         assert to_json_text(merged.sweep.document()) == to_json_text(sequential.document())
         assert set(merged.runner_cells) == {"w1", "w2"}
         assert sum(merged.runner_cells.values()) == len(sequential.cells())
 
-    def test_steal_worker_sweep_merges_bit_identical(self, tmp_path):
+    def test_one_worker_sweep_merges_bit_identical(self, tmp_path):
         sequential = make_runner(jobs=1).run()
         store_dir = str(tmp_path / "store")
-        ShardWorker(make_runner(store=ResultStore(store_dir)), steal=True, runner_id="solo").run()
+        ShardWorker(make_runner(store=ResultStore(store_dir)), runner_id="solo").run()
         merged = CampaignMerger(make_runner(store=ResultStore(store_dir))).collect()
         assert to_json_text(merged.sweep.document()) == to_json_text(sequential.document())
 
