@@ -38,7 +38,7 @@ class Sniffer:
             self.trace.append(packet)
 
     def accept_batch(self, batch: PacketBatch) -> None:
-        """Batch callback: record a whole emission burst column-wise."""
+        """Batch callback: record a connection operation's packets column-wise."""
         if self._capturing:
             self.trace.extend_batch(batch)
 

@@ -20,10 +20,10 @@ while filters and aggregates work directly on the columns:
   per-hostname index maps read off the header column;
 * byte/payload totals are column sums that never build a ``Packet``.
 
-Sniffers append whole emission bursts at once via :meth:`extend_batch`,
-which extends each column with one C-level call.  :class:`TraceColumns`,
-the thirteen-list view :mod:`repro.capture.analysis` reads, is built from
-the header column when asked for.
+Sniffers append a connection operation's packets at once via
+:meth:`extend_batch`, which extends each column with one C-level call.
+:class:`TraceColumns`, the thirteen-list view :mod:`repro.capture.analysis`
+reads, is built from the header column when asked for.
 
 Flow segments
 -------------
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.netsim.packet import FlowSegment, Packet, PacketBatch, PacketDirection, PacketHeader
@@ -62,7 +62,6 @@ __all__ = ["PacketTrace", "TraceColumns"]
 
 _CONNECTION_ID = attrgetter("connection_id")
 _HOSTNAME = attrgetter("hostname")
-_THIRD = itemgetter(2)
 
 
 class TraceColumns(NamedTuple):
@@ -187,7 +186,7 @@ class PacketTrace:
             self.append(packet)
 
     def extend_batch(self, batch: PacketBatch) -> None:
-        """Append a column-oriented emission burst without building packets."""
+        """Append a column-oriented batch of packets without building packets."""
         timestamps = batch.timestamps
         count = len(timestamps)
         if count == 0:
@@ -203,7 +202,7 @@ class PacketTrace:
         ts += timestamps
         self._payload += batch.payload_lens
         self._hlen += batch.headers_lens
-        self._hdr += [batch.header] * count
+        self._hdr += batch.headers
         self._seg += [None] * count
         ordinal = self._next_ord
         self._next_ord = ordinal + count
@@ -330,12 +329,21 @@ class PacketTrace:
         self._ensure_sorted()
 
     def _ensure_sorted(self) -> None:
+        """Order the rows by (timestamp, capture ordinal).
+
+        Two stable key sorts, by ordinal and then by timestamp, give that
+        order without building a tuple per row.  A fresh capture holds its
+        rows in ordinal order already and skips the first; windows over a
+        trace with segments (straddlers first) do not.
+        """
         if self._sorted:
             return
-        # Rows sort by (timestamp, capture ordinal); ordinals are unique, so
-        # the row position riding third in each tuple is never compared.
         ts = self._ts
-        order = list(map(_THIRD, sorted(zip(ts, self._ord, range(len(ts))))))
+        ordinals = self._ord
+        order = list(range(len(ts)))
+        if sorted(ordinals) != ordinals:
+            order.sort(key=ordinals.__getitem__)
+        order.sort(key=ts.__getitem__)
         self._assign([list(map(column.__getitem__, order)) for column in self._columns()])
         self._sorted = True
 

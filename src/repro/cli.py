@@ -77,6 +77,7 @@ form.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -117,6 +118,21 @@ _STAGE_ALIASES = {
     "compression": ("compression", "Fig. 5: compression tests"),
     "performance": ("performance", "Fig. 6: start-up, completion, overhead"),
 }
+
+
+def _lease_timeout(text: str) -> float:
+    """``--lease-timeout``: a positive, finite number of seconds.
+
+    At 0 every lease would be stale on sight, and rivals would take live
+    runners' cells.
+    """
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, not {text!r}")
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument(
         "--lease-timeout",
-        type=float,
+        type=_lease_timeout,
         default=DEFAULT_LEASE_TIMEOUT,
         help=f"seconds without a heartbeat before a claim counts as abandoned (default: {DEFAULT_LEASE_TIMEOUT:g})",
     )

@@ -10,7 +10,10 @@ agreement beyond coarse mtimes.
 Liveness comes from heartbeats: a working runner periodically bumps its
 lease file's mtime.  A lease whose mtime is older than the timeout is
 *stale* — its runner is presumed dead — and any other runner may reclaim
-it by atomically replacing the lease file with its own record.
+it by atomically replacing the lease file with its own record.  A lease
+names its process (runner id, host and pid), so two live runners that
+share a runner id still respect each other's fresh leases, and a
+relaunched runner waits out its predecessor's.
 
 The reclaim race is deliberately benign: if two runners reclaim the same
 stale lease in the same instant, both recompute the cell.  Cell rows
@@ -24,13 +27,16 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
+import socket
 import time
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.campaign import CampaignCell
 from repro.core.store import ResultStore, cache_key
+from repro.errors import ConfigurationError
 from repro.obs.tracer import current_tracer
 
 __all__ = ["DEFAULT_LEASE_TIMEOUT", "Lease", "ClaimBoard"]
@@ -50,6 +56,7 @@ class Lease:
     """One claim file's contents: who holds the cell, since when."""
 
     runner: str
+    host: str
     pid: int
     cell_key: str
     acquired_at: float
@@ -75,6 +82,10 @@ class ClaimBoard:
         *,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     ) -> None:
+        if not (math.isfinite(lease_timeout) and lease_timeout > 0):
+            # A lease that is stale on sight lets every rival take a live
+            # runner's cell.
+            raise ConfigurationError(f"lease timeout must be a positive number of seconds, not {lease_timeout!r}")
         self.root = store.claims_root()
         self.runner_id = runner_id
         self.lease_timeout = lease_timeout
@@ -88,6 +99,7 @@ class ClaimBoard:
     def _record(self, cell: CampaignCell) -> bytes:
         payload = {
             "runner": self.runner_id,
+            "host": socket.gethostname(),
             "pid": os.getpid(),
             "cell": cache_key(cell),
             "acquired_at": time.time(),
@@ -111,12 +123,16 @@ class ClaimBoard:
         current_tracer().count("claims.acquired")
         return True
 
+    def _ours(self, lease: Lease) -> bool:
+        """True iff this board's process wrote ``lease``."""
+        return lease.runner == self.runner_id and lease.pid == os.getpid() and lease.host == socket.gethostname()
+
     def _try_reclaim(self, cell: CampaignCell, path: str) -> bool:
         lease = self._read_lease(path)
-        if lease is not None and lease.runner == self.runner_id:
-            return True  # already ours (e.g. a relaunched worker resuming)
+        if lease is not None and self._ours(lease):
+            return True  # already ours
         if lease is not None and lease.age() < self.lease_timeout:
-            return False  # live holder
+            return False  # live holder: a rival, a runner sharing our id, or our predecessor
         if lease is None:
             # Unreadable: junk, or a rival mid-create (the O_EXCL open and
             # the record write are two steps).  Only treat it as abandoned
@@ -146,7 +162,7 @@ class ClaimBoard:
                 except OSError:  # pragma: no cover
                     pass
         lease = self._read_lease(path)
-        reclaimed = lease is not None and lease.runner == self.runner_id
+        reclaimed = lease is not None and self._ours(lease)
         if reclaimed:
             tracer = current_tracer()
             tracer.count("claims.acquired")
@@ -198,6 +214,7 @@ class ClaimBoard:
         try:
             return Lease(
                 runner=str(payload["runner"]),
+                host=str(payload.get("host", "")),
                 pid=int(payload.get("pid", -1)),
                 cell_key=str(payload.get("cell", "")),
                 acquired_at=float(payload.get("acquired_at", 0.0)),

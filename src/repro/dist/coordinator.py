@@ -198,6 +198,13 @@ class ShardWorker:
                 progressed = True
             elif self.claims.claim(cell):
                 del pending[key]
+                if self.store.load(cell) is not None:
+                    # A rival saved the cell and dropped its lease between
+                    # the lookup above and the claim: nothing to compute.
+                    self.claims.release(cell)
+                    report.hits += 1
+                    progressed = True
+                    continue
                 try:
                     future = pool.submit(run_cell, cell, *cell_args)
                 except BrokenProcessPool:

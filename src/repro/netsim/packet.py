@@ -194,12 +194,14 @@ class Packet:
 class PacketHeader(NamedTuple):
     """The fields every record of one emission burst shares.
 
-    One emission call (a data burst, a handshake packet, an ACK aggregate)
-    produces records that differ only in timestamp, payload and header
-    bytes; everything else — addresses, ports, direction, flags, protocol,
-    connection id, hostname and note — is this one immutable tuple, built
-    once per burst and carried by reference from emission through capture
-    into :class:`~repro.capture.trace.PacketTrace`'s header column.
+    The records of a burst (a data burst, a handshake packet, an ACK
+    aggregate) differ only in timestamp, payload and header bytes;
+    everything else — addresses, ports, direction, flags, protocol,
+    connection id, hostname and note — is this one immutable tuple.  A
+    connection builds it once per direction and note, reuses it for every
+    later burst with the same fields, and it is carried by reference from
+    emission through capture into :class:`~repro.capture.trace.PacketTrace`'s
+    header column.
     """
 
     src: str
@@ -233,42 +235,43 @@ class PacketHeader(NamedTuple):
 
 
 class PacketBatch:
-    """One emission burst: three per-record columns and one shared header.
+    """The packets of one connection operation, as four per-row columns.
 
-    A burst emits 1 to 2048 records that differ only in timestamp, payload
-    and header bytes; every other field rides once on the burst's
-    :class:`PacketHeader`.  Single packets (SYN, FIN, the ACK aggregate)
-    leave as one-row batches, so the emission path never constructs
-    :class:`Packet` objects — column-aware sniffers append the columns and
-    the header directly, and only plain per-packet callbacks pay for
-    materialization via :meth:`packets`.
+    A :class:`~repro.netsim.tcp.TCPConnection` operation (connect, send,
+    request, close) leaves as one batch of rows that differ in timestamp,
+    payload and header bytes and in a reference to their
+    :class:`PacketHeader`; the rows of one burst share one header object.
+    The emission path never constructs :class:`Packet` objects —
+    column-aware sniffers append the columns directly, and only plain
+    per-packet callbacks pay for materialization via :meth:`packets`.
     """
 
-    __slots__ = ("timestamps", "payload_lens", "headers_lens", "header")
+    __slots__ = ("timestamps", "payload_lens", "headers_lens", "headers")
 
     def __init__(
         self,
         timestamps: Sequence[float],
         payload_lens: Sequence[int],
         headers_lens: Sequence[int],
-        header: PacketHeader,
+        headers: Sequence[PacketHeader],
     ) -> None:
-        if not (len(timestamps) == len(payload_lens) == len(headers_lens)):
+        if not (len(timestamps) == len(payload_lens) == len(headers_lens) == len(headers)):
             raise ValueError("PacketBatch columns must have equal length")
         self.timestamps = timestamps
         self.payload_lens = payload_lens
         self.headers_lens = headers_lens
-        self.header = header
+        self.headers = headers
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def packets(self) -> List[Packet]:
         """Materialize the batch as :class:`Packet` records (slow fallback)."""
-        packet = self.header.packet
         return [
-            packet(timestamp, payload_len, headers_len)
-            for timestamp, payload_len, headers_len in zip(self.timestamps, self.payload_lens, self.headers_lens)
+            header.packet(timestamp, payload_len, headers_len)
+            for timestamp, payload_len, headers_len, header in zip(
+                self.timestamps, self.payload_lens, self.headers_lens, self.headers
+            )
         ]
 
 
@@ -365,7 +368,7 @@ class FlowSegment:
     def batch(self) -> PacketBatch:
         """Materialize the elided range as a :class:`PacketBatch`."""
         timestamps, payloads, headers = self.expand_columns()
-        return PacketBatch(timestamps, payloads, headers, self.header)
+        return PacketBatch(timestamps, payloads, headers, [self.header] * len(timestamps))
 
     def packets(self) -> List[Packet]:
         """Materialize the elided range as :class:`Packet` records."""

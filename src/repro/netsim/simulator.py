@@ -151,14 +151,14 @@ class NetworkSimulator:
             pass
 
     def emit_batch(self, batch: PacketBatch) -> None:
-        """Deliver a column-oriented emission burst to every sniffer.
+        """Deliver a column-oriented batch of packets to every sniffer.
 
-        Every packet leaves through here or :meth:`emit_flow`: single
-        packets (SYN, FIN, ACK aggregates) are one-row batches.
+        Every packet leaves through here or :meth:`emit_flow`: each
+        connection operation (connect, send, request, close) is one batch.
         Column-aware sniffers (anything exposing ``accept_batch``, like
         :class:`~repro.capture.sniffer.Sniffer`) receive the batch whole;
-        plain per-packet callables get the burst materialized once and
-        replayed packet by packet, preserving the observable order.
+        plain per-packet callables get it materialized once and replayed
+        packet by packet, preserving the observable order.
         """
         if self.tracer.enabled:
             self.tracer.count("netsim.packets", len(batch.timestamps))

@@ -11,11 +11,12 @@ paper's results:
 * TCP/IP header overhead of 40 bytes per segment plus ACK traffic,
 * request/response exchanges with a server processing delay.
 
-The connection emits :class:`~repro.netsim.packet.PacketBatch` bursts (and
-:class:`~repro.netsim.packet.FlowSegment` records for elided bulk transfers)
-through the owning :class:`~repro.netsim.simulator.NetworkSimulator`, which
-forwards them to sniffers.  All analysis downstream works on those packets
-only.
+Each connection operation (connect, send, request, close) emits its
+packets as one :class:`~repro.netsim.packet.PacketBatch` (an elided bulk
+transfer adds a :class:`~repro.netsim.packet.FlowSegment` between the rows
+before and after it) through the owning
+:class:`~repro.netsim.simulator.NetworkSimulator`, which forwards them to
+sniffers.  All analysis downstream works on those packets only.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ def set_flow_elision(enabled: bool) -> bool:
 
 #: Flags carried by every data-packet record.
 _DATA_FLAGS = TCPFlags.ACK | TCPFlags.PSH
+#: Flags of the handshake and teardown replies, combined once.
+_SYN_ACK = TCPFlags.SYN | TCPFlags.ACK
+_FIN_ACK = TCPFlags.FIN | TCPFlags.ACK
 
 #: Memoized transfer durations keyed on the full set of inputs the math
 #: depends on.  Campaign workloads repeat the same transfer sizes over the
@@ -221,6 +225,7 @@ class TCPConnection:
         tls: Optional[TLSParameters] = None,
     ) -> None:
         self._sim = simulator
+        self._clock = simulator.clock
         self.local = local
         self.remote = remote
         self.path = path
@@ -232,6 +237,15 @@ class TCPConnection:
         # of repeated attribute chains.
         self._addr_out = (local.ip, remote.ip, local_port, remote.port)
         self._addr_in = (remote.ip, local.ip, remote.port, local_port)
+        #: Headers by note, one table per direction (see :meth:`_header`).
+        self._headers_out: Dict[str, PacketHeader] = {}
+        self._headers_in: Dict[str, PacketHeader] = {}
+        #: Rows queued by the running operation; :meth:`_flush` emits them
+        #: as one batch.
+        self._pending_ts: List[float] = []
+        self._pending_payload: List[int] = []
+        self._pending_hlen: List[int] = []
+        self._pending_hdr: List[PacketHeader] = []
         self.state = TCPState.CLOSED
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -242,37 +256,43 @@ class TCPConnection:
     # Connection lifecycle
     # ------------------------------------------------------------------ #
     def connect(self) -> TransferStats:
-        """Perform the three-way handshake (and TLS handshake if configured)."""
+        """Perform the three-way handshake (and TLS handshake if configured).
+
+        The packets of both handshakes leave as one batch.
+        """
         if self.state is not TCPState.CLOSED:
             raise ConnectionStateError("connect() called on a non-closed connection")
-        start = self._now
+        clock = self._clock
+        start = clock.now
         rtt = self.path.rtt
-        self._emit(start, PacketDirection.OUT, flags=TCPFlags.SYN, note="syn")
-        self._emit(start + rtt, PacketDirection.IN, flags=TCPFlags.SYN | TCPFlags.ACK, note="syn-ack")
-        self._emit(start + rtt, PacketDirection.OUT, flags=TCPFlags.ACK, note="handshake-ack")
-        self._advance(rtt)
+        self._control(start, PacketDirection.OUT, TCPFlags.SYN, "syn")
+        self._control(start + rtt, PacketDirection.IN, _SYN_ACK, "syn-ack")
+        self._control(start + rtt, PacketDirection.OUT, TCPFlags.ACK, "handshake-ack")
+        clock.advance(rtt)
         self.state = TCPState.ESTABLISHED
-        self.opened_at = self._now
+        self.opened_at = clock.now
         tracer = self._sim.tracer
         if tracer.enabled:
             tracer.sim_span(
                 "tcp.connect",
                 start,
-                self._now,
+                clock.now,
                 track=self._sim.trace_track,
                 conn=self.connection_id,
                 host=self.remote.hostname,
             )
         if self.tls is not None:
             self._tls_handshake()
-        return TransferStats(start=start, end=self._now)
+        self._flush()
+        return TransferStats(start=start, end=clock.now)
 
     def _tls_handshake(self) -> None:
         """Model the TLS handshake flights on top of the established connection."""
         params = self.tls
         assert params is not None
         rtt = self.path.rtt
-        start = self._now
+        clock = self._clock
+        start = clock.now
         # Flight 1: ClientHello out, ServerHello/Certificate in.
         self._emit_data(start, start + rtt / 2, params.client_hello_bytes, PacketDirection.OUT, note="tls-client-hello")
         self._emit_data(start + rtt / 2, start + rtt, params.server_hello_bytes, PacketDirection.IN, note="tls-server-hello")
@@ -286,14 +306,14 @@ class TCPConnection:
         else:
             self._emit_data(start + rtt, start + rtt, params.client_finished_bytes, PacketDirection.OUT, note="tls-client-finished")
         elapsed += params.compute_delay
-        self._advance(elapsed)
+        clock.advance(elapsed)
         self.secured = True
         tracer = self._sim.tracer
         if tracer.enabled:
             tracer.sim_span(
                 "tls.handshake",
                 start,
-                self._now,
+                clock.now,
                 track=self._sim.trace_track,
                 conn=self.connection_id,
                 host=self.remote.hostname,
@@ -303,17 +323,19 @@ class TCPConnection:
     def close(self) -> None:
         """Close the connection.
 
-        Teardown is asynchronous from the application's point of view: FIN
-        packets are emitted but the simulated clock does not wait for them,
-        matching the paper's choice to ignore TCP tear-down delays (§5.2).
+        Teardown is asynchronous from the application's point of view: the
+        FIN exchange is emitted as one batch but the simulated clock does not
+        wait for it, matching the paper's choice to ignore TCP tear-down
+        delays (§5.2).
         """
         if self.state is not TCPState.ESTABLISHED:
             return
-        now = self._now
+        now = self._clock.now
         rtt = self.path.rtt
-        self._emit(now, PacketDirection.OUT, flags=TCPFlags.FIN | TCPFlags.ACK, note="fin")
-        self._emit(now + rtt, PacketDirection.IN, flags=TCPFlags.FIN | TCPFlags.ACK, note="fin-ack")
-        self._emit(now + rtt, PacketDirection.OUT, flags=TCPFlags.ACK, note="fin-ack-ack")
+        self._control(now, PacketDirection.OUT, _FIN_ACK, "fin")
+        self._control(now + rtt, PacketDirection.IN, _FIN_ACK, "fin-ack")
+        self._control(now + rtt, PacketDirection.OUT, TCPFlags.ACK, "fin-ack-ack")
+        self._flush()
         self.state = TCPState.FINISHED
 
     @property
@@ -328,12 +350,20 @@ class TCPConnection:
         """Send ``nbytes`` of application data in one direction.
 
         The caller's clock is advanced to the time the last payload byte is
-        put on the wire (upstream) or received (downstream).
+        put on the wire (upstream) or received (downstream).  The data rows
+        and the ACK aggregate leave as one batch.
         """
+        stats = self._send(nbytes, upstream, note)
+        self._flush()
+        return stats
+
+    def _send(self, nbytes: int, upstream: bool, note: str) -> TransferStats:
+        """:meth:`send`, with its rows left queued for the running operation's batch."""
         self._require_open()
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        start = self._now
+        clock = self._clock
+        start = clock.now
         if nbytes == 0:
             return TransferStats(start=start, end=start)
         wire_payload = self.tls.record_bytes(nbytes) if self.tls is not None else nbytes
@@ -341,13 +371,13 @@ class TCPConnection:
         direction = PacketDirection.OUT if upstream else PacketDirection.IN
         self._emit_data(start, start + duration, wire_payload, direction, note=note)
         self._emit_acks(start, start + duration, wire_payload, direction)
-        self._advance(duration)
+        clock.advance(duration)
         tracer = self._sim.tracer
         if tracer.enabled:
             tracer.sim_span(
                 "tcp.send",
                 start,
-                self._now,
+                clock.now,
                 track=self._sim.trace_track,
                 conn=self.connection_id,
                 bytes=nbytes,
@@ -358,9 +388,9 @@ class TCPConnection:
             tracer.observe("tcp.send_seconds", duration)
         if upstream:
             self.bytes_sent += nbytes
-            return TransferStats(start=start, end=self._now, app_bytes_up=nbytes)
+            return TransferStats(start=start, end=clock.now, app_bytes_up=nbytes)
         self.bytes_received += nbytes
-        return TransferStats(start=start, end=self._now, app_bytes_down=nbytes)
+        return TransferStats(start=start, end=clock.now, app_bytes_down=nbytes)
 
     def request(
         self,
@@ -375,20 +405,23 @@ class TCPConnection:
         The request of ``up_bytes`` is sent upstream; after it is fully
         received by the server (half an RTT later), the server spends its
         processing delay and the response of ``down_bytes`` flows back.
+        Both sends leave as one batch.
         """
         self._require_open()
-        start = self._now
+        clock = self._clock
+        start = clock.now
         if up_bytes > 0:
-            self.send(up_bytes, upstream=True, note=f"{note}")
+            self._send(up_bytes, True, note)
         processing = self.path.server_processing if server_processing is None else server_processing
         # Wait for the request to reach the server, be processed, and the
         # first response byte to travel back.
-        self._advance(self.path.rtt + processing)
+        clock.advance(self.path.rtt + processing)
         if down_bytes > 0:
-            self.send(down_bytes, upstream=False, note=f"{note}-response")
+            self._send(down_bytes, False, f"{note}-response")
+        self._flush()
         return TransferStats(
             start=start,
-            end=self._now,
+            end=clock.now,
             app_bytes_up=max(up_bytes, 0),
             app_bytes_down=max(down_bytes, 0),
         )
@@ -427,23 +460,37 @@ class TCPConnection:
     # ------------------------------------------------------------------ #
     # Packet emission helpers
     # ------------------------------------------------------------------ #
-    def _emit(
+    def _flush(self) -> None:
+        """Emit the queued rows as one batch (nothing when none are queued).
+
+        Every operation ends here.  No event fires inside an operation — the
+        clock only moves forward — so its rows are consecutive in capture
+        order whether they leave in one batch or one per burst.
+        """
+        if self._pending_ts:
+            self._sim.emit_batch(
+                PacketBatch(self._pending_ts, self._pending_payload, self._pending_hlen, self._pending_hdr)
+            )
+            self._pending_ts, self._pending_payload, self._pending_hlen, self._pending_hdr = [], [], [], []
+
+    def _control(
         self,
         timestamp: float,
         direction: PacketDirection,
-        *,
         flags: TCPFlags,
         note: str,
         headers_len: int = TCP_IP_HEADER_BYTES,
     ) -> None:
-        """Emit one packet without payload, as a one-row batch."""
-        self._sim.emit_batch(PacketBatch([timestamp], [0], [headers_len], self._header(direction, flags, note)))
+        """Queue one packet without payload."""
+        self._pending_ts.append(timestamp)
+        self._pending_payload.append(0)
+        self._pending_hlen.append(headers_len)
+        self._pending_hdr.append(self._header(direction, flags, note))
 
     def _emit_data(self, start: float, end: float, nbytes: int, direction: PacketDirection, *, note: str) -> None:
-        """Emit payload packets for ``nbytes`` spread between ``start`` and ``end``.
+        """Queue payload packets for ``nbytes`` spread between ``start`` and ``end``.
 
-        The whole burst is built as one column-oriented
-        :class:`~repro.netsim.packet.PacketBatch` with one shared
+        Every record of the burst refers to one
         :class:`~repro.netsim.packet.PacketHeader`.  Its byte columns depend
         only on ``nbytes`` and come from :data:`_BURST_MEMO`; the timestamps
         use the canonical loop's expression.
@@ -453,8 +500,9 @@ class TCPConnection:
         segments = math.ceil(nbytes / MSS)
         records = min(segments, MAX_DATA_RECORDS_PER_TRANSFER)
         span = max(end - start, 0.0)
+        header = self._header(direction, _DATA_FLAGS, note)
         if _FLOW_ELISION and records >= FLOW_ELISION_MIN_RECORDS:
-            self._emit_data_elided(start, span, nbytes, segments, records, segments / records, direction, note)
+            self._emit_data_elided(start, span, nbytes, segments, records, segments / records, header)
             return
         columns = _BURST_MEMO.get(nbytes)
         if columns is None:
@@ -463,8 +511,11 @@ class TCPConnection:
                 _BURST_MEMO.clear()
             _BURST_MEMO[nbytes] = columns
         payloads, headers = columns
-        timestamps = [start + span * index / records for index in range(1, len(payloads) + 1)]
-        self._sim.emit_batch(PacketBatch(timestamps, payloads, headers, self._header(direction, _DATA_FLAGS, note)))
+        count = len(payloads)
+        self._pending_ts += [start + span * index / records for index in range(1, count + 1)]
+        self._pending_payload += payloads
+        self._pending_hlen += headers
+        self._pending_hdr += [header] * count
 
     def _emit_data_elided(
         self,
@@ -474,8 +525,7 @@ class TCPConnection:
         segments: int,
         records: int,
         segs_per_record: float,
-        direction: PacketDirection,
-        note: str,
+        header: PacketHeader,
     ) -> None:
         """Elided burst emission: packet-level head and tail, flow-segment middle.
 
@@ -483,9 +533,10 @@ class TCPConnection:
         packet-level for fidelity; the steady-state middle ships as one
         :class:`~repro.netsim.packet.FlowSegment` whose aggregates come from
         the closed-form boundary telescoping — the flow path never runs the
-        per-record loop, yet expansion reproduces it bit for bit.
+        per-record loop, yet expansion reproduces it bit for bit.  The head
+        leaves with the rows queued before it, ahead of the segment; the
+        tail stays queued for the operation's batch.
         """
-        header = self._header(direction, _DATA_FLAGS, note)
         # Head records [0, _ELISION_HEAD_RECORDS): the canonical loop, verbatim.
         remaining = nbytes
         timestamps = []
@@ -501,7 +552,11 @@ class TCPConnection:
             timestamps.append(start + span * (index + 1) / records)
             payloads.append(payload)
             headers.append(TCP_IP_HEADER_BYTES * seg_count)
-        self._sim.emit_batch(PacketBatch(timestamps, payloads, headers, header))
+        self._pending_ts += timestamps
+        self._pending_payload += payloads
+        self._pending_hlen += headers
+        self._pending_hdr += [header] * _ELISION_HEAD_RECORDS
+        self._flush()
         # Middle records [_ELISION_HEAD_RECORDS, records - 1): one flow segment.
         last = records - 1
         _, mid_payload, mid_headers = burst_range_totals(nbytes, segments, records, _ELISION_HEAD_RECORDS, last)
@@ -523,39 +578,40 @@ class TCPConnection:
         tail_boundary = int(round(last * segs_per_record))
         next_boundary = int(round(records * segs_per_record))
         seg_count = max(next_boundary - tail_boundary, 1)
-        payload = min(remaining - mid_payload, seg_count * MSS)
-        self._sim.emit_batch(
-            PacketBatch([start + span * records / records], [payload], [TCP_IP_HEADER_BYTES * seg_count], header)
-        )
+        self._pending_ts.append(start + span * records / records)
+        self._pending_payload.append(min(remaining - mid_payload, seg_count * MSS))
+        self._pending_hlen.append(TCP_IP_HEADER_BYTES * seg_count)
+        self._pending_hdr.append(header)
 
     def _emit_acks(self, start: float, end: float, nbytes: int, data_direction: PacketDirection) -> None:
-        """Emit an aggregated record for the pure ACKs flowing against the data."""
+        """Queue an aggregated record for the pure ACKs flowing against the data."""
         segments = math.ceil(nbytes / MSS)
         acks = max(1, segments // 2)
         ack_direction = PacketDirection.IN if data_direction is PacketDirection.OUT else PacketDirection.OUT
-        self._emit(
-            end + self.path.rtt / 2,
-            ack_direction,
-            flags=TCPFlags.ACK,
-            note="ack-aggregate",
-            headers_len=TCP_IP_HEADER_BYTES * acks,
+        self._control(
+            end + self.path.rtt / 2, ack_direction, TCPFlags.ACK, "ack-aggregate", TCP_IP_HEADER_BYTES * acks
         )
 
     def _header(self, direction: PacketDirection, flags: TCPFlags, note: str) -> PacketHeader:
-        """The header shared by every record of one emission in ``direction``."""
-        src, dst, sport, dport = self._addr_out if direction is PacketDirection.OUT else self._addr_in
-        return PacketHeader(src, dst, sport, dport, direction, flags, "TCP", self.connection_id, self.remote.hostname, note)
+        """The header of ``note``'s packets in ``direction``, built once and then reused.
+
+        Each direction has its own table keyed by note alone: hashing a
+        flags or direction member would run ``Enum.__hash__`` in Python.  A
+        note seen before with other flags gets a fresh header.
+        """
+        table = self._headers_out if direction is PacketDirection.OUT else self._headers_in
+        header = table.get(note)
+        if header is None or header.flags is not flags:
+            src, dst, sport, dport = self._addr_out if direction is PacketDirection.OUT else self._addr_in
+            header = PacketHeader(
+                src, dst, sport, dport, direction, flags, "TCP", self.connection_id, self.remote.hostname, note
+            )
+            table[note] = header
+        return header
 
     # ------------------------------------------------------------------ #
     # Internal plumbing
     # ------------------------------------------------------------------ #
-    @property
-    def _now(self) -> float:
-        return self._sim.now
-
-    def _advance(self, duration: float) -> None:
-        self._sim.clock.advance(duration)
-
     def _require_open(self) -> None:
         if self.state is not TCPState.ESTABLISHED:
             raise ConnectionStateError(

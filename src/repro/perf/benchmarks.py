@@ -35,8 +35,8 @@ __all__ = ["BenchmarkResult", "default_benchmarks", "quick_benchmarks", "run_ben
 _SERVER = Endpoint(hostname="bench.storage.example.com", ip="192.0.2.10", port=443)
 #: Fixed path: 20 ms RTT, 50/100 Mbit/s — the paper's campus-like network.
 _PATH = NetworkPath(rtt=0.020, uplink_bps=mbps(50), downlink_bps=mbps(100))
-#: Data records per ``_emit_data`` call in the sniffer benchmark (one
-#: emission burst; the batched path turns it into a single column extend).
+#: Data records per burst in the emission and trace benchmarks (one
+#: ``_emit_data`` call; the batched path turns it into column extends).
 _RECORDS_PER_BURST = 1000
 #: Request body posted per connection cycle: one 10 kB chunk, the Fig. 6
 #: 100 x 10 kB batch's file size.
@@ -69,6 +69,16 @@ def _bench_connection():
     return simulator, sniffer, connection
 
 
+def _emit_burst(connection, start: float, end: float) -> None:
+    """One ``_RECORDS_PER_BURST``-record data burst, delivered through ``emit_batch`` to the sniffer.
+
+    ``_emit_data`` only queues rows for the running operation; the flush
+    delivers them as that operation's batch would leave.
+    """
+    connection._emit_data(start, end, _RECORDS_PER_BURST * 1460, PacketDirection.OUT, note="bench")
+    connection._flush()
+
+
 def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
     """Packets/second through emission and capture (the batched fast path)."""
     bursts = max(1, packets // _RECORDS_PER_BURST)
@@ -78,9 +88,8 @@ def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
         _, _, connection = _bench_connection()
 
         def workload() -> None:
-            emit = connection._emit_data
             for _ in range(bursts):
-                emit(0.0, 1.0, _RECORDS_PER_BURST * 1460, PacketDirection.OUT, note="bench")
+                _emit_burst(connection, 0.0, 1.0)
 
         return workload
 
@@ -98,10 +107,10 @@ def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
 def bench_flow_segments(segments: int, repeats: int) -> BenchmarkResult:
     """Flow segments/second through elided emission and capture.
 
-    Each ``_emit_data`` call is large enough to take the flow-elision fast
-    path, so one call emits a handful of head/tail packet rows plus exactly
-    one :class:`~repro.netsim.packet.FlowSegment`; the rate counts the
-    segments (i.e. the elided bursts) the sniffer absorbs per second.
+    Each burst is large enough to take the flow-elision fast path, so it
+    emits a handful of head/tail packet rows plus exactly one
+    :class:`~repro.netsim.packet.FlowSegment`; the rate counts the segments
+    (i.e. the elided bursts) the sniffer absorbs per second.
     """
     from repro.netsim.tcp import set_flow_elision
 
@@ -111,9 +120,8 @@ def bench_flow_segments(segments: int, repeats: int) -> BenchmarkResult:
         def workload() -> None:
             previous = set_flow_elision(True)
             try:
-                emit = connection._emit_data
                 for _ in range(segments):
-                    emit(0.0, 1.0, _RECORDS_PER_BURST * 1460, PacketDirection.OUT, note="bench")
+                    _emit_burst(connection, 0.0, 1.0)
             finally:
                 set_flow_elision(previous)
 
@@ -137,9 +145,7 @@ def bench_trace_queries(packets: int, rounds: int, repeats: int) -> BenchmarkRes
     def make_workload():
         _, sniffer, connection = _bench_connection()
         for index in range(bursts):
-            connection._emit_data(
-                float(index), float(index) + 0.5, _RECORDS_PER_BURST * 1460, PacketDirection.OUT, note="bench"
-            )
+            _emit_burst(connection, float(index), float(index) + 0.5)
         trace = sniffer.trace
 
         def workload() -> None:
@@ -188,8 +194,8 @@ def bench_transfers(transfers: int, repeats: int) -> BenchmarkResult:
 def bench_connection_cycles(cycles: int, repeats: int) -> BenchmarkResult:
     """Cycles/second: open a TLS connection, post one 10 kB chunk, close it.
 
-    Cloud Drive's per-file pattern.  Every burst of a cycle is one to three
-    records — handshake packets, TLS flights, ACK aggregates, the chunk —
+    Cloud Drive's per-file pattern.  A cycle is three small batches — the
+    TCP and TLS handshakes, the request and its response, the teardown —
     the small-burst regime the 1000-record sniffer benchmark never reaches.
     """
     from repro.netsim.http import HTTPChannel

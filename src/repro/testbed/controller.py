@@ -60,6 +60,9 @@ class TestbedController:
     every observation byte-identical to the scenario-less testbed.
     """
 
+    #: Not a pytest test class, whatever its name says.
+    __test__ = False
+
     def __init__(
         self,
         service: str,

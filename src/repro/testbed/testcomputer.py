@@ -19,6 +19,9 @@ class TestComputer:
     which then synchronizes them to the cloud over the simulated network.
     """
 
+    #: Not a pytest test class, whatever its name says.
+    __test__ = False
+
     def __init__(self, folder: Optional[SyncedFolder] = None) -> None:
         self.folder = folder if folder is not None else SyncedFolder()
         self._client: Optional[CloudStorageClient] = None

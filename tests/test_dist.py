@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import json
+import math
 import multiprocessing
 import os
+import socket
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -20,7 +23,7 @@ from repro.core.campaign import CampaignConfig, CampaignRunner, suite_stage_rows
 from repro.core.report import to_json_text
 from repro.core.store import ResultStore
 from repro.dist import CampaignMerger, ClaimBoard, ShardWorker
-from repro.errors import DistributionError
+from repro.errors import ConfigurationError, DistributionError
 
 SERVICES = ["dropbox", "googledrive"]
 STAGE_SUBSET = ["idle", "syn_series", "performance"]
@@ -51,11 +54,41 @@ class TestClaimBoard:
         assert lease is not None and lease.runner == "alpha"
 
     def test_reclaim_by_same_runner_is_idempotent(self, tmp_path):
-        # A relaunched worker with the same id resumes its own leases.
+        # The process holding a lease may claim its cell again.
         cell = plan_cells()[0]
         alpha = self.setup_board(tmp_path, "alpha")
         assert alpha.claim(cell) is True
         assert alpha.claim(cell) is True
+
+    @pytest.mark.parametrize("field", ["pid", "host"])
+    def test_fresh_lease_of_another_process_under_our_id_is_respected(self, tmp_path, field):
+        # Two runners launched with one --runner-id, or a relaunch while its
+        # predecessor's lease is fresh: the lease names another process, so
+        # it is left alone until it goes stale.
+        value = {"pid": os.getpid() + 1, "host": "elsewhere.example"}[field]
+        cell = plan_cells()[0]
+        alpha = self.setup_board(tmp_path, "shared", timeout=30.0)
+        path = alpha.path_for(cell)
+        assert alpha.claim(cell)
+        with open(path, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+        record[field] = value
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(record, handle, sort_keys=True)
+        assert alpha.claim(cell) is False
+        assert getattr(alpha.holder(cell), field) == value
+        old = time.time() - 300.0  # repro: disable=DET003 (aging a lease file is the point)
+        os.utime(path, (old, old))
+        assert alpha.claim(cell) is True
+        lease = alpha.holder(cell)
+        assert (lease.runner, lease.pid, lease.host) == ("shared", os.getpid(), socket.gethostname())
+
+    @pytest.mark.parametrize("timeout", [0.0, -5.0, math.nan, math.inf])
+    def test_lease_timeout_must_be_positive_and_finite(self, tmp_path, timeout):
+        # At 0 or below every lease is stale on sight, and rivals take live
+        # runners' cells.
+        with pytest.raises(ConfigurationError, match="lease timeout"):
+            self.setup_board(tmp_path, "alpha", timeout=timeout)
 
     def test_release_frees_the_cell(self, tmp_path):
         cell = plan_cells()[0]

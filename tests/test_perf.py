@@ -170,6 +170,22 @@ class TestComparison:
         assert [row["status"] for row in rows] == ["regression", "missing", "ok"]
 
 
+class TestEmissionWorkloads:
+    def test_every_burst_reaches_the_sniffer(self):
+        # The sniffer, flow-segment and trace-query benchmarks time (or
+        # query) bursts captured whole: head rows, segment and tail row.
+        from repro.perf.benchmarks import _RECORDS_PER_BURST, _bench_connection, _emit_burst
+
+        _, sniffer, connection = _bench_connection()
+        trace = sniffer.trace
+        handshake = len(trace)
+        for index in range(3):
+            _emit_burst(connection, float(index), float(index) + 0.5)
+            assert len(trace) == handshake + (index + 1) * _RECORDS_PER_BURST
+        assert trace.has_segments()
+        assert len(trace.between(0.0, 3.0)) == handshake + 3 * _RECORDS_PER_BURST
+
+
 class TestBenchCli:
     def _run_quick(self, extra, tmp_path):
         path = str(tmp_path / "bench.json")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -279,8 +281,8 @@ class TestBatchedEmissionEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_connection_scenarios_are_field_identical(self, scenario, transfers):
-        # One-row SYN, FIN and ACK batches and the TLS flights, compared
-        # field by field with the per-packet replay.
+        # The handshake, TLS, request and teardown batches, compared field
+        # by field with the per-packet replay.
         batched = self._run_workload(True, transfers, scenario)
         replayed = self._run_workload(False, transfers, scenario)
         assert len(batched) == len(replayed)
@@ -381,3 +383,279 @@ class TestFlowElisionEquivalence:
         assert analysis.syn_time_series(elided) == analysis.syn_time_series(eager)
         assert analysis.classify_hosts(elided) == analysis.classify_hosts(eager)
         assert not elided.has_segments() or elided.segment_columns() is not None
+
+
+# --------------------------------------------------------------------------- #
+# Interleaved connection operations on one simulator
+# --------------------------------------------------------------------------- #
+#: One path for every connection, so handshakes and teardowns on different
+#: connections land on equal timestamps.
+_OPS_PATH = NetworkPath(rtt=0.02, uplink_bps=mbps(50), downlink_bps=mbps(100))
+_SLOTS = st.integers(min_value=0, max_value=2)
+
+#: Operations on up to three connections: open (plain, resumed-TLS or
+#: full-TLS handshake), send (elided from 35 kB of wire bytes up), request,
+#: close, and a clock step (0 s included).  FIN and ACK-aggregate rows are
+#: stamped up to an RTT ahead of the clock, so captures come out unsorted.
+operation_lists = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), _SLOTS, st.sampled_from(("plain", "tls-1rtt", "tls-2rtt"))),
+        st.tuples(st.just("send"), _SLOTS, st.integers(min_value=0, max_value=400_000), st.booleans()),
+        st.tuples(
+            st.just("request"), _SLOTS, st.integers(min_value=0, max_value=200_000),
+            st.integers(min_value=0, max_value=200_000),
+        ),
+        st.tuples(st.just("close"), _SLOTS),
+        st.tuples(st.just("wait"), st.sampled_from((0.0, 0.01, 0.02, 0.5))),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def run_operations(operations, *sniffers):
+    """Drive ``operations`` on one simulator; returns its :class:`Sniffer` and how many operations emitted packets.
+
+    Slot 0 opens first, so the capture is never empty.  An operation on a
+    slot without an open connection is skipped.  ``sniffers`` are attached
+    after the :class:`Sniffer`.
+    """
+    from repro.capture.sniffer import Sniffer
+    from repro.netsim.endpoint import Endpoint
+    from repro.netsim.simulator import NetworkSimulator
+    from repro.netsim.tls import TLSParameters
+
+    simulator = NetworkSimulator()
+    sniffer = Sniffer(simulator)
+    for extra in sniffers:
+        simulator.add_sniffer(extra)
+    tls = {"plain": None, "tls-1rtt": TLSParameters().resumed(), "tls-2rtt": TLSParameters()}
+    server = Endpoint("h.example", "192.0.2.5", 443)
+    open_connections = {}
+    emitting = 0
+    for operation in [("open", 0, "tls-2rtt")] + list(operations):
+        kind, arguments = operation[0], operation[1:]
+        if kind == "wait":
+            simulator.run_for(arguments[0])
+            continue
+        slot = arguments[0]
+        connection = open_connections.get(slot)
+        if kind == "open":
+            if connection is None:
+                open_connections[slot] = simulator.open_connection(server, _OPS_PATH, tls=tls[arguments[1]])
+                emitting += 1
+        elif connection is None:
+            continue
+        elif kind == "send":
+            nbytes, upstream = arguments[1:]
+            connection.send(nbytes, upstream=upstream, note=f"send-{slot}")
+            emitting += nbytes > 0
+        elif kind == "request":
+            up_bytes, down_bytes = arguments[1:]
+            connection.request(up_bytes, down_bytes, note=f"request-{slot}")
+            emitting += up_bytes > 0 or down_bytes > 0
+        else:
+            connection.close()
+            del open_connections[slot]
+            emitting += 1
+    return sniffer, emitting
+
+
+def expanded_rows(trace):
+    """``trace``'s ts, payload, header-bytes, header and ordinal columns in row order, segments expanded in place."""
+    ts, payload, hlen, hdr, ords = [], [], [], [], []
+    for row, segment in enumerate(trace._seg):
+        if segment is None:
+            ts.append(trace._ts[row])
+            payload.append(trace._payload[row])
+            hlen.append(trace._hlen[row])
+            hdr.append(trace._hdr[row])
+            ords.append(trace._ord[row])
+            continue
+        seg_ts, seg_payload, seg_hlen = segment.expand_columns()
+        ts += seg_ts
+        payload += seg_payload
+        hlen += seg_hlen
+        hdr += [segment.header] * len(seg_ts)
+        ords += range(trace._ord[row], trace._ord[row] + len(seg_ts))
+    return [ts, payload, hlen, hdr, ords]
+
+
+def tuple_sorted(columns):
+    """``columns`` (timestamps first, ordinals last) in the order of ``sorted(zip(ts, ord, range(n)))``."""
+    ts, ords = columns[0], columns[-1]
+    order = [row for _, _, row in sorted(zip(ts, ords, range(len(ts))))]
+    return [[column[row] for row in order] for column in columns]
+
+
+class _BatchCounter:
+    """A column-aware sniffer that counts the batches and flow segments reaching it."""
+
+    def __init__(self):
+        self.batches = 0
+        self.flows = 0
+
+    def __call__(self, packet):
+        raise AssertionError("the simulator delivers whole batches to a column-aware sniffer")
+
+    def accept_batch(self, batch):
+        assert len(batch) > 0
+        self.batches += 1
+
+    def accept_flow(self, segment):
+        self.flows += 1
+
+
+class TestOperationBatches:
+    """One batch per connection operation, captured as per-packet emission would be."""
+
+    @given(operations=operation_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_batched_and_per_packet_captures_are_identical(self, operations):
+        plain = PacketTrace()
+        counter = _BatchCounter()
+        sniffer, emitting = run_operations(operations, plain.append, counter)
+        # An elided burst splits its operation's batch around the segment.
+        assert counter.batches == emitting + counter.flows
+        trace = sniffer.trace
+        assert len(trace) == len(plain)
+        # Capture order, ordinals included: the per-packet callable saw the
+        # packets in the order the Sniffer's rows (segments expanded) hold.
+        assert expanded_rows(trace) == [plain._ts, plain._payload, plain._hlen, plain._hdr, plain._ord]
+        assert list(trace.packets) == list(plain.packets)
+
+    def test_each_operation_is_one_batch(self):
+        from repro.netsim.endpoint import Endpoint
+        from repro.netsim.simulator import NetworkSimulator
+        from repro.netsim.tls import TLSParameters
+
+        simulator = NetworkSimulator()
+        batches = []
+        counter = _BatchCounter()
+        counter.accept_batch = batches.append
+        simulator.add_sniffer(counter)
+        connection = simulator.open_connection(Endpoint("h.example", "192.0.2.5", 443), _OPS_PATH, tls=TLSParameters())
+        connection.request(10_000, 280, note="chunk-put")
+        connection.send(1_200, upstream=True)
+        connection.close()
+        notes = [[header.note for header in batch.headers] for batch in batches]
+        assert notes == [
+            ["syn", "syn-ack", "handshake-ack", "tls-client-hello", "tls-server-hello", "tls-server-hello",
+             "tls-server-hello", "tls-client-finished", "tls-server-finished"],
+            ["chunk-put"] * 7 + ["ack-aggregate", "chunk-put-response", "ack-aggregate"],
+            ["data", "ack-aggregate"],
+            ["fin", "fin-ack", "fin-ack-ack"],
+        ]
+        # A burst's rows share one header object, and a note's header is
+        # built once per direction and reused.
+        request, send = batches[1].headers, batches[2].headers
+        assert all(header is request[0] for header in request[:7])
+        assert request[7] is send[1] and request[9] is not request[7]
+        assert counter.flows == 0
+
+
+#: Rows and elided bursts on a 0.25 s grid: a burst of ``records`` MSS
+#: segments spanning ``records`` grid steps puts every record on the grid,
+#: so plain rows and elided records tie on timestamps often.
+_GRID = 0.25
+grid_emissions = st.lists(
+    st.one_of(
+        st.tuples(st.just("row"), _SLOTS, st.integers(min_value=0, max_value=40)),
+        st.tuples(
+            st.just("burst"), _SLOTS, st.integers(min_value=0, max_value=40), st.integers(min_value=24, max_value=60)
+        ),
+        st.tuples(st.just("flush"), _SLOTS),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def capture_grid(emissions):
+    """A :class:`Sniffer` capture of ``emissions`` queued on three connections, stamped anywhere on the grid."""
+    from repro.capture.sniffer import Sniffer
+    from repro.netsim.endpoint import Endpoint
+    from repro.netsim.packet import MSS
+    from repro.netsim.simulator import NetworkSimulator
+
+    simulator = NetworkSimulator()
+    sniffer = Sniffer(simulator)
+    server = Endpoint("h.example", "192.0.2.5", 443)
+    connections = [simulator.open_connection(server, _OPS_PATH, handshake=False) for _ in range(3)]
+    connections[0]._control(0.0, PacketDirection.OUT, TCPFlags.SYN, "syn")
+    for kind, slot, *arguments in emissions:
+        connection = connections[slot]
+        if kind == "row":
+            connection._control(arguments[0] * _GRID, PacketDirection.IN, TCPFlags.ACK, "ack-aggregate")
+        elif kind == "burst":
+            start, records = arguments[0] * _GRID, arguments[1]
+            connection._emit_data(start, start + records * _GRID, records * MSS, PacketDirection.OUT, note="burst")
+        else:
+            connection._flush()
+    for connection in connections:
+        connection._flush()
+    return sniffer.trace
+
+
+def assert_key_sorts_match_tuple_sort(trace, cuts):
+    """Sorting ``trace``, windows of it and their expansions orders rows as the tuple sort does."""
+    expected = tuple_sorted(list(trace._columns()))
+    expected_expanded = tuple_sorted(expanded_rows(trace))
+    trace._ensure_sorted()
+    assert list(trace._columns()) == expected
+    first, last = trace.first_timestamp(), trace.last_timestamp()
+    start, end = sorted(first + (last - first) * cut for cut in cuts)
+    # A window cut from a trace with segments lists its straddling segments
+    # first, so its ordinals need not rise.
+    for window in (trace.between(start, end), trace.between(0.0, math.inf), trace.after(start), trace.after(end)):
+        window_expected = tuple_sorted(list(window._columns()))
+        window_expanded = tuple_sorted(expanded_rows(window))
+        window._ensure_sorted()
+        assert list(window._columns()) == window_expected
+        window.sorted_columns()
+        ts, payload, hlen, hdr, _, ords = window._columns()
+        assert [ts, payload, hlen, hdr, ords] == window_expanded
+    trace.sorted_columns()
+    ts, payload, hlen, hdr, _, ords = trace._columns()
+    assert [ts, payload, hlen, hdr, ords] == expected_expanded
+
+
+class TestKeySortOrder:
+    """``PacketTrace``'s key sorts order rows exactly as the tuple sort they replace."""
+
+    cuts = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+    @given(operations=operation_lists, cuts=cuts)
+    @settings(max_examples=40, deadline=None)
+    def test_operation_captures_sort_like_the_tuple_sort(self, operations, cuts):
+        sniffer, _ = run_operations(operations)
+        assert_key_sorts_match_tuple_sort(sniffer.trace, cuts)
+
+    @given(emissions=grid_emissions, cuts=cuts)
+    @settings(max_examples=60, deadline=None)
+    def test_grid_captures_sort_like_the_tuple_sort(self, emissions, cuts):
+        assert_key_sorts_match_tuple_sort(capture_grid(emissions), cuts)
+
+    def test_plain_row_keeps_its_place_before_a_segment_record_at_its_timestamp(self):
+        # An ACK row captured at t = 5.0, then a 30-record burst from t = 4.0
+        # over 3 s whose record 9 lands on t = 5.0 inside the elided
+        # segment.  The ACK was captured first, so it sorts first; a sort by
+        # timestamp alone of the window's rows would put it after.
+        from repro.netsim.endpoint import Endpoint
+        from repro.netsim.packet import MSS
+        from repro.netsim.simulator import NetworkSimulator
+        from repro.capture.sniffer import Sniffer
+
+        simulator = NetworkSimulator()
+        sniffer = Sniffer(simulator)
+        connection = simulator.open_connection(Endpoint("h.example", "192.0.2.5", 443), _OPS_PATH, handshake=False)
+        connection._control(5.0, PacketDirection.IN, TCPFlags.ACK, "ack-aggregate")
+        connection._flush()
+        connection._emit_data(4.0, 7.0, 30 * MSS, PacketDirection.OUT, note="burst")
+        connection._flush()
+        trace = sniffer.trace
+        assert trace.has_segments()
+        columns = trace.between(0.0, 100.0).sorted_columns()
+        at_five = [note for ts, note in zip(columns.timestamps, columns.notes) if ts == 5.0]
+        assert at_five == ["ack-aggregate", "burst"]
+        assert columns.timestamps == sorted(columns.timestamps)

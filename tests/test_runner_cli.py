@@ -5,6 +5,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,34 @@ from repro.dist import CampaignMerger
 
 #: The checkout's ``src`` directory, for subprocesses that run the CLI.
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_concurrent_shards(argv, runner_ids):
+    """Run ``cloudbench <argv> --runner-id ID`` for every ID at once; returns their stdouts.
+
+    Each must exit 0.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    runners = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv, "--runner-id", runner_id],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for runner_id in runner_ids
+    ]
+    outputs = []
+    try:
+        for runner in runners:
+            out, err = runner.communicate(timeout=300)
+            assert runner.returncode == 0, err
+            outputs.append(out)
+    finally:
+        for runner in runners:
+            if runner.poll() is None:
+                runner.kill()
+                runner.communicate()
+    return outputs
 
 
 #: Each per-artifact subcommand and the campaign stage it is an alias for.
@@ -288,25 +317,7 @@ class TestDistributedCLI:
         sequential = tmp_path / "sequential.json"
         assert main(base + ["all", *campaign, "--jobs", "1", "--json", str(sequential)]) == 0
         store = str(tmp_path / "store")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        runners = [
-            subprocess.Popen(
-                [sys.executable, "-m", "repro.cli", *base, "shard", *campaign,
-                 "--store", store, "--jobs", "1", "--runner-id", runner_id],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-            )
-            for runner_id in ("w1", "w2")
-        ]
-        try:
-            for runner in runners:
-                _, err = runner.communicate(timeout=300)
-                assert runner.returncode == 0, err
-        finally:
-            for runner in runners:
-                if runner.poll() is None:
-                    runner.kill()
-                    runner.communicate()
+        run_concurrent_shards([*base, "shard", *campaign, "--store", store, "--jobs", "1"], ("w1", "w2"))
         assert sorted(glob.glob(os.path.join(store, ".claims", "*.claim"))) == []
         plan = CampaignRunner(
             services, ["idle", "syn_series"], seed=7, jobs=1,
@@ -319,6 +330,40 @@ class TestDistributedCLI:
         capsys.readouterr()
         assert main(base + ["merge", *campaign, "--store", store, "--json", str(merged)]) == 0
         assert merged.read_bytes() == sequential.read_bytes()
+
+    def test_runners_sharing_a_runner_id_compute_each_cell_once(self, tmp_path, capsys):
+        # A lease names its process, not just its runner id: two live
+        # runners launched with one --runner-id respect each other's leases.
+        base = ["--services", "dropbox,googledrive", "--seed", "7"]
+        stages = ["idle", "syn_series", "performance"]
+        campaign = ["--stages", ",".join(stages), "--minutes", "1", "--repetitions", "1"]
+        sequential = tmp_path / "sequential.json"
+        assert main(base + ["all", *campaign, "--jobs", "1", "--json", str(sequential)]) == 0
+        store = str(tmp_path / "store")
+        outputs = run_concurrent_shards([*base, "shard", *campaign, "--store", store, "--jobs", "1"], ("same", "same"))
+        computed = [int(re.search(r"computed (\d+) cell", output).group(1)) for output in outputs]
+        plan = CampaignRunner(
+            ["dropbox", "googledrive"], stages, seed=7, jobs=1,
+            config=CampaignConfig(repetitions=1, idle_duration=60.0),
+        ).cells()
+        assert sum(computed) == len(plan), computed
+        assert sorted(glob.glob(os.path.join(store, ".claims", "*.claim"))) == []
+        merged = tmp_path / "merged.json"
+        capsys.readouterr()
+        assert main(base + ["merge", *campaign, "--store", store, "--json", str(merged)]) == 0
+        assert merged.read_bytes() == sequential.read_bytes()
+
+    @pytest.mark.parametrize("timeout", ["0", "-5", "nan"])
+    def test_lease_timeout_must_be_positive(self, tmp_path, capsys, timeout):
+        # At 0 every lease would be stale on sight: argparse rejects it
+        # before a store is touched.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--services", "dropbox", "shard", "--stages", "idle", "--store", str(store),
+                  f"--lease-timeout={timeout}"])
+        assert excinfo.value.code == 2
+        assert "--lease-timeout: must be a positive number of seconds" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_merge_fails_fast_on_incomplete_store(self, tmp_path, capsys):
         store = str(tmp_path / "store")
