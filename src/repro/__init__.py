@@ -27,72 +27,65 @@ regenerates every table and figure of the paper, and the test suite
 ablations included.
 """
 
-from repro.core.capabilities import CapabilityMatrix, CapabilityProber
-from repro.core.experiments import (
-    CompressionExperiment,
-    DataCenterExperiment,
-    DeltaEncodingExperiment,
-    IdleExperiment,
-    PerformanceExperiment,
-    SynSeriesExperiment,
-    build_world,
-)
-from repro.core.metrics import PerformanceMetrics, compute_performance_metrics
-from repro.core.report import render_grouped_bars, render_series, render_table, to_csv
-from repro.core.runner import SuiteResult
-from repro.core.workloads import PAPER_WORKLOADS, WorkloadSpec, workload_by_name
-from repro.netsim.scenario import BASELINE, BUILTIN_SCENARIOS, ScenarioSpec, get_scenario, register_scenario
-from repro.services.registry import (
-    SERVICE_NAMES,
-    create_client,
-    get_profile,
-    get_spec,
-    register_service_spec,
-    register_services_from_file,
-    temporary_services,
-    unregister_service,
-)
-from repro.services.spec import ServiceSpec, load_service_specs
-from repro.testbed.controller import Observation, TestbedController
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "SuiteResult",
-    "CapabilityProber",
-    "CapabilityMatrix",
-    "IdleExperiment",
-    "DataCenterExperiment",
-    "SynSeriesExperiment",
-    "DeltaEncodingExperiment",
-    "CompressionExperiment",
-    "PerformanceExperiment",
-    "PerformanceMetrics",
-    "compute_performance_metrics",
-    "build_world",
-    "WorkloadSpec",
-    "PAPER_WORKLOADS",
-    "workload_by_name",
-    "SERVICE_NAMES",
-    "create_client",
-    "get_profile",
-    "register_service_spec",
-    "register_services_from_file",
-    "unregister_service",
-    "temporary_services",
-    "get_spec",
-    "ServiceSpec",
-    "load_service_specs",
-    "ScenarioSpec",
-    "BASELINE",
-    "BUILTIN_SCENARIOS",
-    "get_scenario",
-    "register_scenario",
-    "TestbedController",
-    "Observation",
-    "render_table",
-    "render_series",
-    "render_grouped_bars",
-    "to_csv",
-]
+#: The documented Python API: each name -> the module that defines it.  A
+#: name is imported on first access (``from repro import X``), so ``import
+#: repro`` alone loads no subpackage and each process loads only the layers
+#: it uses.
+_EXPORTS = {
+    "SuiteResult": "repro.core.runner",
+    "CapabilityProber": "repro.core.capabilities",
+    "CapabilityMatrix": "repro.core.capabilities",
+    "IdleExperiment": "repro.core.experiments.idle",
+    "DataCenterExperiment": "repro.core.experiments.datacenters",
+    "SynSeriesExperiment": "repro.core.experiments.synseries",
+    "DeltaEncodingExperiment": "repro.core.experiments.delta",
+    "CompressionExperiment": "repro.core.experiments.compression",
+    "PerformanceExperiment": "repro.core.experiments.performance",
+    "PerformanceMetrics": "repro.core.metrics",
+    "compute_performance_metrics": "repro.core.metrics",
+    "build_world": "repro.core.experiments.datacenters",
+    "WorkloadSpec": "repro.core.workloads",
+    "PAPER_WORKLOADS": "repro.core.workloads",
+    "workload_by_name": "repro.core.workloads",
+    "SERVICE_NAMES": "repro.services.registry",
+    "create_client": "repro.services.registry",
+    "get_profile": "repro.services.registry",
+    "register_service_spec": "repro.services.registry",
+    "register_services_from_file": "repro.services.registry",
+    "unregister_service": "repro.services.registry",
+    "temporary_services": "repro.services.registry",
+    "get_spec": "repro.services.registry",
+    "ServiceSpec": "repro.services.spec",
+    "load_service_specs": "repro.services.spec",
+    "ScenarioSpec": "repro.netsim.scenario",
+    "BASELINE": "repro.netsim.scenario",
+    "BUILTIN_SCENARIOS": "repro.netsim.scenario",
+    "get_scenario": "repro.netsim.scenario",
+    "register_scenario": "repro.netsim.scenario",
+    "TestbedController": "repro.testbed.controller",
+    "Observation": "repro.testbed.controller",
+    "render_table": "repro.core.report",
+    "render_series": "repro.core.report",
+    "render_grouped_bars": "repro.core.report",
+    "to_csv": "repro.core.report",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -80,32 +80,28 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.campaign import STAGES, CampaignConfig, CampaignRunner
-from repro.core.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.core.report import render_table, to_csv, write_json
-from repro.core.sweep import SweepResult
-from repro.dist import DEFAULT_LEASE_TIMEOUT, CampaignMerger, ShardWorker
 from repro.errors import ConfigurationError, DistributionError
 from repro.netsim.scenario import ScenarioSpec, get_scenario, register_scenarios_from_file, registered_scenarios
 from repro.obs.logconfig import configure_logging
-from repro.perf import (
-    build_document,
-    capture_environment,
-    compare_documents,
-    load_document,
-    run_benchmarks,
-    write_document,
-)
 from repro.randomness import DEFAULT_SEED
 from repro.services.registry import SERVICE_NAMES, register_services_from_file
 from repro.units import format_population, minutes, parse_duration, parse_populations, parse_seeds, unit_sort_key
+
+if TYPE_CHECKING:
+    from repro.core.store import ResultStore
+    from repro.core.sweep import SweepResult
 
 __all__ = ["main", "build_parser"]
 
 #: The one defaults table every campaign command's plan flags read.
 _DEFAULTS = CampaignConfig()
+
+#: Where ``cloudbench all --resume`` keeps its store when no --cache-dir is given.
+DEFAULT_CACHE_DIR = ".cloudbench-cache"
 
 #: Per-artifact subcommands: command -> (campaign stage, help).  Each is an
 #: alias for ``all --stages <stage> --jobs 1``.
@@ -332,8 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument(
         "--lease-timeout",
         type=_lease_timeout,
-        default=DEFAULT_LEASE_TIMEOUT,
-        help=f"seconds without a heartbeat before a claim counts as abandoned (default: {DEFAULT_LEASE_TIMEOUT:g})",
+        default=None,
+        # The number is repro.dist.claims.DEFAULT_LEASE_TIMEOUT, which the
+        # parser does not import (a test pins the two together).
+        help="seconds without a heartbeat before a claim counts as abandoned (default: 60)",
     )
 
     merge = subparsers.add_parser(
@@ -720,6 +718,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     services, scenario = _targets(parser, args)
     if args.command == "all" or args.command in _STAGE_ALIASES:
+        from repro.core.store import ResultStore
+
         cache_dir = args.cache_dir
         if args.resume and cache_dir is None:
             cache_dir = DEFAULT_CACHE_DIR
@@ -742,6 +742,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write_trace_file(args.trace_path, sweep.trace)
         return _report_failures(sweep.failures())
     elif args.command == "bench":
+        from repro.perf import (
+            build_document,
+            capture_environment,
+            compare_documents,
+            load_document,
+            run_benchmarks,
+            write_document,
+        )
+
         results = run_benchmarks(
             quick=args.quick,
             repeats=args.repeats,
@@ -780,8 +789,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 1
             print("no regressions against the baseline")
     elif args.command == "shard":
+        from repro.core.store import ResultStore
+        from repro.dist import DEFAULT_LEASE_TIMEOUT, ShardWorker
+
         runner = _campaign_runner(parser, args, services, scenario, ResultStore(args.store))
-        report = ShardWorker(runner, runner_id=args.runner_id, lease_timeout=args.lease_timeout).run()
+        lease_timeout = DEFAULT_LEASE_TIMEOUT if args.lease_timeout is None else args.lease_timeout
+        report = ShardWorker(runner, runner_id=args.runner_id, lease_timeout=lease_timeout).run()
         print(render_table(report.rows(), title=f"Shard worker {report.runner}"))
         if report.yielded:
             print(f"left to other live runners: {', '.join(report.yielded)}")
@@ -798,6 +811,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if report.failed:
             return 1
     elif args.command == "merge":
+        from repro.core.store import ResultStore
+        from repro.dist import CampaignMerger
+
         runner = _campaign_runner(parser, args, services, scenario, ResultStore(args.store))
         try:
             merged = CampaignMerger(runner).collect(wait=args.wait, timeout=args.timeout)
@@ -815,6 +831,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit_sweep_artifacts(sweep, args)
         _write_trace_file(args.trace_path, sweep.trace)
     elif args.command == "cache":
+        from repro.core.store import ResultStore
+
         store = ResultStore(args.store)
         if args.cache_command == "ls":
             rows = store_listing_rows(store)

@@ -18,53 +18,15 @@ paper's testing application:
   :mod:`repro.core.sweep`;
 * :mod:`repro.core.report` — plain-text/CSV rendering of the paper's tables
   and figure series.
+
+The package itself holds the defaults that both ``CampaignConfig`` and the
+experiments read, so planning a campaign imports no experiment module.
 """
 
-from repro.core.workloads import (
-    WorkloadSpec,
-    PAPER_WORKLOADS,
-    BUNDLING_FILE_COUNTS,
-    DELTA_APPEND_SIZES,
-    DELTA_RANDOM_SIZES,
-    COMPRESSION_SIZES,
-    workload_by_name,
-)
-from repro.core.metrics import PerformanceMetrics, MetricAggregate, compute_performance_metrics, aggregate_metrics
-from repro.core.capabilities import (
-    CapabilityMatrix,
-    CapabilityProber,
-    ChunkingResult,
-    BundlingResult,
-    DeduplicationResult,
-    DeltaEncodingResult,
-    CompressionResult,
-)
-from repro.core.runner import SuiteResult
-from repro.core.sweep import SweepResult, sweep_from_results
-from repro.core.report import render_table, to_csv
+#: Repetitions per (service, workload) when none are given: the default of
+#: ``CampaignConfig.repetitions`` and ``PerformanceExperiment``.
+DEFAULT_REPETITIONS = 2
 
-__all__ = [
-    "WorkloadSpec",
-    "PAPER_WORKLOADS",
-    "BUNDLING_FILE_COUNTS",
-    "DELTA_APPEND_SIZES",
-    "DELTA_RANDOM_SIZES",
-    "COMPRESSION_SIZES",
-    "workload_by_name",
-    "PerformanceMetrics",
-    "MetricAggregate",
-    "compute_performance_metrics",
-    "aggregate_metrics",
-    "CapabilityMatrix",
-    "CapabilityProber",
-    "ChunkingResult",
-    "BundlingResult",
-    "DeduplicationResult",
-    "DeltaEncodingResult",
-    "CompressionResult",
-    "SuiteResult",
-    "SweepResult",
-    "sweep_from_results",
-    "render_table",
-    "to_csv",
-]
+#: Open resolvers when none are given: the default of
+#: ``CampaignConfig.resolver_count``, ``DataCenterExperiment`` and ``build_world``.
+DEFAULT_RESOLVER_COUNT = 300

@@ -58,21 +58,10 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.capabilities import CapabilityMatrix, CapabilityProber
-from repro.core.experiments.compression import CONTENT_CLASSES, CompressionExperiment, CompressionExperimentResult
-from repro.core.experiments.datacenters import DEFAULT_RESOLVER_COUNT, DataCenterExperiment, DataCenterResult
-from repro.core.experiments.delta import DELTA_CASES, DeltaEncodingExperiment, DeltaResult
-from repro.core.experiments.idle import IdleExperiment, IdleResult
-from repro.core.experiments.performance import DEFAULT_REPETITIONS, PerformanceExperiment, PerformanceResult
-from repro.core.experiments.synseries import SynSeriesExperiment, SynSeriesResult
-from repro.core.metrics import PerformanceMetrics
-from repro.core.store import ResultStore
-from repro.core.workloads import PAPER_WORKLOADS, workload_by_name
+from repro.core import DEFAULT_REPETITIONS, DEFAULT_RESOLVER_COUNT
 from repro.errors import ConfigurationError, UnknownServiceError
-from repro.filegen.model import FileKind
-from repro.load.population import LoadParameters, run_load_cell
 from repro.netsim.scenario import BASELINE, ScenarioSpec
 from repro.obs.recorder import campaign_trace_document, cell_flight_record, harness_record
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
@@ -84,6 +73,9 @@ from repro.services.registry import (
     registry_sync_payload,
 )
 from repro.units import format_population, mbps, minutes, parse_population
+
+if TYPE_CHECKING:
+    from repro.core.store import ResultStore
 
 __all__ = [
     "STAGES",
@@ -227,6 +219,8 @@ def _single_unit(config: CampaignConfig) -> Sequence[str]:
 
 
 def _performance_units(config: CampaignConfig) -> Sequence[str]:
+    from repro.core.workloads import PAPER_WORKLOADS
+
     names = tuple(workload.name for workload in PAPER_WORKLOADS)
     if config.rep_cells:
         # One cell per (workload, repetition): units stay workload-major so
@@ -239,10 +233,14 @@ def _performance_units(config: CampaignConfig) -> Sequence[str]:
 
 
 def _delta_units(config: CampaignConfig) -> Sequence[str]:
+    from repro.core.experiments.delta import DELTA_CASES
+
     return tuple(DELTA_CASES)
 
 
 def _compression_units(config: CampaignConfig) -> Sequence[str]:
+    from repro.core.experiments.compression import CONTENT_CLASSES
+
     return tuple(kind.value for kind in CONTENT_CLASSES)
 
 
@@ -266,7 +264,9 @@ class _StageSpec:
     one cell's or the whole merged stage's.  ``units`` is the stage's
     planner: the sub-unit labels one service splits into (most stages have
     a single whole-service unit).  Adding a stage means adding exactly one
-    spec (plus its summary title).
+    spec (plus its summary title).  Each function imports the modules its
+    stage needs when it is called, so a process imports only the
+    experiments of the stages it plans or runs.
     """
 
     name: str
@@ -277,10 +277,14 @@ class _StageSpec:
 
 
 def _run_capabilities(cell: CampaignCell) -> Any:
+    from repro.core.capabilities import CapabilityProber
+
     return CapabilityProber(seed=cell.seed, scenario=cell.config.scenario).probe_service(cell.service)
 
 
 def _run_idle(cell: CampaignCell) -> Any:
+    from repro.core.experiments.idle import IdleExperiment
+
     experiment = IdleExperiment(
         [cell.service], duration=cell.config.idle_duration, seed=cell.seed, scenario=cell.config.scenario
     )
@@ -288,6 +292,8 @@ def _run_idle(cell: CampaignCell) -> Any:
 
 
 def _run_datacenters(cell: CampaignCell) -> Any:
+    from repro.core.experiments.datacenters import DataCenterExperiment
+
     # Discovery measures the simulated world's geography (DNS, whois, RTT
     # probes from global vantage points), not the client's access path —
     # the scenario deliberately does not warp it.
@@ -301,21 +307,31 @@ def _run_datacenters(cell: CampaignCell) -> Any:
 
 
 def _run_syn_series(cell: CampaignCell) -> Any:
+    from repro.core.experiments.synseries import SynSeriesExperiment
+
     experiment = SynSeriesExperiment([cell.service], seed=cell.seed, scenario=cell.config.scenario)
     return experiment.run_service(cell.service)
 
 
 def _run_delta(cell: CampaignCell) -> Any:
+    from repro.core.experiments.delta import DeltaEncodingExperiment
+
     experiment = DeltaEncodingExperiment([cell.service], seed=cell.seed, scenario=cell.config.scenario)
     return experiment.run_case(cell.service, cell.unit)
 
 
 def _run_compression(cell: CampaignCell) -> Any:
+    from repro.core.experiments.compression import CompressionExperiment
+    from repro.filegen.model import FileKind
+
     experiment = CompressionExperiment([cell.service], seed=cell.seed, scenario=cell.config.scenario)
     return experiment.run_kind(cell.service, FileKind(cell.unit))
 
 
 def _run_performance(cell: CampaignCell) -> Any:
+    from repro.core.experiments.performance import PerformanceExperiment
+    from repro.core.workloads import workload_by_name
+
     experiment = PerformanceExperiment(
         [cell.service],
         repetitions=cell.config.repetitions,
@@ -329,6 +345,8 @@ def _run_performance(cell: CampaignCell) -> Any:
 
 
 def _run_load(cell: CampaignCell) -> Any:
+    from repro.load.population import LoadParameters, run_load_cell
+
     config = cell.config
     params = LoadParameters(
         population=parse_population(cell.unit),
@@ -342,6 +360,8 @@ def _run_load(cell: CampaignCell) -> Any:
 
 
 def _capability_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    from repro.core.capabilities import CapabilityMatrix
+
     matrix = CapabilityMatrix()
     matrix.add_service(payload)
     return matrix.rows()
@@ -359,12 +379,45 @@ def _per_service_rows(records: List[dict]) -> List[dict]:
     return list({row["service"]: row for row in records}.values())
 
 
+def _idle_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    from repro.core.experiments.idle import IdleResult
+
+    return IdleResult(payload.duration, {cell.service: payload}).rows()
+
+
+def _datacenter_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    from repro.core.experiments.datacenters import DataCenterResult
+
+    return DataCenterResult({cell.service: payload}).rows()
+
+
+def _syn_series_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    from repro.core.experiments.synseries import SynSeriesResult
+
+    return SynSeriesResult({cell.service: payload}).rows()
+
+
+def _delta_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    from repro.core.experiments.delta import DeltaResult
+
+    return DeltaResult(list(payload)).rows()
+
+
+def _compression_records(cell: CampaignCell, payload: Any) -> List[dict]:
+    from repro.core.experiments.compression import CompressionExperimentResult
+
+    return CompressionExperimentResult(list(payload)).rows()
+
+
 def _performance_records(cell: CampaignCell, payload: Any) -> List[dict]:
     return [dataclasses.asdict(run) for run in payload]
 
 
 def _performance_rows(records: List[dict]) -> List[dict]:
     """Fig. 6 rows average the runs of each (service, workload), wherever they ran."""
+    from repro.core.experiments.performance import PerformanceResult
+    from repro.core.metrics import PerformanceMetrics
+
     return PerformanceResult([PerformanceMetrics(**record) for record in records]).rows()
 
 
@@ -372,33 +425,11 @@ _STAGE_SPECS: Dict[str, _StageSpec] = {
     spec.name: spec
     for spec in (
         _StageSpec("capabilities", _run_capabilities, _capability_records, _capability_rows),
-        _StageSpec(
-            "idle",
-            _run_idle,
-            lambda cell, payload: IdleResult(payload.duration, {cell.service: payload}).rows(),
-            _per_service_rows,
-        ),
-        _StageSpec(
-            "datacenters",
-            _run_datacenters,
-            lambda cell, payload: DataCenterResult({cell.service: payload}).rows(),
-            _per_service_rows,
-        ),
-        _StageSpec(
-            "syn_series",
-            _run_syn_series,
-            lambda cell, payload: SynSeriesResult({cell.service: payload}).rows(),
-            _per_service_rows,
-        ),
-        _StageSpec(
-            "delta", _run_delta, lambda cell, payload: DeltaResult(list(payload)).rows(), units=_delta_units
-        ),
-        _StageSpec(
-            "compression",
-            _run_compression,
-            lambda cell, payload: CompressionExperimentResult(list(payload)).rows(),
-            units=_compression_units,
-        ),
+        _StageSpec("idle", _run_idle, _idle_records, _per_service_rows),
+        _StageSpec("datacenters", _run_datacenters, _datacenter_records, _per_service_rows),
+        _StageSpec("syn_series", _run_syn_series, _syn_series_records, _per_service_rows),
+        _StageSpec("delta", _run_delta, _delta_records, units=_delta_units),
+        _StageSpec("compression", _run_compression, _compression_records, units=_compression_units),
         _StageSpec("performance", _run_performance, _performance_records, _performance_rows, _performance_units),
         _StageSpec("load", _run_load, lambda cell, payload: [payload.row()], units=_load_units),
     )

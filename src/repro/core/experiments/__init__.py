@@ -12,31 +12,3 @@
 Table 1 (the capability matrix) is produced by
 :class:`repro.core.capabilities.CapabilityProber`.
 """
-
-from repro.core.experiments.idle import IdleExperiment, IdleResult, IdleServiceResult
-from repro.core.experiments.datacenters import DataCenterExperiment, DataCenterResult, build_world, SimulatedWorld
-from repro.core.experiments.synseries import SynSeriesExperiment, SynSeriesResult, SynSeriesServiceResult
-from repro.core.experiments.delta import DeltaEncodingExperiment, DeltaResult, DeltaPoint
-from repro.core.experiments.compression import CompressionExperiment, CompressionExperimentResult, CompressionPoint
-from repro.core.experiments.performance import PerformanceExperiment, PerformanceResult
-
-__all__ = [
-    "IdleExperiment",
-    "IdleResult",
-    "IdleServiceResult",
-    "DataCenterExperiment",
-    "DataCenterResult",
-    "build_world",
-    "SimulatedWorld",
-    "SynSeriesExperiment",
-    "SynSeriesResult",
-    "SynSeriesServiceResult",
-    "DeltaEncodingExperiment",
-    "DeltaResult",
-    "DeltaPoint",
-    "CompressionExperiment",
-    "CompressionExperimentResult",
-    "CompressionPoint",
-    "PerformanceExperiment",
-    "PerformanceResult",
-]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core import DEFAULT_RESOLVER_COUNT
 from repro.geo.datacenters import DataCenterCatalogue, google_edge_nodes
 from repro.geo.dns import AuthoritativeDNS, DNSRecord, GeoDNSPolicy, OpenResolver, ReverseDNS, build_resolver_set
 from repro.geo.discovery import DataCenterDiscovery, DiscoveryReport
@@ -24,11 +25,7 @@ from repro.geo.whois import WhoisDatabase
 from repro.randomness import DEFAULT_SEED
 from repro.services.registry import SERVICE_NAMES, get_profile
 
-__all__ = ["DEFAULT_RESOLVER_COUNT", "SimulatedWorld", "build_world", "DataCenterResult", "DataCenterExperiment"]
-
-#: Open resolvers when none are given — the default of every entry point,
-#: ``CampaignConfig.resolver_count`` included.
-DEFAULT_RESOLVER_COUNT = 300
+__all__ = ["SimulatedWorld", "build_world", "DataCenterResult", "DataCenterExperiment"]
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import DEFAULT_REPETITIONS
 from repro.core.metrics import PerformanceMetrics, aggregate_metrics, compute_performance_metrics
 from repro.core.workloads import PAPER_WORKLOADS, WorkloadSpec
 from repro.errors import ConfigurationError
@@ -20,14 +21,10 @@ from repro.randomness import DEFAULT_SEED, derive_seed
 from repro.services.registry import SERVICE_NAMES
 from repro.testbed.controller import TestbedController
 
-__all__ = ["DEFAULT_REPETITIONS", "FIGURE_METRICS", "PerformanceResult", "PerformanceExperiment"]
+__all__ = ["FIGURE_METRICS", "PerformanceResult", "PerformanceExperiment"]
 
 #: Number of repetitions used by the paper (24 per experiment and service).
 PAPER_REPETITIONS = 24
-
-#: Repetitions per (service, workload) when none are given — the default of
-#: every entry point, ``CampaignConfig.repetitions`` included.
-DEFAULT_REPETITIONS = 2
 
 #: The metrics :meth:`PerformanceResult.figure_series` can plot (Fig. 6a-c).
 FIGURE_METRICS = ("startup", "completion", "overhead")

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.capture import analysis
 from repro.errors import CaptureError, ExperimentError
-from repro.testbed.controller import Observation
+
+if TYPE_CHECKING:
+    from repro.testbed.controller import Observation
 
 __all__ = [
     "PerformanceMetrics",
@@ -134,6 +135,8 @@ class MetricAggregate:
 
 def compute_performance_metrics(observation: Observation, workload_label: Optional[str] = None) -> PerformanceMetrics:
     """Compute the Fig. 6 metrics for one upload observation."""
+    from repro.capture import analysis
+
     if observation.benchmark_bytes <= 0:
         raise CaptureError("performance metrics need a workload with a positive benchmark size")
     if observation.modification_time is None:

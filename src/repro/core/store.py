@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
-    "DEFAULT_CACHE_DIR",
     "code_fingerprint",
     "model_fingerprint",
     "cache_key",
@@ -75,9 +74,6 @@ logger = logging.getLogger(__name__)
 #: rows instead of pickles, and the key material gained the model-code
 #: fingerprint.)
 STORE_SCHEMA_VERSION = 5
-
-#: Where ``cloudbench all --resume`` keeps its store when no --cache-dir is given.
-DEFAULT_CACHE_DIR = ".cloudbench-cache"
 
 #: File name suffix of a store entry; its flight record is ``<base>.trace.json``.
 _ENTRY_SUFFIX = ".cell.json"

@@ -15,35 +15,3 @@ authoritative DNS with geo-routing, open resolvers, PlanetLab nodes) plus
 the discovery pipeline itself, so the methodology can be executed end to end
 and validated against ground truth.
 """
-
-from repro.geo.locations import Location, haversine_km, find_location, all_locations
-from repro.geo.datacenters import DataCenter, DataCenterRole, provider_datacenters, google_edge_nodes
-from repro.geo.dns import AuthoritativeDNS, OpenResolver, build_resolver_set, GeoDNSPolicy
-from repro.geo.whois import WhoisDatabase
-from repro.geo.vantage import PlanetLabNode, build_planetlab_nodes, Traceroute
-from repro.geo.geolocate import HybridGeolocator, LocationEstimate
-from repro.geo.discovery import DataCenterDiscovery, DiscoveryReport, DiscoveredFrontEnd
-
-__all__ = [
-    "Location",
-    "haversine_km",
-    "find_location",
-    "all_locations",
-    "DataCenter",
-    "DataCenterRole",
-    "provider_datacenters",
-    "google_edge_nodes",
-    "AuthoritativeDNS",
-    "OpenResolver",
-    "build_resolver_set",
-    "GeoDNSPolicy",
-    "WhoisDatabase",
-    "PlanetLabNode",
-    "build_planetlab_nodes",
-    "Traceroute",
-    "HybridGeolocator",
-    "LocationEstimate",
-    "DataCenterDiscovery",
-    "DiscoveryReport",
-    "DiscoveredFrontEnd",
-]

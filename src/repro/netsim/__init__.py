@@ -15,32 +15,3 @@ Every simulated packet is offered to registered sniffers, so the
 benchmarking framework can compute all of its metrics from the captured
 trace exactly as the paper does, rather than from simulator internals.
 """
-
-from repro.netsim.packet import Packet, PacketDirection, TCPFlags, MSS, TCP_IP_HEADER_BYTES
-from repro.netsim.endpoint import Endpoint
-from repro.netsim.link import NetworkPath
-from repro.netsim.clock import SimClock
-from repro.netsim.events import EventQueue, ScheduledEvent
-from repro.netsim.tcp import TCPConnection, TransferStats
-from repro.netsim.tls import TLSParameters
-from repro.netsim.http import HTTPExchange, HTTPChannel
-from repro.netsim.simulator import NetworkSimulator
-
-__all__ = [
-    "Packet",
-    "PacketDirection",
-    "TCPFlags",
-    "MSS",
-    "TCP_IP_HEADER_BYTES",
-    "Endpoint",
-    "NetworkPath",
-    "SimClock",
-    "EventQueue",
-    "ScheduledEvent",
-    "TCPConnection",
-    "TransferStats",
-    "TLSParameters",
-    "HTTPExchange",
-    "HTTPChannel",
-    "NetworkSimulator",
-]

@@ -16,7 +16,6 @@ __all__ = [
     "MSS",
     "TCP_IP_HEADER_BYTES",
     "MAX_BURST_RECORDS",
-    "burst_record_plan",
     "burst_byte_columns",
     "burst_range_totals",
 ]
@@ -35,17 +34,6 @@ TCP_IP_HEADER_BYTES = 40
 MAX_BURST_RECORDS = 2048
 
 
-def burst_record_plan(nbytes: int) -> Tuple[int, int]:
-    """``(segments, records)`` of the canonical data burst for ``nbytes``.
-
-    ``segments`` is the number of MSS-sized TCP segments the transfer needs;
-    ``records`` is how many packet records the burst emits (segments, capped
-    at :data:`MAX_BURST_RECORDS` with several segments folded per record).
-    """
-    segments = -(-nbytes // MSS)
-    return segments, min(segments, MAX_BURST_RECORDS)
-
-
 def burst_byte_columns(nbytes: int, segments: int, records: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Per-record ``(payloads, headers)`` of the canonical data burst for ``nbytes``.
 
@@ -54,7 +42,8 @@ def burst_byte_columns(nbytes: int, segments: int, records: int) -> Tuple[Tuple[
     and ``int(round((index + 1) * segments / records))``, at least one, and
     the final record carries whatever remains of ``nbytes``.  Packet-level
     emission and flow-segment expansion both take their byte columns from
-    here; ``segments`` and ``records`` are :func:`burst_record_plan`'s.
+    here.  ``segments`` is the number of MSS-sized segments ``nbytes``
+    needs, and ``records`` that count capped at :data:`MAX_BURST_RECORDS`.
     """
     segs_per_record = segments / records
     remaining = nbytes
@@ -158,21 +147,6 @@ class Packet:
     connection_id: int = 0
     hostname: str = ""
     note: str = field(default="", repr=False)
-
-    @property
-    def wire_len(self) -> int:
-        """Total bytes on the wire (headers + payload)."""
-        return self.headers_len + self.payload_len
-
-    @property
-    def is_syn(self) -> bool:
-        """True for SYN or SYN/ACK packets."""
-        return bool(self.flags & TCPFlags.SYN)
-
-    @property
-    def has_payload(self) -> bool:
-        """True if the packet carries application payload."""
-        return self.payload_len > 0
 
     @property
     def header(self) -> "PacketHeader":

@@ -53,7 +53,6 @@ __all__ = [
     "slow_start_penalty",
     "slow_start_penalty_table",
     "slow_start_penalties",
-    "flow_elision_enabled",
     "set_flow_elision",
 ]
 
@@ -77,11 +76,6 @@ _ELISION_HEAD_RECORDS = 4
 #: burst middles into flow segments, ``False`` restores eager per-record
 #: emission everywhere (full-fidelity traces).
 _FLOW_ELISION = True
-
-
-def flow_elision_enabled() -> bool:
-    """True while bulk transfers elide steady-state packets into flow segments."""
-    return _FLOW_ELISION
 
 
 def set_flow_elision(enabled: bool) -> bool:

@@ -79,26 +79,45 @@ def _emit_burst(connection, start: float, end: float) -> None:
     connection._flush()
 
 
-def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
-    """Packets/second through emission and capture (the batched fast path)."""
-    bursts = max(1, packets // _RECORDS_PER_BURST)
-    total = bursts * _RECORDS_PER_BURST
+def _burst_workload(bursts: int, elide: bool):
+    """``make_workload`` for :func:`measure_rate`: ``bursts`` bursts on a fresh connection.
+
+    ``elide`` sets flow elision for the timed bursts only, whatever the
+    process-wide setting.
+    """
+    from repro.netsim.tcp import set_flow_elision
 
     def make_workload():
         _, _, connection = _bench_connection()
 
         def workload() -> None:
-            for _ in range(bursts):
-                _emit_burst(connection, 0.0, 1.0)
+            previous = set_flow_elision(elide)
+            try:
+                for _ in range(bursts):
+                    _emit_burst(connection, 0.0, 1.0)
+            finally:
+                set_flow_elision(previous)
 
         return workload
 
-    measured = measure_rate(make_workload, total, repeats)
+    return make_workload
+
+
+def bench_sniffer(packets: int, repeats: int) -> BenchmarkResult:
+    """Packets/second through packet-level emission and capture.
+
+    Flow elision is off, so each burst reaches the sniffer as
+    ``_RECORDS_PER_BURST`` plain rows in one batch.
+    :func:`bench_flow_segments` times the elided path.
+    """
+    bursts = max(1, packets // _RECORDS_PER_BURST)
+    total = bursts * _RECORDS_PER_BURST
+    measured = measure_rate(_burst_workload(bursts, elide=False), total, repeats)
     return BenchmarkResult(
         name="sniffer_packets_per_s",
         unit="packets/s",
         higher_is_better=True,
-        params={"packets": total, "records_per_burst": _RECORDS_PER_BURST},
+        params={"packets": total, "records_per_burst": _RECORDS_PER_BURST, "flow_elision": False},
         value=round(measured.best, 3),
         samples=tuple(round(sample, 3) for sample in measured.samples),
     )
@@ -112,22 +131,7 @@ def bench_flow_segments(segments: int, repeats: int) -> BenchmarkResult:
     :class:`~repro.netsim.packet.FlowSegment`; the rate counts the segments
     (i.e. the elided bursts) the sniffer absorbs per second.
     """
-    from repro.netsim.tcp import set_flow_elision
-
-    def make_workload():
-        _, _, connection = _bench_connection()
-
-        def workload() -> None:
-            previous = set_flow_elision(True)
-            try:
-                for _ in range(segments):
-                    _emit_burst(connection, 0.0, 1.0)
-            finally:
-                set_flow_elision(previous)
-
-        return workload
-
-    measured = measure_rate(make_workload, segments, repeats)
+    measured = measure_rate(_burst_workload(segments, elide=True), segments, repeats)
     return BenchmarkResult(
         name="flow_segments_per_s",
         unit="segments/s",

@@ -75,59 +75,3 @@ the paper reports about each, and so what its spec encodes:
   order of magnitude above everyone else: more than 5 MB exchanged to
   commit 1 MB of content (§5.3), from the spec's verbose ``message_sizes``.
 """
-
-from repro.services.profile import (
-    ConnectionPolicy,
-    LoginSpec,
-    PollingSpec,
-    ServerSpec,
-    ServiceCapabilities,
-    ServiceProfile,
-    TimingSpec,
-)
-from repro.services.backend import StorageBackend, StoredFile
-from repro.services.base import CloudStorageClient, SyncSummary, PreparedFile, ChunkUpload
-from repro.services.registry import (
-    SERVICE_NAMES,
-    create_client,
-    get_profile,
-    get_spec,
-    register_service_spec,
-    register_services_from_file,
-    registry_restore,
-    registry_snapshot,
-    spec_fingerprint,
-    temporary_services,
-    unregister_service,
-)
-from repro.services.spec import ServiceSpec, builtin_spec, load_service_specs
-
-__all__ = [
-    "ServiceProfile",
-    "ServiceCapabilities",
-    "ServerSpec",
-    "PollingSpec",
-    "LoginSpec",
-    "TimingSpec",
-    "ConnectionPolicy",
-    "StorageBackend",
-    "StoredFile",
-    "CloudStorageClient",
-    "SyncSummary",
-    "PreparedFile",
-    "ChunkUpload",
-    "SERVICE_NAMES",
-    "create_client",
-    "get_profile",
-    "register_service_spec",
-    "register_services_from_file",
-    "unregister_service",
-    "registry_snapshot",
-    "registry_restore",
-    "temporary_services",
-    "spec_fingerprint",
-    "get_spec",
-    "ServiceSpec",
-    "builtin_spec",
-    "load_service_specs",
-]

@@ -24,14 +24,16 @@ into :data:`SERVICE_NAMES` ordering for later tests.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import UnknownServiceError
-from repro.netsim.simulator import NetworkSimulator
-from repro.services.backend import StorageBackend
-from repro.services.base import CloudStorageClient
 from repro.services.profile import ServiceProfile
 from repro.services.spec import ServiceSpec, builtin_spec, load_service_specs
+
+if TYPE_CHECKING:
+    from repro.netsim.simulator import NetworkSimulator
+    from repro.services.backend import StorageBackend
+    from repro.services.base import CloudStorageClient
 
 __all__ = [
     "SERVICE_NAMES",
@@ -199,8 +201,12 @@ def create_client(
     A dedicated :class:`StorageBackend` is created when none is supplied, so
     independent experiments never share server-side state by accident.
     Every service — built-in or registered — gets the generic engine
-    interpreting its spec's profile.
+    interpreting its spec's profile.  The engine is imported here, so
+    looking up profiles and specs never loads it.
     """
+    from repro.services.backend import StorageBackend
+    from repro.services.base import CloudStorageClient
+
     profile = get_profile(name)
     if backend is None:
         backend = StorageBackend(name.lower())

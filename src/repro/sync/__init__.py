@@ -7,41 +7,3 @@ as reusable components.  The per-service client models in
 behaviour (Table 1), and the capability probes in :mod:`repro.core` detect
 them purely from the traffic they produce.
 """
-
-from repro.sync.chunking import Chunk, FixedChunker, NoChunker, VariableChunker, make_chunker
-from repro.sync.compression import CompressionPolicy, Compressor, looks_compressed
-from repro.sync.dedup import DedupIndex
-from repro.sync.delta import Delta, DeltaCodec, DeltaOp, FileSignature
-from repro.sync.bundling import Bundle, BundleBuilder
-from repro.sync.encryption import ConvergentEncryptor
-from repro.sync.protocol import (
-    ChunkUploadMessage,
-    CommitMessage,
-    FileMetadataMessage,
-    ListChangesMessage,
-    MessageSizes,
-)
-
-__all__ = [
-    "Chunk",
-    "FixedChunker",
-    "VariableChunker",
-    "NoChunker",
-    "make_chunker",
-    "CompressionPolicy",
-    "Compressor",
-    "looks_compressed",
-    "DedupIndex",
-    "Delta",
-    "DeltaCodec",
-    "DeltaOp",
-    "FileSignature",
-    "Bundle",
-    "BundleBuilder",
-    "ConvergentEncryptor",
-    "MessageSizes",
-    "FileMetadataMessage",
-    "ChunkUploadMessage",
-    "CommitMessage",
-    "ListChangesMessage",
-]

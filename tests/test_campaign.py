@@ -18,7 +18,9 @@ from repro.core.campaign import (
     run_cell,
     suite_stage_rows,
 )
-from repro.core.experiments import DataCenterExperiment, IdleExperiment, PerformanceExperiment, build_world
+from repro.core.experiments.datacenters import DataCenterExperiment, build_world
+from repro.core.experiments.idle import IdleExperiment
+from repro.core.experiments.performance import PerformanceExperiment
 from repro.core.workloads import PAPER_WORKLOADS
 from repro.errors import ConfigurationError
 from repro.services.registry import SERVICE_NAMES

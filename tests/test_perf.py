@@ -172,8 +172,8 @@ class TestComparison:
 
 class TestEmissionWorkloads:
     def test_every_burst_reaches_the_sniffer(self):
-        # The sniffer, flow-segment and trace-query benchmarks time (or
-        # query) bursts captured whole: head rows, segment and tail row.
+        # The flow-segment and trace-query benchmarks time (or query)
+        # bursts captured whole: head rows, segment and tail row.
         from repro.perf.benchmarks import _RECORDS_PER_BURST, _bench_connection, _emit_burst
 
         _, sniffer, connection = _bench_connection()
@@ -184,6 +184,28 @@ class TestEmissionWorkloads:
             assert len(trace) == handshake + (index + 1) * _RECORDS_PER_BURST
         assert trace.has_segments()
         assert len(trace.between(0.0, 3.0)) == handshake + 3 * _RECORDS_PER_BURST
+
+    def test_sniffer_micro_captures_plain_rows(self, monkeypatch):
+        # sniffer_packets_per_s times packet-level capture: flow elision is
+        # off for its bursts, so one burst is 1000 plain rows, no segment.
+        from repro.netsim.tcp import set_flow_elision
+        from repro.perf import benchmarks
+
+        real_connection = benchmarks._bench_connection
+        handshake = len(real_connection()[1].trace)
+        opened = []
+
+        def recording_connection():
+            opened.append(real_connection())
+            return opened[-1]
+
+        monkeypatch.setattr(benchmarks, "_bench_connection", recording_connection)
+        result = benchmarks.bench_sniffer(benchmarks._RECORDS_PER_BURST, repeats=1)
+        [(_, sniffer, _)] = opened
+        assert len(sniffer.trace) == handshake + benchmarks._RECORDS_PER_BURST
+        assert not sniffer.trace.has_segments()
+        assert result.params["flow_elision"] is False
+        assert set_flow_elision(True) is True  # the process-wide setting is restored
 
 
 class TestBenchCli:

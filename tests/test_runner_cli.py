@@ -13,7 +13,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.campaign import CampaignConfig, CampaignRunner
-from repro.core.experiments import DataCenterExperiment
+from repro.core.experiments.datacenters import DataCenterExperiment
 from repro.core.runner import SuiteResult
 from repro.core.store import ResultStore
 from repro.dist import CampaignMerger
