@@ -11,15 +11,14 @@ numpy's global RNG) and a spec-document linter
 (:mod:`~repro.analysis.speclint`) that runs declarative
 ServiceSpec/ScenarioSpec files through the real runtime loaders.
 
-Entry points: ``cloudbench lint [paths] [--specs FILE]`` and
-``python -m repro.analysis``.  The pass runs self-hosted over this
-repository's own ``src``, ``tests`` and ``examples/specs`` in CI and
-must come up clean; intentional violations carry inline
-``# repro: disable=RULE`` suppressions
+Entry point: ``cloudbench lint [paths] [--specs FILE]``.  The pass runs
+self-hosted over this repository's own ``src``, ``tests`` and
+``examples/specs`` in CI and must come up clean; intentional violations
+carry inline ``# repro: disable=RULE`` suppressions
 (:mod:`~repro.analysis.suppressions`).
 """
 
-from repro.analysis.cli import lint_paths, run
+from repro.analysis.cli import lint_paths
 from repro.analysis.engine import LintEngine, Rule, SourceModule, collect_targets
 from repro.analysis.findings import Finding
 from repro.analysis.reporters import render_json, render_text
@@ -39,6 +38,5 @@ __all__ = [
     "render_json",
     "render_text",
     "rule_catalogue",
-    "run",
     "scan_suppressions",
 ]

@@ -1,4 +1,4 @@
-"""The lint front end shared by ``cloudbench lint`` and ``python -m repro.analysis``.
+"""The lint front end behind ``cloudbench lint``.
 
 Exit codes: 0 for a clean tree, 1 when findings survive suppression, 2
 for usage errors (argparse's convention).  Output is byte-identical
@@ -7,8 +7,7 @@ across runs of the same tree — the property the CI gate diffs on.
 
 from __future__ import annotations
 
-import argparse
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.analysis.engine import LintEngine, collect_targets
 from repro.analysis.findings import Finding
@@ -17,48 +16,7 @@ from repro.analysis.rules import all_rules, rule_catalogue
 from repro.analysis.speclint import SPEC_RULES, lint_spec_file
 from repro.errors import ConfigurationError
 
-__all__ = ["DEFAULT_TARGETS", "build_parser", "execute", "lint_paths", "run"]
-
-#: What ``cloudbench lint`` lints when no path is given.
-DEFAULT_TARGETS = (".",)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cloudbench lint",
-        description=(
-            "Static determinism analysis: AST rules (DET) over Python sources plus "
-            "ServiceSpec/ScenarioSpec document checks (SPEC).  Directories are walked "
-            "recursively; .py files are rule-checked and .toml/.json files under a "
-            "'specs' directory are spec-linted."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=list(DEFAULT_TARGETS),
-        help="files or directories to lint (default: the current directory)",
-    )
-    parser.add_argument(
-        "--specs",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="additionally lint this ServiceSpec/ScenarioSpec TOML/JSON document (repeatable)",
-    )
-    parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the findings as a canonical JSON document instead of text",
-    )
-    parser.add_argument(
-        "--list-rules",
-        dest="list_rules",
-        action="store_true",
-        help="print every rule id and title, then exit",
-    )
-    return parser
+__all__ = ["execute", "lint_paths"]
 
 
 def lint_paths(paths: Sequence[str], spec_paths: Sequence[str] = ()) -> "LintRun":
@@ -102,8 +60,8 @@ def execute(
 ) -> int:
     """Run one lint invocation and print its report; returns the exit code.
 
-    Shared by ``python -m repro.analysis`` and ``cloudbench lint`` —
-    ``error`` is the host parser's ``.error`` (prints usage and exits 2).
+    ``error`` is ``cloudbench``'s parser ``.error`` (prints usage and
+    exits 2).
     """
     if list_rules:
         catalogue = dict(rule_catalogue())
@@ -119,16 +77,3 @@ def execute(
     output = outcome.render(as_json=as_json)
     print(output, end="" if output.endswith("\n") else "\n")
     return 0 if outcome.clean else 1
-
-
-def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return execute(
-        args.paths,
-        args.specs,
-        as_json=args.as_json,
-        list_rules=args.list_rules,
-        error=parser.error,
-    )

@@ -20,7 +20,7 @@ silent.
 from __future__ import annotations
 
 import re
-from typing import FrozenSet, List, Mapping
+from typing import FrozenSet, Mapping
 
 from repro.analysis.findings import Finding
 
@@ -42,10 +42,6 @@ class SuppressionIndex:
         if finding.rule in self._file_rules:
             return True
         return finding.rule in self._line_rules.get(finding.line, frozenset())
-
-    def filter(self, findings: List[Finding]) -> List[Finding]:
-        """The findings that survive suppression, order preserved."""
-        return [finding for finding in findings if not self.suppresses(finding)]
 
 
 def scan_suppressions(text: str) -> SuppressionIndex:

@@ -10,7 +10,7 @@ methodology faithful to the paper.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CaptureError
 from repro.netsim.packet import PacketDirection, TCPFlags
@@ -27,7 +27,6 @@ __all__ = [
     "completion_time",
     "overhead_fraction",
     "upload_throughput_bps",
-    "classify_hosts",
 ]
 
 
@@ -235,31 +234,3 @@ def upload_throughput_bps(trace: PacketTrace, storage_hosts: Iterable[str]) -> f
     if duration <= 0:
         return 0.0
     return storage.uploaded_payload_bytes() * 8.0 / duration
-
-
-def classify_hosts(
-    trace: PacketTrace,
-    *,
-    payload_threshold: int = 50_000,
-) -> Dict[str, str]:
-    """Heuristically label each contacted host as ``"storage"`` or ``"control"``.
-
-    Services that use separate servers for control and storage are trivially
-    told apart by server name (§3.1); for services mixing both on the same
-    hosts (Wuala) the paper falls back to flow sizes — hosts whose flows
-    carry more than ``payload_threshold`` payload bytes are storage.
-
-    Flow-segment rows carry their range's exact aggregate payload bytes, so
-    the per-host totals come straight off the segment-level columns without
-    materializing bulk packets.
-    """
-    columns = trace.segment_columns()
-    totals: Dict[str, int] = {}
-    for hostname, payload_len in zip(columns.hostnames, columns.payload_lens):
-        if not hostname:
-            continue
-        totals[hostname] = totals.get(hostname, 0) + payload_len
-    return {
-        hostname: "storage" if total >= payload_threshold else "control"
-        for hostname, total in totals.items()
-    }

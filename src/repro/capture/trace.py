@@ -38,7 +38,7 @@ aggregates therefore work on elided traces without ever expanding them;
 window filters (``between``/``after``) narrow straddling segments with
 :meth:`FlowSegment.subrange` and stay elided too.
 
-Per-packet accessors (``packets``, iteration, ``filter``,
+Per-packet accessors (``packets``, iteration,
 ``sorted_columns``) call :meth:`_materialize`, which expands every
 segment with the canonical burst loop and re-sorts by ``(timestamp,
 capture ordinal)``.  Each row carries a capture ordinal; a segment row
@@ -54,7 +54,7 @@ import math
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.netsim.packet import FlowSegment, Packet, PacketBatch, PacketDirection, PacketHeader
 
@@ -470,12 +470,6 @@ class PacketTrace:
     # ------------------------------------------------------------------ #
     # Filtering
     # ------------------------------------------------------------------ #
-    def filter(self, predicate: Callable[[Packet], bool]) -> "PacketTrace":
-        """Return a new trace containing the packets matching ``predicate``."""
-        self._materialize()
-        self._ensure_sorted()
-        return self._select([index for index, packet in enumerate(self.packets) if predicate(packet)])
-
     def _window(self, start: float, end: float) -> "PacketTrace":
         """Rows whose packets fall in ``[start, end]``, segments preserved.
 
@@ -619,11 +613,3 @@ class PacketTrace:
         first = self.first_timestamp()
         assert last is not None and first is not None
         return last - first
-
-    def hostnames(self) -> List[str]:
-        """Sorted list of distinct server DNS names appearing in the trace."""
-        return sorted({hostname for hostname in map(_HOSTNAME, self._hdr) if hostname})
-
-    def connection_ids(self) -> List[int]:
-        """Sorted list of distinct connection identifiers in the trace."""
-        return sorted(set(map(_CONNECTION_ID, self._hdr)))

@@ -30,3 +30,7 @@ DEFAULT_REPETITIONS = 2
 #: Open resolvers when none are given: the default of
 #: ``CampaignConfig.resolver_count``, ``DataCenterExperiment`` and ``build_world``.
 DEFAULT_RESOLVER_COUNT = 300
+
+#: PlanetLab vantage points of the data-center discovery: the default of
+#: ``build_world``.
+DEFAULT_PLANETLAB_COUNT = 300

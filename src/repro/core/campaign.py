@@ -72,7 +72,7 @@ from repro.services.registry import (
     install_registered_specs,
     registry_sync_payload,
 )
-from repro.units import format_population, mbps, minutes, parse_population
+from repro.units import format_population, minutes, parse_population
 
 if TYPE_CHECKING:
     from repro.core.store import ResultStore
@@ -161,23 +161,10 @@ class CampaignConfig:
     repetitions: int = DEFAULT_REPETITIONS
     idle_duration: float = minutes(16)
     resolver_count: int = DEFAULT_RESOLVER_COUNT
-    planetlab_count: int = 300
     scenario: ScenarioSpec = field(default_factory=lambda: BASELINE)
     #: Population sizes the ``load`` stage plans one unit cell per (the
     #: labels are the canonical ``1k``/``10k``/``1M`` spellings).
     load_populations: Tuple[int, ...] = (1_000, 10_000)
-    #: Seconds the whole population is offered over — the arrival rate is
-    #: ``population / window``, so bigger populations mean heavier load.
-    load_window: float = 60.0
-    #: Arrival process: ``poisson`` or ``diurnal``.
-    load_arrival: str = "poisson"
-    #: Service-edge concurrency limit (sessions in service; the rest queue FIFO).
-    load_edge_concurrency: int = 64
-    #: Shared-link capacity in bits/s.  Infrastructure-side: deliberately
-    #: not warped by the scenario, which shapes the per-session access path.
-    load_link_capacity_bps: float = mbps(400.0)
-    #: Mean per-session transfer size in bytes (exponentially distributed).
-    load_transfer_bytes: int = 100_000
     #: Plan one performance cell per repetition (``upload#r0`` …) instead of
     #: one per workload — finer shards toward the paper's 24 repetitions.
     rep_cells: bool = False
@@ -300,7 +287,6 @@ def _run_datacenters(cell: CampaignCell) -> Any:
     experiment = DataCenterExperiment(
         [cell.service],
         resolver_count=cell.config.resolver_count,
-        planetlab_count=cell.config.planetlab_count,
         seed=cell.seed,
     )
     return experiment.run_service(cell.service)
@@ -347,16 +333,8 @@ def _run_performance(cell: CampaignCell) -> Any:
 def _run_load(cell: CampaignCell) -> Any:
     from repro.load.population import LoadParameters, run_load_cell
 
-    config = cell.config
-    params = LoadParameters(
-        population=parse_population(cell.unit),
-        window_s=config.load_window,
-        arrival=config.load_arrival,
-        edge_concurrency=config.load_edge_concurrency,
-        link_capacity_bps=config.load_link_capacity_bps,
-        transfer_bytes=config.load_transfer_bytes,
-    )
-    return run_load_cell(cell.service, params, seed=cell.seed, scenario=config.scenario)
+    params = LoadParameters(population=parse_population(cell.unit))
+    return run_load_cell(cell.service, params, seed=cell.seed, scenario=cell.config.scenario)
 
 
 def _capability_records(cell: CampaignCell, payload: Any) -> List[dict]:

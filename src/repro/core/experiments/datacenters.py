@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import DEFAULT_RESOLVER_COUNT
+from repro.core import DEFAULT_PLANETLAB_COUNT, DEFAULT_RESOLVER_COUNT
 from repro.geo.datacenters import DataCenterCatalogue, google_edge_nodes
 from repro.geo.dns import AuthoritativeDNS, DNSRecord, GeoDNSPolicy, OpenResolver, ReverseDNS, build_resolver_set
 from repro.geo.discovery import DataCenterDiscovery, DiscoveryReport
@@ -46,7 +46,7 @@ def build_world(
     services: Optional[Sequence[str]] = None,
     *,
     resolver_count: int = DEFAULT_RESOLVER_COUNT,
-    planetlab_count: int = 300,
+    planetlab_count: int = DEFAULT_PLANETLAB_COUNT,
 ) -> SimulatedWorld:
     """Build the ground-truth world plus the measurement apparatus on top of it."""
     services = list(services) if services is not None else list(SERVICE_NAMES)
@@ -129,7 +129,6 @@ class DataCenterExperiment:
         services: Optional[Sequence[str]] = None,
         *,
         resolver_count: int = DEFAULT_RESOLVER_COUNT,
-        planetlab_count: int = 300,
         seed: int = DEFAULT_SEED,
     ) -> None:
         # ``seed`` is part of the experiment's identity even though the
@@ -140,7 +139,6 @@ class DataCenterExperiment:
         # to reproduce its campaign cell bit-for-bit.
         self.services = list(services) if services is not None else list(SERVICE_NAMES)
         self.resolver_count = resolver_count
-        self.planetlab_count = planetlab_count
         self.seed = seed
 
     def run_service(self, service: str, world: Optional[SimulatedWorld] = None) -> DiscoveryReport:
@@ -154,18 +152,14 @@ class DataCenterExperiment:
         which is what lets the campaign engine run discovery cells in
         parallel.
         """
-        world = world if world is not None else build_world(
-            [service], resolver_count=self.resolver_count, planetlab_count=self.planetlab_count
-        )
+        world = world if world is not None else build_world([service], resolver_count=self.resolver_count)
         profile = get_profile(service)
         hostnames = [name for name in profile.all_hostnames if world.dns.has_record(name)]
         return world.discovery.discover(service, hostnames)
 
     def run(self, world: Optional[SimulatedWorld] = None) -> DataCenterResult:
         """Discover every configured service's front-end infrastructure."""
-        world = world if world is not None else build_world(
-            self.services, resolver_count=self.resolver_count, planetlab_count=self.planetlab_count
-        )
+        world = world if world is not None else build_world(self.services, resolver_count=self.resolver_count)
         result = DataCenterResult()
         for service in self.services:
             result.reports[service] = self.run_service(service, world)

@@ -47,19 +47,6 @@ class PerformanceMetrics:
     storage_payload_bytes: int
     upload_throughput_bps: float
 
-    def as_row(self) -> dict:
-        """Flat dictionary used by reports and CSV output."""
-        return {
-            "service": self.service,
-            "workload": self.workload,
-            "startup_s": round(self.startup_time, 3),
-            "completion_s": round(self.completion_time, 3),
-            "overhead": round(self.overhead_fraction, 3),
-            "total_traffic_bytes": self.total_traffic_bytes,
-            "storage_payload_bytes": self.storage_payload_bytes,
-            "throughput_mbps": round(self.upload_throughput_bps / 1e6, 3),
-        }
-
 
 def _quantile(ordered: Sequence[float], fraction: float) -> float:
     """Linear-interpolation quantile of an ascending-sorted, non-empty sequence.

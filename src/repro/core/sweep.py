@@ -53,7 +53,6 @@ __all__ = [
     "SWEEP_DOC_VERSION",
     "SweepResult",
     "sweep_from_results",
-    "cross_seed_rows",
 ]
 
 #: Version of the deterministic *sweep* results document (``--json`` for a
@@ -141,23 +140,6 @@ def _reduce_rows(
     return aggregates, consensus
 
 
-def cross_seed_rows(campaigns: Sequence[CampaignResult]) -> Dict[str, List[dict]]:
-    """Per-stage aggregate rows reducing the per-seed campaigns.
-
-    ``campaigns`` must all cover the same (stage, service, unit) grid in
-    the same plan order (which :func:`sweep_from_results` guarantees).  For
-    every cell, every report row and every numeric column, the values of
-    all seeds are reduced through
-    :meth:`~repro.core.metrics.MetricAggregate.from_values` into one
-    aggregate row ``(service, unit, row, label, metric, stats...)``; the
-    ``label`` keeps the row's non-numeric identity columns (a workload
-    name, a content class) readable, showing ``~`` where seeds disagree.
-    Non-numeric columns and rows not present for every seed are skipped —
-    aggregation never invents samples.
-    """
-    return _reduce_rows(campaigns)[0]
-
-
 @dataclass
 class SweepResult:
     """One seed sweep: the per-seed campaigns plus cross-seed reductions.
@@ -225,7 +207,18 @@ class SweepResult:
         return self._aggregate_cache, self._consensus_cache
 
     def aggregate_rows(self) -> Dict[str, List[dict]]:
-        """Cross-seed aggregate rows per stage (see :func:`cross_seed_rows`).
+        """Per-stage aggregate rows reducing the per-seed campaigns.
+
+        The campaigns all cover the same (stage, service, unit) grid in the
+        same plan order (which :func:`sweep_from_results` guarantees).  For
+        every cell, every report row and every numeric column, the values
+        of all seeds are reduced through
+        :meth:`~repro.core.metrics.MetricAggregate.from_values` into one
+        aggregate row ``(service, unit, row, label, metric, stats...)``;
+        the ``label`` keeps the row's non-numeric identity columns (a
+        workload name, a content class) readable, showing ``~`` where seeds
+        disagree.  Non-numeric columns and rows not present for every seed
+        are skipped — aggregation never invents samples.
 
         Computed once and cached: the reduction reads every cell's rows,
         and the summary table, the CSVs and the sweep document all read it.

@@ -12,7 +12,7 @@ encoding, per-content-type sets for compression).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.errors import WorkloadError
 from repro.filegen.batch import generate_batch
@@ -23,7 +23,6 @@ from repro.units import KB, MB, format_bytes
 __all__ = [
     "WorkloadSpec",
     "PAPER_WORKLOADS",
-    "BUNDLING_FILE_COUNTS",
     "BUNDLING_TOTAL_BYTES",
     "DELTA_APPEND_SIZES",
     "DELTA_RANDOM_SIZES",
@@ -82,7 +81,6 @@ PAPER_WORKLOADS: List[WorkloadSpec] = [
 
 #: The bundling check (§4.2): the same total volume split into more and more files.
 BUNDLING_TOTAL_BYTES = 2 * MB
-BUNDLING_FILE_COUNTS: List[int] = [1, 10, 100, 1000]
 
 #: Delta-encoding check (§4.4): file sizes for the append-at-the-end case (Fig. 4, left)...
 DELTA_APPEND_SIZES: List[int] = [100 * KB, 500 * KB, 1 * MB, int(1.5 * MB), 2 * MB]
@@ -101,14 +99,3 @@ def workload_by_name(name: str) -> WorkloadSpec:
         if workload.name.lower() == name.lower():
             return workload
     raise WorkloadError(f"unknown workload {name!r}; available: {[w.name for w in PAPER_WORKLOADS]}")
-
-
-def bundling_workloads(total_bytes: int = BUNDLING_TOTAL_BYTES, counts: Optional[List[int]] = None) -> List[WorkloadSpec]:
-    """Equal-total workloads for the bundling check."""
-    counts = counts if counts is not None else BUNDLING_FILE_COUNTS
-    workloads = []
-    for count in counts:
-        if total_bytes % count != 0:
-            raise WorkloadError(f"total {total_bytes} is not divisible by {count} files")
-        workloads.append(WorkloadSpec(name=f"bundle_{count}", file_count=count, file_size=total_bytes // count))
-    return workloads

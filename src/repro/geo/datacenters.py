@@ -35,7 +35,6 @@ __all__ = [
     "DataCenterCatalogue",
     "provider_datacenters",
     "google_edge_nodes",
-    "default_catalogue",
 ]
 
 
@@ -180,8 +179,3 @@ class DataCenterCatalogue:
         """Ground-truth location of ``ip``, or ``None`` for unknown space."""
         datacenter = self.find_by_ip(ip)
         return datacenter.location if datacenter is not None else None
-
-
-def default_catalogue() -> DataCenterCatalogue:
-    """The full ground-truth catalogue used by the default simulated world."""
-    return DataCenterCatalogue()

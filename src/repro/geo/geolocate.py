@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import GeolocationError
 from repro.geo.locations import Location, find_location
@@ -118,11 +118,3 @@ class HybridGeolocator:
         if estimate is not None:
             return estimate
         raise GeolocationError(f"no geolocation signal available for {ip}")
-
-    def locate_many(self, ips: Sequence[str]) -> List[LocationEstimate]:
-        """Locate a list of addresses (order preserved, duplicates collapsed)."""
-        seen = {}
-        for ip in ips:
-            if ip not in seen:
-                seen[ip] = self.locate(ip)
-        return [seen[ip] for ip in dict.fromkeys(ips)]

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Location", "haversine_km", "find_location", "all_locations", "locations_by_country", "TESTBED_LOCATION"]
+__all__ = ["Location", "haversine_km", "find_location", "all_locations", "TESTBED_LOCATION"]
 
 
 @dataclass(frozen=True)
@@ -250,14 +250,6 @@ TESTBED_LOCATION = _BY_CITY["enschede"]
 def all_locations() -> List[Location]:
     """Return every location in the catalogue."""
     return list(_LOCATIONS)
-
-
-def locations_by_country() -> Dict[str, List[Location]]:
-    """Group the catalogue by country name."""
-    grouped: Dict[str, List[Location]] = {}
-    for location in _LOCATIONS:
-        grouped.setdefault(location.country, []).append(location)
-    return grouped
 
 
 def find_location(name: str) -> Optional[Location]:

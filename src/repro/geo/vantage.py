@@ -68,7 +68,7 @@ class PlanetLabNode:
         return rtt_between(self.location, target, jitter_label=f"{self.name}->{ip}")
 
 
-def build_planetlab_nodes(count: int = 300) -> List[PlanetLabNode]:
+def build_planetlab_nodes(count: int) -> List[PlanetLabNode]:
     """Build the PlanetLab-like vantage-point population.
 
     Nodes are placed round-robin over the location catalogue, mirroring the

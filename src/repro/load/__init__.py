@@ -12,13 +12,15 @@ and goodput in seconds, and
 :mod:`~repro.load.metrics` reduces them to deterministic tail quantiles
 (p95/p99/p999), Jain fairness and saturation ratios.
 
-The campaign surface is the ``load`` stage: units are population sizes
-(``1k``/``10k``/``100k``/``1M``), parameters live on ``CampaignConfig``
-(and therefore in every cache key), and cells shard, sweep, resume and
-merge byte-identically like the rest of the suite.
+Arrivals are Poisson only.  The campaign surface is the ``load`` stage:
+units are population sizes (``1k``/``10k``/``100k``/``1M``); the window
+they are offered over, the edge concurrency, link capacity and transfer
+size are :class:`~repro.load.population.LoadParameters` defaults.  Cells
+shard, sweep, resume and merge byte-identically like the rest of the
+suite.
 """
 
-from repro.load.arrivals import ARRIVAL_KINDS, arrival_times, diurnal_times, poisson_times
+from repro.load.arrivals import poisson_times
 from repro.load.contention import DEFAULT_TICK, SharedLink, group_allocation, max_min_allocation
 from repro.load.metrics import TailSummary, jain_index
 from repro.load.population import (
@@ -34,7 +36,6 @@ from repro.load.population import (
 )
 
 __all__ = [
-    "ARRIVAL_KINDS",
     "DEFAULT_TICK",
     "HANDSHAKE_RTTS",
     "AccessLane",
@@ -43,8 +44,6 @@ __all__ = [
     "LoadResult",
     "SharedLink",
     "TailSummary",
-    "arrival_times",
-    "diurnal_times",
     "group_allocation",
     "jain_index",
     "lane_for",

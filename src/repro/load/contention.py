@@ -124,12 +124,6 @@ class SharedLink:
     capacity_bps: float
     tick_s: float = DEFAULT_TICK
 
-    def per_session_rate(self, cap_bps: float, active: int) -> float:
-        """The rate each of ``active`` equal-cap sessions receives (bps)."""
-        if active <= 0:
-            return 0.0
-        return group_allocation(((cap_bps, active),), self.capacity_bps)[0]
-
     def quantize_up(self, instant: float) -> float:
         """The first tick boundary at or after ``instant``.
 

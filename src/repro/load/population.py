@@ -48,7 +48,7 @@ from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.load.arrivals import ARRIVAL_KINDS, arrival_times
+from repro.load.arrivals import poisson_times
 from repro.load.contention import DEFAULT_TICK, TAG_EPSILON, SharedLink
 from repro.load.metrics import TailSummary, jain_index
 from repro.netsim.scenario import ScenarioSpec
@@ -102,13 +102,22 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class LoadParameters:
-    """Knobs of one load cell, mirroring the ``load_*`` campaign config."""
+    """Knobs of one load cell.
+
+    A campaign sets only ``population`` (the unit); every load cell runs
+    the other knobs at their defaults here.  ``link_capacity_bps`` is
+    infrastructure-side: deliberately not warped by the scenario, which
+    shapes the per-session access path.
+    """
 
     population: int
+    #: Seconds the whole population is offered over.
     window_s: float = 60.0
-    arrival: str = "poisson"
+    #: Service-edge concurrency limit (sessions in service; the rest queue FIFO).
     edge_concurrency: int = 64
+    #: Shared-link capacity in bits/s.
     link_capacity_bps: float = mbps(400.0)
+    #: Mean per-session transfer size in bytes (exponentially distributed).
     transfer_bytes: int = 100_000
     tick_s: float = DEFAULT_TICK
 
@@ -121,12 +130,6 @@ class LoadParameters:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ValueError(
-                "unknown arrival process {!r} (expected one of {})".format(
-                    self.arrival, ", ".join(ARRIVAL_KINDS)
-                )
-            )
 
 
 @dataclass(eq=False)
@@ -287,7 +290,9 @@ def simulate_population(params: LoadParameters, lane: AccessLane, rng) -> LoadRe
     """
     count = params.population
     link = SharedLink(capacity_bps=params.link_capacity_bps, tick_s=params.tick_s)
-    raw_arrivals = arrival_times(params.arrival, count, params.window_s, rng)
+    # A mean rate of population / window: a bigger population over the
+    # same window is proportionally heavier load.
+    raw_arrivals = poisson_times(count, count / params.window_s, rng)
     # max(1, int(rng.expovariate(1 / mean))) per session; int() truncates.
     size_column = np.maximum(expovariate_block(rng, count, 1.0 / params.transfer_bytes).astype(np.int64), 1)
     # Arrivals live on the tick lattice: an arrival mid-tick takes effect

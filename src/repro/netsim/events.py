@@ -92,15 +92,6 @@ class EventQueue:
         self._heap = [event for event in self._heap if not event.cancelled]
         heapq.heapify(self._heap)
 
-    def peek_time(self) -> Optional[float]:
-        """Return the fire time of the earliest pending event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0].fire_at
-
     def pop_due(self, now: float) -> Optional[ScheduledEvent]:
         """Pop and return the earliest event due at or before ``now``, or ``None``."""
         heap = self._heap

@@ -48,19 +48,6 @@ class NetworkPath:
         """Return the bottleneck rate for the given direction (bits/s)."""
         return self.uplink_bps if upstream else self.downlink_bps
 
-    def serialization_time(self, nbytes: int, upstream: bool = True) -> float:
-        """Time to push ``nbytes`` through the bottleneck in one direction."""
-        return nbytes * 8.0 / self.rate(upstream)
-
-    def scaled(self, rtt_factor: float = 1.0, rate_factor: float = 1.0) -> "NetworkPath":
-        """Return a copy with RTT and rates scaled (used by ablation studies)."""
-        return NetworkPath(
-            rtt=self.rtt * rtt_factor,
-            uplink_bps=self.uplink_bps * rate_factor,
-            downlink_bps=self.downlink_bps * rate_factor,
-            server_processing=self.server_processing,
-        )
-
     def adjusted(
         self,
         *,

@@ -59,12 +59,6 @@ class NetworkSimulator:
             raise SimulationError("cannot schedule an event in the past")
         return self.events.schedule(self.now + delay, callback, label=label)
 
-    def schedule_at(self, timestamp: float, callback: Callable[[], None], label: str = "") -> ScheduledEvent:
-        """Schedule ``callback`` to run at absolute simulated time ``timestamp``."""
-        if timestamp < self.now:
-            raise SimulationError("cannot schedule an event in the past")
-        return self.events.schedule(timestamp, callback, label=label)
-
     def run_until(self, timestamp: float) -> None:
         """Advance simulated time to ``timestamp``, firing due background events.
 
@@ -142,13 +136,6 @@ class NetworkSimulator:
     def add_sniffer(self, sniffer: Callable[[Packet], None]) -> None:
         """Register a callable that receives every emitted packet."""
         self._sniffers.append(sniffer)
-
-    def remove_sniffer(self, sniffer: Callable[[Packet], None]) -> None:
-        """Unregister a previously added sniffer (no error if absent)."""
-        try:
-            self._sniffers.remove(sniffer)
-        except ValueError:
-            pass
 
     def emit_batch(self, batch: PacketBatch) -> None:
         """Deliver a column-oriented batch of packets to every sniffer.

@@ -8,7 +8,8 @@ run-specific wall half first, yielding the byte-comparable form CI
 diffs across ``--jobs`` values.
 
 Kept apart from :mod:`repro.cli` so the trace machinery never loads for
-ordinary campaign runs, mirroring :mod:`repro.analysis.cli`.
+ordinary campaign runs, as ``cloudbench lint`` loads
+:mod:`repro.analysis.cli` only when it runs.
 """
 
 from __future__ import annotations

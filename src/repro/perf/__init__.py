@@ -11,7 +11,7 @@ only the measured rates and the environment block vary between runs, so
 two runs differ exactly where a benchmark should: in the numbers.
 """
 
-from repro.perf.benchmarks import BenchmarkResult, default_benchmarks, quick_benchmarks, run_benchmarks
+from repro.perf.benchmarks import BenchmarkResult, run_benchmarks
 from repro.perf.compare import ComparisonReport, MetricDelta, compare_documents
 from repro.perf.document import (
     BENCH_SCHEMA_VERSION,
@@ -31,9 +31,7 @@ __all__ = [
     "build_document",
     "capture_environment",
     "compare_documents",
-    "default_benchmarks",
     "load_document",
-    "quick_benchmarks",
     "run_benchmarks",
     "strip_measurements",
     "to_json_text",

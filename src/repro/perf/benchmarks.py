@@ -29,7 +29,7 @@ from repro.randomness import DEFAULT_SEED
 from repro.services.registry import SERVICE_NAMES
 from repro.units import mbps, minutes
 
-__all__ = ["BenchmarkResult", "default_benchmarks", "quick_benchmarks", "run_benchmarks"]
+__all__ = ["BenchmarkResult", "run_benchmarks"]
 
 #: Fixed far end of every micro-benchmark connection.
 _SERVER = Endpoint(hostname="bench.storage.example.com", ip="192.0.2.10", port=443)
@@ -536,13 +536,3 @@ def run_benchmarks(
             )
         )
     return results
-
-
-def default_benchmarks(**kwargs) -> List[BenchmarkResult]:
-    """The full suite (the one ``BENCH_netsim.json`` is generated from)."""
-    return run_benchmarks(quick=False, **kwargs)
-
-
-def quick_benchmarks(**kwargs) -> List[BenchmarkResult]:
-    """The CI-sized suite (``cloudbench bench --quick``)."""
-    return run_benchmarks(quick=True, **kwargs)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import StorageBackendError
-from repro.sync.chunking import Chunk
-from repro.sync.dedup import DedupIndex
 
 __all__ = ["StoredFile", "StorageBackend"]
 
@@ -38,7 +36,6 @@ class StorageBackend:
         self.provider = provider
         self._chunks: Dict[str, int] = {}
         self._namespaces: Dict[str, Dict[str, StoredFile]] = {}
-        self._dedup = DedupIndex()
         self.bytes_stored = 0
         self.bytes_received = 0
 
@@ -57,14 +54,8 @@ class StorageBackend:
         if digest in self._chunks:
             return False
         self._chunks[digest] = size
-        self._dedup.add(digest)
         self.bytes_stored += size
         return True
-
-    def missing_chunks(self, chunks: List[Chunk]) -> List[Chunk]:
-        """Subset of ``chunks`` the server does not yet have (first occurrence only)."""
-        missing, _ = self._dedup.partition(chunks)
-        return missing
 
     def chunk_count(self) -> int:
         """Number of distinct chunks stored."""
@@ -100,8 +91,6 @@ class StorageBackend:
         if record is None:
             raise StorageBackendError(f"cannot delete unknown file {name!r}")
         record.deleted = True
-        for digest in record.chunk_digests:
-            self._dedup.release(digest)
 
     def get_file(self, user: str, name: str) -> Optional[StoredFile]:
         """Return the (possibly deleted) file record, or ``None``."""
@@ -113,7 +102,3 @@ class StorageBackend:
         if not include_deleted:
             files = [record for record in files if not record.deleted]
         return files
-
-    def namespace_bytes(self, user: str) -> int:
-        """Logical bytes of the user's live files."""
-        return sum(record.size for record in self.list_files(user))

@@ -547,8 +547,3 @@ class CloudStorageClient:
     def control_hostnames(self) -> List[str]:
         """DNS names of control/login/notification servers."""
         return self.profile.control_hostnames
-
-    @property
-    def known_revisions(self) -> Dict[str, int]:
-        """Locally tracked synced files and their sizes."""
-        return {name: len(content) for name, content in self._revisions.items()}

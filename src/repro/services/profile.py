@@ -283,15 +283,6 @@ class ServiceProfile:
         """
         return tuple(replace(self.primary_control, hostname=name) for name in self.login_hostnames())
 
-    def datacenters(self) -> List[DataCenter]:
-        """Distinct ground-truth data centers used by this service."""
-        sites = {}
-        for server in [*self.control_servers, *self.storage_servers]:
-            sites[server.datacenter.name] = server.datacenter
-        if self.notification_server is not None:
-            sites[self.notification_server.datacenter.name] = self.notification_server.datacenter
-        return list(sites.values())
-
     def capability_row(self) -> dict:
         """Row of the Table 1 reproduction, keyed by capability name."""
         return self.capabilities.summary_row()

@@ -57,11 +57,6 @@ class CompressionResult:
             return 1.0
         return self.transmitted_size / self.original_size
 
-    @property
-    def saved_bytes(self) -> int:
-        """Bytes saved with respect to sending the original payload."""
-        return self.original_size - self.transmitted_size
-
 
 def looks_compressed(data: bytes) -> bool:
     """Content sniffing: does the payload start with a compressed-format magic number?

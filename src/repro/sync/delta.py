@@ -75,11 +75,6 @@ class Delta:
         """Total bytes that must be transmitted as literals."""
         return sum(op.literal_length for op in self.ops)
 
-    @property
-    def copy_ops(self) -> int:
-        """Number of COPY operations (blocks reused from the old revision)."""
-        return sum(1 for op in self.ops if op.kind is DeltaOpKind.COPY)
-
     def wire_size(self, per_op_overhead: int = 12) -> int:
         """Approximate encoded size of the delta on the wire.
 

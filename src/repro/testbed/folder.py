@@ -68,14 +68,3 @@ class SyncedFolder:
         event = FileEvent(timestamp=timestamp, operation="delete", name=name, size=size)
         self.events.append(event)
         return event
-
-    def last_modification_time(self) -> Optional[float]:
-        """Timestamp of the most recent event, or ``None`` for a pristine folder."""
-        if not self.events:
-            return None
-        return self.events[-1].timestamp
-
-    def first_modification_after(self, timestamp: float) -> Optional[float]:
-        """Timestamp of the first event at or after ``timestamp``."""
-        candidates = [event.timestamp for event in self.events if event.timestamp >= timestamp]
-        return min(candidates) if candidates else None

@@ -40,11 +40,6 @@ class TestComputer:
             raise ConfigurationError("no client installed on the test computer")
         return self._client
 
-    @property
-    def has_client(self) -> bool:
-        """True when a client is installed."""
-        return self._client is not None
-
     # ------------------------------------------------------------------ #
     # File operations + synchronization
     # ------------------------------------------------------------------ #

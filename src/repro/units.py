@@ -9,7 +9,7 @@ rest of the code base always stores:
 * rates in **bits per second** (``float``).
 
 The helpers below convert the human-friendly spellings used in the paper to
-those canonical units and back again for reporting.  This module also hosts
+those canonical units and format them back for reporting.  This module also hosts
 the small CLI-value grammars shared across subcommands —
 :func:`parse_seeds` for ``--seeds`` sweep specs and :func:`parse_duration`
 for ``--older-than`` store-GC ages — so ``all``/``shard``/``merge`` and
@@ -266,63 +266,10 @@ MB = 1000 * 1000
 #: Bytes in a gigabyte.
 GB = 1000 * 1000 * 1000
 
-#: Binary multiples, used internally where chunk sizes are powers of two.
-KIB = 1024
-MIB = 1024 * 1024
-
-#: Bits per byte.
-BITS_PER_BYTE = 8
-
-
-def kb(value: float) -> int:
-    """Return ``value`` kilobytes expressed in bytes."""
-    return int(value * KB)
-
-
-def mb(value: float) -> int:
-    """Return ``value`` megabytes expressed in bytes."""
-    return int(value * MB)
-
-
-def kbps(value: float) -> float:
-    """Return ``value`` kilobits per second expressed in bits per second."""
-    return value * 1000.0
-
 
 def mbps(value: float) -> float:
     """Return ``value`` megabits per second expressed in bits per second."""
     return value * 1000.0 * 1000.0
-
-
-def bytes_to_kb(value: float) -> float:
-    """Convert bytes to kilobytes (decimal)."""
-    return value / KB
-
-
-def bytes_to_mb(value: float) -> float:
-    """Convert bytes to megabytes (decimal)."""
-    return value / MB
-
-
-def bps_to_kbps(value: float) -> float:
-    """Convert bits per second to kilobits per second."""
-    return value / 1000.0
-
-
-def bps_to_mbps(value: float) -> float:
-    """Convert bits per second to megabits per second."""
-    return value / 1_000_000.0
-
-
-def transfer_rate_bps(nbytes: float, seconds: float) -> float:
-    """Return the average rate in bits/s of ``nbytes`` sent in ``seconds``.
-
-    Returns ``0.0`` for a non-positive duration instead of raising, because
-    benchmark analysis routinely encounters empty traces.
-    """
-    if seconds <= 0:
-        return 0.0
-    return nbytes * BITS_PER_BYTE / seconds
 
 
 def minutes(value: float) -> float:

@@ -3,7 +3,8 @@
 Covers per-rule positive/negative fixture snippets, suppression-comment
 handling, deterministic finding order, spec-document linting (the
 built-in service specs and the example spec files must be clean), the
-CLI entry points, and a self-clean assertion over the repository tree.
+``cloudbench lint`` front door, and a self-clean assertion over the
+repository tree.
 """
 
 from __future__ import annotations
@@ -498,15 +499,28 @@ class TestLintCli:
             main(["lint", str(tmp_path / "nope")])
         assert excinfo.value.code == 2
 
-    def test_module_entry_point(self, tmp_path):
-        (tmp_path / "ok.py").write_text("x = 1\n")
+    def test_unlintable_target_is_usage_error(self, tmp_path):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("hello\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(notes)])
+        assert excinfo.value.code == 2
+
+    def test_defaults_to_the_current_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(self.bad_tree(tmp_path))
+        assert main(["lint"]) == 1
+        assert "DET001" in capsys.readouterr().out
+
+    def test_process_exit_code_is_the_report_code(self, tmp_path):
+        # The one lint front door, run as a process: findings exit 1.
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(tmp_path)],
+            [sys.executable, "-m", "repro.cli", "lint", self.bad_tree(tmp_path)],
             capture_output=True,
             text=True,
             env=env,
+            timeout=120,
         )
-        assert result.returncode == 0, result.stderr
-        assert "0 findings" in result.stdout
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.strip().endswith("1 finding in 1 file(s) linted")

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.core import DEFAULT_PLANETLAB_COUNT
 from repro.core.campaign import (
     STAGES,
     WHOLE_SERVICE_UNIT,
@@ -143,7 +144,7 @@ class TestCampaignPlan:
         assert default(IdleExperiment, "duration") == config.idle_duration
         for callable_ in (DataCenterExperiment, build_world):
             assert default(callable_, "resolver_count") == config.resolver_count
-            assert default(callable_, "planetlab_count") == config.planetlab_count
+        assert default(build_world, "planetlab_count") == DEFAULT_PLANETLAB_COUNT
 
 
 class TestCampaignExecution:

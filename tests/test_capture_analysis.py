@@ -134,10 +134,46 @@ class TestPaperMetrics:
         trace = PacketTrace([packet(0.0, payload=500_000, hostname="storage.example"), packet(4.0, payload=500_000, hostname="storage.example")])
         assert analysis.upload_throughput_bps(trace, ["storage.example"]) == pytest.approx(2_000_000)
 
-    def test_classify_hosts_by_volume(self):
+    def test_completion_time_after_skips_earlier_payload(self):
+        # The window start of one experiment hides the previous experiment's
+        # storage traffic from its completion time.
         trace = PacketTrace(
-            [packet(0.0, payload=200_000, hostname="bulk.example"), packet(1.0, payload=500, hostname="chatty.example")]
+            [
+                packet(1.0, payload=100, hostname="storage.example"),
+                packet(10.0, payload=100, hostname="storage.example"),
+                packet(12.5, payload=100, hostname="storage.example"),
+            ]
         )
-        labels = analysis.classify_hosts(trace)
-        assert labels["bulk.example"] == "storage"
-        assert labels["chatty.example"] == "control"
+        assert analysis.completion_time(trace, ["storage.example"]) == pytest.approx(11.5)
+        assert analysis.completion_time(trace, ["storage.example"], after=5.0) == pytest.approx(2.5)
+
+    def test_completion_time_raises_without_storage_payload(self):
+        trace = PacketTrace(
+            [
+                packet(1.0, payload=0, hostname="storage.example", flags=TCPFlags.SYN),
+                packet(2.0, payload=100, hostname="control.example"),
+            ]
+        )
+        with pytest.raises(CaptureError):
+            analysis.completion_time(trace, ["storage.example"])
+
+    def test_overhead_fraction_after_drops_earlier_traffic(self):
+        trace = PacketTrace([packet(1.0, payload=960), packet(3.0, payload=1960)])
+        assert analysis.overhead_fraction(trace, 1000) == pytest.approx((1000 + 2000) / 1000)
+        assert analysis.overhead_fraction(trace, 1000, after=2.0) == pytest.approx(2000 / 1000)
+
+    def test_upload_throughput_counts_only_outgoing_payload(self):
+        # Downloaded payload stretches the storage span but adds no upload bytes.
+        trace = PacketTrace(
+            [
+                packet(0.0, payload=500_000),
+                packet(4.0, payload=100_000, direction=PacketDirection.IN),
+                packet(1.0, payload=200, hostname="control.example"),
+            ]
+        )
+        assert analysis.upload_throughput_bps(trace, ["storage.example"]) == pytest.approx(1_000_000)
+
+    def test_upload_throughput_is_zero_without_a_span(self):
+        trace = PacketTrace([packet(2.0, payload=500_000)])
+        assert analysis.upload_throughput_bps(trace, ["storage.example"]) == 0.0
+        assert analysis.upload_throughput_bps(PacketTrace(), ["storage.example"]) == 0.0

@@ -40,6 +40,8 @@ class TestPacketTrace:
     def test_packets_sorted_by_timestamp(self):
         trace = PacketTrace([make_packet(2.0), make_packet(1.0), make_packet(3.0)])
         assert [packet.timestamp for packet in trace] == [1.0, 2.0, 3.0]
+        assert trace[0].timestamp == 1.0 and trace[-1].timestamp == 3.0
+        assert [packet.timestamp for packet in trace[1:]] == [2.0, 3.0]
 
     def test_filters(self):
         trace = PacketTrace(
@@ -50,6 +52,7 @@ class TestPacketTrace:
             ]
         )
         assert len(trace.to_hosts(["a.example"])) == 2
+        assert len(trace.to_hosts(["b.example", "a.example", "unknown.example"])) == 3
         assert len(trace.payload_packets()) == 2
         assert len(trace.outgoing()) == 2
         assert len(trace.incoming()) == 1
@@ -77,36 +80,43 @@ class TestPacketTrace:
         assert trace.duration() == 0.0
         assert trace.total_bytes() == 0
 
-    def test_hostnames_and_connections(self):
-        trace = PacketTrace([make_packet(1.0, hostname="x"), make_packet(2.0, hostname="y", connection_id=7)])
-        assert trace.hostnames() == ["x", "y"]
-        assert trace.connection_ids() == [1, 7]
+    def test_for_connection_selects_one_connection(self):
+        trace = PacketTrace(
+            [
+                make_packet(1.0, payload=10, connection_id=1),
+                make_packet(2.0, payload=20, connection_id=7),
+                make_packet(3.0, payload=30, connection_id=1),
+            ]
+        )
+        assert [packet.payload_len for packet in trace.for_connection(1)] == [10, 30]
+        assert trace.for_connection(7).payload_bytes() == 20
+        assert trace.for_connection(99).is_empty()
+
 
 
 class TestSniffer:
-    def test_pause_and_resume(self, simulator, server_endpoint, fast_path):
+    def test_reset_drops_trace(self, simulator, server_endpoint, fast_path):
         sniffer = Sniffer(simulator)
-        sniffer.pause()
         simulator.open_connection(server_endpoint, fast_path)
+        sniffer.reset()
         assert sniffer.trace.is_empty()
-        sniffer.resume()
         simulator.open_connection(server_endpoint, fast_path)
         assert not sniffer.trace.is_empty()
 
-    def test_marks(self, simulator):
-        sniffer = Sniffer(simulator)
-        simulator.run_for(3.0)
-        sniffer.mark_now("files-modified")
-        assert sniffer.get_mark("files-modified") == pytest.approx(3.0)
-        assert sniffer.get_mark("missing") is None
+    def test_call_records_one_packet(self):
+        sniffer = Sniffer()
+        sniffer(make_packet(2.0, payload=5))
+        sniffer(make_packet(1.0, payload=7))
+        assert len(sniffer.trace) == 2
+        assert sniffer.trace.first_timestamp() == 1.0
+        assert sniffer.trace.payload_bytes() == 12
 
-    def test_reset_drops_trace_and_marks(self, simulator, server_endpoint, fast_path):
-        sniffer = Sniffer(simulator)
+    def test_unattached_sniffer_captures_nothing(self, simulator, server_endpoint, fast_path):
+        attached = Sniffer(simulator)
+        detached = Sniffer()
         simulator.open_connection(server_endpoint, fast_path)
-        sniffer.mark("m", 1.0)
-        sniffer.reset()
-        assert sniffer.trace.is_empty()
-        assert sniffer.marks == {}
+        assert not attached.trace.is_empty()
+        assert detached.trace.is_empty()
 
 
 # --------------------------------------------------------------------------- #

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.metrics import MetricAggregate, PerformanceMetrics, aggregate_metrics, compute_performance_metrics
 from repro.core.report import render_grouped_bars, render_series, render_table, to_csv
-from repro.core.workloads import PAPER_WORKLOADS, WorkloadSpec, bundling_workloads, workload_by_name
+from repro.core.workloads import PAPER_WORKLOADS, WorkloadSpec, workload_by_name
 from repro.errors import CaptureError, ExperimentError, WorkloadError
 from repro.filegen.model import FileKind
 from repro.testbed.controller import TestbedController
@@ -44,11 +44,15 @@ class TestWorkloads:
         second = spec.generate(repetition=1)[0]
         assert first.digest != second.digest
 
-    def test_bundling_workloads_share_total(self):
-        workloads = bundling_workloads(total_bytes=2 * MB, counts=[1, 10, 100])
-        assert all(w.total_bytes == 2 * MB for w in workloads)
-        with pytest.raises(WorkloadError):
-            bundling_workloads(total_bytes=1000, counts=[3])
+    def test_generation_is_a_function_of_seed_and_repetition(self):
+        spec = workload_by_name("10x100kB")
+        first = spec.generate(seed=7, repetition=3)
+        again = spec.generate(seed=7, repetition=3)
+        assert [(f.name, f.digest) for f in first] == [(f.name, f.digest) for f in again]
+        assert len({file.digest for file in first}) == 10
+        other_seed = spec.generate(seed=8, repetition=3)
+        assert [f.name for f in other_seed] == [f.name for f in first]
+        assert {f.digest for f in other_seed}.isdisjoint(f.digest for f in first)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(WorkloadError):
@@ -69,8 +73,6 @@ class TestMetrics:
         assert metrics.overhead_fraction > 1.0
         assert metrics.upload_throughput_bps > 0
         assert metrics.workload == "1x100kB"
-        row = metrics.as_row()
-        assert row["service"] == "googledrive"
 
     def test_metrics_require_workload_bytes(self, observation):
         observation_no_bytes = type(observation)(

@@ -49,13 +49,23 @@ class TestHybridGeolocation:
         with pytest.raises(GeolocationError):
             world.geolocator.locate("198.51.100.99")
 
-    def test_locate_many_dedups(self, world):
-        ip = provider_datacenters("dropbox")[0].address(1)
-        estimates = world.geolocator.locate_many([ip, ip, ip])
-        assert len(estimates) == 1
-
 
 class TestDiscoveryPipeline:
+    def test_each_address_is_located_once(self, world):
+        # Every resolver returns the same front-ends: each address appears
+        # once, sorted, with the resolvers that returned it counted.
+        hostnames = ["client.dropbox.com", "dl-client.dropbox.com"]
+        report = world.discovery.discover("dropbox", hostnames)
+        ips = [front_end.ip for front_end in report.front_ends]
+        assert ips == sorted(set(ips))
+        assert max(front_end.resolver_count for front_end in report.front_ends) > 1
+        for front_end in report.front_ends:
+            assert front_end.hostnames == sorted(set(front_end.hostnames))
+            assert set(front_end.hostnames) <= set(hostnames)
+            assert front_end.estimate == world.geolocator.locate(front_end.ip)
+        repeated = world.discovery.discover("dropbox", hostnames + hostnames)
+        assert [front_end.ip for front_end in repeated.front_ends] == ips
+
     def test_centralised_service_discovery(self, world):
         report = world.discovery.discover("dropbox", ["client.dropbox.com", "dl-client.dropbox.com"])
         assert report.distinct_ips >= 2
@@ -70,7 +80,7 @@ class TestDiscoveryPipeline:
         assert len(report.countries) > 50
 
     def test_experiment_rows_include_every_service(self, world):
-        result = DataCenterExperiment(resolver_count=200, planetlab_count=60).run(world)
+        result = DataCenterExperiment(resolver_count=200).run(world)
         services = {row["service"] for row in result.rows()}
         assert services == {"dropbox", "skydrive", "wuala", "clouddrive", "googledrive"}
         assert len(result.google_edge_sites()) > 100

@@ -9,7 +9,7 @@ CLI documents across jobs and a 2-worker shard+merge.
 The engine's array code is held bit-identical to the per-session loops
 it stands for: the scalar loops are kept here as oracles (the draws, the
 Poisson clock, the slow-start penalty, tick quantization, the
-reductions), and SHA-256 pins of four cells were computed with them.
+reductions), and SHA-256 pins of three cells were computed with them.
 The boundary walk's oracle is the one-admission-per-boundary walk over a
 minimal FIFO that the engine's same-instant batches replace.
 """
@@ -39,8 +39,6 @@ from repro.load import (
     LoadParameters,
     SharedLink,
     TailSummary,
-    arrival_times,
-    diurnal_times,
     group_allocation,
     jain_index,
     lane_for,
@@ -267,10 +265,9 @@ class TestAllocatorProperties:
 
     def test_single_group_is_min_of_cap_and_fair_share(self):
         # The engine inlines this identity; pin it against the allocator.
-        link = SharedLink(capacity_bps=mbps(400.0))
         for active in (1, 3, 64, 1000):
             expected = min(mbps(10.0), mbps(400.0) / active)
-            assert link.per_session_rate(mbps(10.0), active) == expected
+            assert group_allocation(((mbps(10.0), active),), mbps(400.0))[0] == expected
 
     def test_quantize_up_lands_on_tick_lattice(self):
         link = SharedLink(capacity_bps=1.0, tick_s=0.01)
@@ -309,17 +306,9 @@ class TestArrivals:
         assert first.tolist() == sorted(first.tolist())
         assert len(first) == 500
 
-    def test_diurnal_schedule_is_sorted_and_deterministic(self):
-        first = diurnal_times(500, 10.0, make_rng(7, "arrivals"), period=60.0)
-        second = diurnal_times(500, 10.0, make_rng(7, "arrivals"), period=60.0)
-        assert np.array_equal(first, second)
-        assert first.tolist() == sorted(first.tolist())
-        assert len(first) == 500
-
-    @pytest.mark.parametrize("kind", ["poisson", "diurnal"])
     @pytest.mark.parametrize("count", [0, 1, 300])
-    def test_schedules_are_float64_arrays(self, kind, count):
-        times = arrival_times(kind, count, 30.0, make_rng(7, "dtype"))
+    def test_schedules_are_float64_arrays(self, count):
+        times = poisson_times(count, 10.0, make_rng(7, "dtype"))
         assert isinstance(times, np.ndarray) and times.dtype == np.float64
         assert times.shape == (count,)
 
@@ -330,6 +319,7 @@ class TestArrivals:
         rate=st.floats(min_value=1e-3, max_value=1e6),
     )
     @example(seed=7, warmup=0, count=0, rate=10.0)
+    @example(seed=7, warmup=0, count=0, rate=0.0)
     @example(seed=7, warmup=0, count=1, rate=10.0)
     @settings(max_examples=60, deadline=None)
     def test_poisson_times_match_the_per_draw_loop(self, seed, warmup, count, rate):
@@ -340,14 +330,17 @@ class TestArrivals:
         assert _bits(times) == _bits(_poisson_times_loop(count, rate, expected_rng))
         assert actual_rng.getstate() == expected_rng.getstate()
 
-    def test_dispatcher_validates_kind(self):
-        with pytest.raises(ValueError):
-            arrival_times("bursty", 10, 60.0, make_rng(7))
-
     def test_mean_rate_tracks_population_over_window(self):
-        times = arrival_times("poisson", 5000, 50.0, make_rng(7, "rate"))
+        params = LoadParameters(population=5000, window_s=50.0)
+        lane = AccessLane(cap_bps=mbps(10.0), rtt=0.030, server_processing=0.015)
+        result = simulate_population(params, lane, make_rng(7, "rate"))
         # 5000 arrivals at rate 100/s should span roughly the 50 s window.
-        assert times[-1] == pytest.approx(50.0, rel=0.2)
+        assert result.arrivals[-1] == pytest.approx(50.0, rel=0.2)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_poisson_times_rejects_non_positive_rate(self, rate):
+        with pytest.raises(ValueError, match="rate"):
+            poisson_times(10, rate, make_rng(7, "rate"))
 
 
 class TestBulkDraws:
@@ -574,9 +567,8 @@ class TestPopulationEngine:
         second = simulate_population(params, self.LANE, make_rng(11, "det"))
         assert _result_document(first) == _result_document(second)
 
-    @pytest.mark.parametrize("arrival", ["poisson", "diurnal"])
-    def test_session_columns_are_float64_arrays(self, arrival):
-        params = LoadParameters(population=300, arrival=arrival)
+    def test_session_columns_are_float64_arrays(self):
+        params = LoadParameters(population=300)
         result = simulate_population(params, self.LANE, make_rng(7, "columns"))
         for column in (result.arrivals, result.queue_waits, result.completions, result.goodputs_bps):
             assert isinstance(column, np.ndarray) and column.dtype == np.float64
@@ -592,15 +584,6 @@ class TestPopulationEngine:
         assert result.peak_active == 64
         summary_waits = TailSummary.from_values(result.queue_waits)
         assert summary_waits.p99 > 1.0
-
-    def test_diurnal_cell_runs(self):
-        params = LoadParameters(population=2000, arrival="diurnal")
-        result = simulate_population(params, self.LANE, make_rng(7, "diurnal"))
-        assert result.sessions == 2000
-
-    def test_rejects_unknown_arrival(self):
-        with pytest.raises(ValueError):
-            LoadParameters(population=10, arrival="bursty")
 
     @pytest.mark.parametrize(
         "knob, value",
@@ -666,9 +649,6 @@ PINNED_CELLS = {
     "dropbox-20k-poisson": (
         "dropbox", LoadParameters(population=20_000), None, (7, "load", "dropbox", 20_000),
     ),
-    "googledrive-10k-diurnal": (
-        "googledrive", LoadParameters(population=10_000, arrival="diurnal"), None, (7, "load", "googledrive", 10_000),
-    ),
     # bench_load's saturated cell (repro.perf.benchmarks).
     "bench-saturated": (
         "bench",
@@ -692,7 +672,6 @@ PINNED_CELLS = {
 #: computed them.  Any change shifts every load result.
 PINNED_DIGESTS = {
     "dropbox-20k-poisson": "7bb27c09df7592d92976f5ccd65132a587e59864ef37bc0d36eda366b72a43ff",
-    "googledrive-10k-diurnal": "22a289ed324ead1f84e34d51bc551873a3778b978826716824d2aee04035110b",
     "bench-saturated": "461f308ff528101194f84ccb4200ccccd674e636875002741b81402b5bfd9c84",
     "edge-serial": "fcc2f54bbcb951476725cbae1513edadaee74a6dacc7f063c49bba280e91461f",
 }
@@ -751,7 +730,7 @@ class TestPopulationGrammar:
 
 
 class TestLoadStage:
-    CONFIG = CampaignConfig(load_populations=(1000, 200), load_window=10.0)
+    CONFIG = CampaignConfig(load_populations=(1000, 200))
 
     def test_plan_units_sort_numerically_ascending(self):
         runner = CampaignRunner(
@@ -801,9 +780,16 @@ class TestLoadStage:
         cell = dataclasses.replace(base, config=dataclasses.replace(config, **{field.name: variant}))
         assert cache_key(cell) != cache_key(base), field.name
 
+    def test_cell_runs_the_engine_defaults(self):
+        # A campaign sets only the population (the unit); every other
+        # engine knob is LoadParameters' default.
+        cell = CampaignCell(stage="load", service="dropbox", seed=7, unit="1k")
+        direct = run_load_cell("dropbox", LoadParameters(population=1000), seed=7, scenario=BASELINE)
+        assert run_cell(cell).records == [direct.row()]
+
     def test_store_round_trip_and_listing_order(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
-        config = CampaignConfig(load_populations=(1000, 10_000, 100_000), load_window=5.0)
+        config = CampaignConfig(load_populations=(1000, 10_000, 100_000))
         for unit in ("1k", "10k", "100k"):
             store.save(
                 run_cell(CampaignCell(stage="load", service="dropbox", seed=7, unit=unit, config=config))

@@ -63,18 +63,29 @@ class TestEventQueue:
         assert queue.pop_due(2.0) is None
         assert len(queue) == 0
 
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.schedule(3.0, lambda: None)
-        queue.schedule(1.0, lambda: None)
-        assert queue.peek_time() == 1.0
-
     def test_clear(self):
         queue = EventQueue()
         queue.schedule(1.0, lambda: None)
         queue.clear()
         assert len(queue) == 0
+
+    def test_cancelled_head_does_not_hide_a_later_due_event(self):
+        queue = EventQueue()
+        head = queue.schedule(1.0, lambda: None, label="head")
+        queue.schedule(2.0, lambda: None, label="next")
+        head.cancel()
+        event = queue.pop_due(2.0)
+        assert event is not None and event.label == "next"
+        assert len(queue) == 0
+
+    def test_cancel_after_clear_does_not_underflow_len(self):
+        queue = EventQueue()
+        stale = queue.schedule(1.0, lambda: None)
+        queue.clear()
+        stale.cancel()
+        assert len(queue) == 0
+        queue.schedule(2.0, lambda: None)
+        assert len(queue) == 1
 
 
 class TestEventQueueLiveCount:

@@ -18,11 +18,6 @@ class TestScheduling:
         assert fired == [pytest.approx(5.0)]
         assert simulator.now == 10.0
 
-    def test_schedule_at_rejects_past(self, simulator):
-        simulator.run_for(10.0)
-        with pytest.raises(SimulationError):
-            simulator.schedule_at(5.0, lambda: None)
-
     def test_schedule_in_rejects_negative_delay(self, simulator):
         with pytest.raises(SimulationError):
             simulator.schedule_in(-1.0, lambda: None)
@@ -58,6 +53,37 @@ class TestScheduling:
         simulator.run_for(5.0)
         assert fired == []
 
+    def test_zero_delay_event_fires_at_the_current_time(self, simulator):
+        simulator.run_for(3.0)
+        fired = []
+        simulator.schedule_in(0.0, lambda: fired.append(simulator.now))
+        simulator.run_for(0.0)
+        assert fired == [pytest.approx(3.0)]
+
+    def test_events_beyond_the_horizon_stay_pending(self, simulator):
+        fired = []
+        simulator.schedule_in(20.0, lambda: fired.append(simulator.now))
+        simulator.run_until(10.0)
+        assert fired == [] and len(simulator.events) == 1
+        simulator.run_until(30.0)
+        assert fired == [pytest.approx(20.0)]
+
+    def test_time_spent_inside_a_callback_delays_later_events(self, simulator):
+        # A callback that advances time (e.g. a network operation) does not
+        # dispatch other events re-entrantly: an event that fell due meanwhile
+        # fires after it returns, at the clock the callback left behind.
+        fired = []
+
+        def busy():
+            fired.append(("busy", simulator.now))
+            simulator.run_for(5.0)
+
+        simulator.schedule_in(1.0, busy)
+        simulator.schedule_in(3.0, lambda: fired.append(("due", simulator.now)))
+        simulator.run_until(10.0)
+        assert fired == [("busy", pytest.approx(1.0)), ("due", pytest.approx(6.0))]
+        assert simulator.now == 10.0
+
 
 class TestSniffers:
     def test_multiple_sniffers_receive_packets(self, simulator, server_endpoint, fast_path):
@@ -66,11 +92,41 @@ class TestSniffers:
         simulator.open_connection(server_endpoint, fast_path)
         assert len(first.trace) == len(second.trace) > 0
 
-    def test_removed_sniffer_stops_receiving(self, simulator, server_endpoint, fast_path):
+    def test_late_sniffer_sees_only_later_packets(self, simulator, server_endpoint, fast_path):
+        early = Sniffer(simulator)
+        first = simulator.open_connection(server_endpoint, fast_path)
+        late = Sniffer(simulator)
+        second = simulator.open_connection(server_endpoint, fast_path)
+        assert {packet.connection_id for packet in early.trace} == {first.connection_id, second.connection_id}
+        assert {packet.connection_id for packet in late.trace} == {second.connection_id}
+
+    def test_plain_callable_receives_the_same_packets(self, simulator, server_endpoint, fast_path):
         sniffer = Sniffer(simulator)
-        sniffer.detach()
-        simulator.open_connection(server_endpoint, fast_path)
-        assert sniffer.trace.is_empty()
+        received = []
+        simulator.add_sniffer(received.append)
+        connection = simulator.open_connection(server_endpoint, fast_path)
+        connection.send(50_000)
+        connection.close()
+
+        def rows(packets):
+            return sorted((p.timestamp, p.flags.value, p.payload_len, p.direction.value) for p in packets)
+
+        assert len(received) == len(sniffer.trace) > 0
+        assert rows(received) == rows(sniffer.trace)
+
+    def test_path_warp_rewrites_every_new_connection(self, simulator, server_endpoint, fast_path):
+        seen = []
+
+        def warp(path, hostname):
+            seen.append(hostname)
+            return path.adjusted(rtt=path.rtt * 10)
+
+        simulator.path_warp = warp
+        start = simulator.now
+        connection = simulator.open_connection(server_endpoint, fast_path)
+        assert seen == [server_endpoint.hostname]
+        assert connection.path.rtt == pytest.approx(fast_path.rtt * 10)
+        assert simulator.now - start == pytest.approx(fast_path.rtt * 10)
 
     def test_connection_ids_are_unique(self, simulator, server_endpoint, fast_path):
         first = simulator.open_connection(server_endpoint, fast_path)

@@ -21,20 +21,26 @@ class TestNetworkPath:
         with pytest.raises(ConfigurationError):
             NetworkPath(rtt=-1.0)
 
-    def test_rejects_non_positive_rates(self):
+    @pytest.mark.parametrize("direction", ["uplink_bps", "downlink_bps"])
+    def test_rejects_non_positive_rates(self, direction):
         with pytest.raises(ConfigurationError):
-            NetworkPath(rtt=0.01, uplink_bps=0)
+            NetworkPath(rtt=0.01, **{direction: 0})
 
-    def test_serialization_time(self):
+    def test_rejects_negative_server_processing(self):
+        with pytest.raises(ConfigurationError):
+            NetworkPath(rtt=0.01, server_processing=-0.001)
+
+    def test_rate_picks_the_direction(self):
         path = NetworkPath(rtt=0.01, uplink_bps=mbps(8), downlink_bps=mbps(80))
-        assert path.serialization_time(1_000_000, upstream=True) == pytest.approx(1.0)
-        assert path.serialization_time(1_000_000, upstream=False) == pytest.approx(0.1)
+        assert path.rate(upstream=True) == mbps(8)
+        assert path.rate(upstream=False) == mbps(80)
 
-    def test_scaled(self):
-        path = NetworkPath(rtt=0.1, uplink_bps=mbps(10), downlink_bps=mbps(10))
-        scaled = path.scaled(rtt_factor=0.5, rate_factor=2.0)
-        assert scaled.rtt == pytest.approx(0.05)
-        assert scaled.uplink_bps == pytest.approx(mbps(20))
+    def test_adjusted_replaces_only_the_given_fields(self):
+        path = NetworkPath(rtt=0.1, uplink_bps=mbps(10), downlink_bps=mbps(20), server_processing=0.03)
+        adjusted = path.adjusted(rtt=0.05, downlink_bps=mbps(5))
+        assert adjusted == NetworkPath(rtt=0.05, uplink_bps=mbps(10), downlink_bps=mbps(5), server_processing=0.03)
+        assert path.adjusted() == path
+        assert path.rtt == 0.1  # frozen: the original is untouched
 
 
 class TestHandshakes:

@@ -37,8 +37,7 @@ class TestGenericClientBehaviour:
         summary = client.sync_files(files)
         assert summary.file_count == 3
         assert summary.logical_bytes == 3 * 20 * KB
-        assert client.backend.list_files(client.user)
-        assert set(client.known_revisions) == {file.name for file in files}
+        assert {record.name for record in client.backend.list_files(client.user)} == {file.name for file in files}
 
     @pytest.mark.parametrize("service", SERVICE_NAMES)
     def test_sync_generates_storage_traffic(self, service):

@@ -25,9 +25,7 @@ from repro.services.registry import (
     temporary_services,
 )
 from repro.services.spec import ServiceSpec
-from repro.sync.chunking import FixedChunker
 from repro.sync.compression import CompressionPolicy
-from repro.filegen.binary import generate_binary
 from repro.units import MB
 
 
@@ -221,7 +219,6 @@ class TestStorageBackend:
         backend.store_chunk("d2", 700)
         second = backend.commit_file("user", "a.bin", 700, ["d2"])
         assert second.revision == 2
-        assert backend.namespace_bytes("user") == 700
 
     def test_delete_keeps_chunks(self, backend):
         backend.store_chunk("d1", 500)
@@ -236,8 +233,49 @@ class TestStorageBackend:
         with pytest.raises(StorageBackendError):
             backend.delete_file("user", "ghost.bin")
 
-    def test_missing_chunks_partition(self, backend):
-        chunks = FixedChunker(1000).chunk(generate_binary(2500).content)
-        backend.store_chunk(chunks[0].digest, chunks[0].length)
-        missing = backend.missing_chunks(chunks)
-        assert len(missing) == 2
+    def test_negative_chunk_size_raises_before_counting(self, backend):
+        with pytest.raises(StorageBackendError):
+            backend.store_chunk("d1", -1)
+        assert not backend.has_chunk("d1")
+        assert backend.bytes_received == 0
+
+    def test_chunk_store_is_shared_across_users(self, backend):
+        backend.store_chunk("d1", 500)
+        backend.commit_file("alice", "a.bin", 500, ["d1"])
+        # Bob's client finds the chunk already stored and commits by reference.
+        assert backend.has_chunk("d1")
+        backend.commit_file("bob", "copy.bin", 500, ["d1"])
+        assert backend.chunk_count() == 1
+        assert backend.bytes_stored == 500
+
+    def test_namespaces_are_per_user(self, backend):
+        backend.store_chunk("d1", 500)
+        backend.commit_file("alice", "a.bin", 500, ["d1"])
+        assert backend.list_files("bob") == []
+        assert backend.get_file("bob", "a.bin") is None
+        with pytest.raises(StorageBackendError):
+            backend.delete_file("bob", "a.bin")
+        assert not backend.get_file("alice", "a.bin").deleted
+
+    def test_recommit_after_delete_starts_a_new_record(self, backend):
+        backend.store_chunk("d1", 500)
+        backend.commit_file("user", "a.bin", 500, ["d1"])
+        backend.commit_file("user", "a.bin", 500, ["d1"])
+        backend.delete_file("user", "a.bin")
+        restored = backend.commit_file("user", "a.bin", 500, ["d1"])
+        assert restored.revision == 1
+        assert not restored.deleted
+        assert backend.list_files("user") == [restored]
+
+    def test_commit_copies_the_digest_list(self, backend):
+        backend.store_chunk("d1", 500)
+        digests = ["d1"]
+        record = backend.commit_file("user", "a.bin", 500, digests)
+        digests.append("d2")
+        assert record.chunk_digests == ["d1"]
+
+    def test_list_files_keeps_commit_order(self, backend):
+        backend.store_chunk("d1", 10)
+        for name in ("c.bin", "a.bin", "b.bin"):
+            backend.commit_file("user", name, 10, ["d1"])
+        assert [record.name for record in backend.list_files("user")] == ["c.bin", "a.bin", "b.bin"]

@@ -16,7 +16,7 @@ from repro.core.campaign import CampaignConfig, CampaignRunner
 from repro.core.metrics import MetricAggregate
 from repro.core.report import to_json_text
 from repro.core.store import ResultStore
-from repro.core.sweep import SWEEP_DOC_VERSION, SweepResult, cross_seed_rows, sweep_from_results
+from repro.core.sweep import SWEEP_DOC_VERSION, SweepResult, sweep_from_results
 from repro.dist import CampaignMerger, ShardWorker
 from repro.errors import ConfigurationError, ExperimentError
 from repro.units import parse_duration, parse_seeds
@@ -206,8 +206,6 @@ class TestSweepExecution:
     def test_aggregate_rows_are_computed_once_and_cached(self, sequential):
         first = sequential.aggregate_rows()
         assert sequential.aggregate_rows() is first  # summary/csv/json share it
-        # The functional API reduces the same campaigns to the same rows.
-        assert cross_seed_rows(sequential.campaigns) == first
 
     def test_aggregate_rows_reduce_across_seeds(self, sequential):
         rows_by_stage = sequential.aggregate_rows()

@@ -21,7 +21,7 @@ class TestCompression:
         result = Compressor(CompressionPolicy.ALWAYS).process(generate_text(100_000).content)
         assert result.compressed
         assert result.transmitted_size < 50_000
-        assert result.saved_bytes > 0
+        assert result.transmitted_size < result.original_size
 
     def test_never_policy_sends_raw(self):
         result = Compressor(CompressionPolicy.NEVER).process(generate_text(100_000).content)

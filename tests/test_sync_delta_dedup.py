@@ -1,4 +1,4 @@
-"""Tests for delta encoding and the deduplication index."""
+"""Tests for delta encoding."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.filegen.binary import generate_binary
-from repro.sync.chunking import Chunk, FixedChunker
-from repro.sync.dedup import DedupIndex
 from repro.sync.delta import DeltaCodec, DeltaOpKind
 
 
@@ -25,7 +23,7 @@ class TestDeltaCodec:
         data = generate_binary(100_000, seed=1).content
         delta = self.roundtrip(data, data)
         assert delta.literal_bytes == 0
-        assert delta.copy_ops == len(self.codec.compute_signature(data))
+        assert sum(op.kind is DeltaOpKind.COPY for op in delta.ops) == len(self.codec.compute_signature(data))
 
     def test_append_only_sends_appended_bytes(self):
         old = generate_binary(100_000, seed=2).content
@@ -47,7 +45,7 @@ class TestDeltaCodec:
         new = generate_binary(50_000, seed=7).content
         delta = self.roundtrip(old, new)
         assert delta.literal_bytes == len(new)
-        assert delta.copy_ops == 0
+        assert sum(op.kind is DeltaOpKind.COPY for op in delta.ops) == 0
 
     def test_wire_size_accounts_for_framing(self):
         old = generate_binary(50_000, seed=8).content
@@ -92,44 +90,3 @@ class TestDeltaCodec:
                 assert op.data == b""
             else:
                 assert op.literal_length > 0
-
-
-class TestDedupIndex:
-    def test_partition_new_and_known(self):
-        index = DedupIndex()
-        chunks = FixedChunker(1000).chunk(generate_binary(3_000, seed=20).content)
-        missing, duplicates = index.partition(chunks)
-        assert len(missing) == 3 and not duplicates
-        index.add_chunks(chunks)
-        missing, duplicates = index.partition(chunks)
-        assert not missing and len(duplicates) == 3
-
-    def test_within_batch_duplicates_uploaded_once(self):
-        index = DedupIndex()
-        chunk = Chunk.from_bytes(0, b"same-bytes")
-        missing, duplicates = index.partition([chunk, chunk, chunk])
-        assert len(missing) == 1
-        assert len(duplicates) == 2
-
-    def test_release_does_not_forget_content(self):
-        index = DedupIndex()
-        chunk = Chunk.from_bytes(0, b"payload")
-        index.add(chunk.digest)
-        index.release(chunk.digest)
-        assert index.is_known(chunk.digest)
-        assert index.reference_count(chunk.digest) == 0
-
-    def test_reference_counting(self):
-        index = DedupIndex()
-        index.add("d1")
-        index.add("d1")
-        assert index.reference_count("d1") == 2
-        index.release("d1")
-        assert index.reference_count("d1") == 1
-
-    def test_contains_and_len(self):
-        index = DedupIndex()
-        assert "missing" not in index
-        index.add("present")
-        assert "present" in index
-        assert len(index) == 1

@@ -43,20 +43,24 @@ class TestSyncedFolder:
         with pytest.raises(ConfigurationError):
             folder.delete("missing.bin", timestamp=3.0)
 
-    def test_modification_timestamps(self):
+    def test_events_record_each_operation_in_order(self):
         folder = SyncedFolder()
-        assert folder.last_modification_time() is None
         folder.put(generate_binary(10, name="a.bin"), timestamp=5.0)
-        folder.put(generate_binary(10, name="b.bin"), timestamp=7.0)
-        assert folder.last_modification_time() == 7.0
-        assert folder.first_modification_after(6.0) == 7.0
-        assert folder.first_modification_after(10.0) is None
+        folder.put(generate_binary(30, name="a.bin"), timestamp=6.0)
+        folder.put(generate_binary(20, name="b.bin"), timestamp=7.0)
+        folder.delete("a.bin", timestamp=8.0)
+        assert [(e.timestamp, e.operation, e.name, e.size) for e in folder.events] == [
+            (5.0, "create", "a.bin", 10),
+            (6.0, "modify", "a.bin", 30),
+            (7.0, "create", "b.bin", 20),
+            (8.0, "delete", "a.bin", 30),
+        ]
+        assert folder.total_bytes() == 20
 
 
 class TestTestComputerAndFTP:
     def test_client_required_before_sync(self):
         computer = TestComputer()
-        assert not computer.has_client
         with pytest.raises(ConfigurationError):
             _ = computer.client
 
@@ -113,6 +117,35 @@ class TestController:
         observation = controller.delete([file.name])
         assert observation.label == "delete"
         assert controller.backend.list_files(controller.client.user) == []
+
+    def test_modification_time_is_the_first_write_of_each_batch(self):
+        controller = TestbedController("googledrive")
+        controller.start_session()
+        first_files = generate_batch(FileKind.BINARY, 3, 20 * KB, prefix="one")
+        second_files = generate_batch(FileKind.BINARY, 2, 20 * KB, prefix="two")
+        first = controller.sync_upload(first_files)
+        second = controller.sync_upload(second_files)
+        events = controller.test_computer.folder.events
+        assert [event.name for event in events] == [file.name for file in first_files + second_files]
+        # The FTP transfer of the first file is part of start-up (§5.1), and
+        # the second batch's reference ignores the first batch's writes.
+        assert first.window_start < first.modification_time == events[0].timestamp
+        assert second.window_start < second.modification_time == events[3].timestamp
+        assert first.window_end <= second.window_start
+
+    def test_delete_goes_through_the_ftp_channel(self):
+        controller = TestbedController("dropbox")
+        controller.start_session()
+        files = generate_batch(FileKind.BINARY, 2, 10 * KB, prefix="del")
+        controller.sync_upload(files)
+        before = controller.simulator.now
+        controller.delete([file.name for file in files])
+        deletes = controller.test_computer.folder.events[-2:]
+        assert [event.operation for event in deletes] == ["delete", "delete"]
+        # One remote command per file, then the folder changes at once.
+        expected = before + 2 * controller.ftp.per_operation_delay
+        assert all(event.timestamp == pytest.approx(expected) for event in deletes)
+        assert len(controller.test_computer.folder) == 0
 
     def test_pause_between_experiments_advances_time(self):
         controller = TestbedController("wuala")

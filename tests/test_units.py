@@ -7,58 +7,57 @@ import pytest
 from repro import units
 
 
-def test_kb_and_mb_are_decimal():
-    assert units.kb(100) == 100_000
-    assert units.mb(1) == 1_000_000
-    assert units.mb(2.5) == 2_500_000
-
-
-def test_binary_multiples_differ_from_decimal():
-    assert units.KIB == 1024
-    assert units.MIB == 1024 * 1024
-    assert units.KB != units.KIB
-
-
 def test_rate_conversions_roundtrip():
-    assert units.kbps(8) == 8000
     assert units.mbps(1.5) == 1_500_000
-    assert units.bps_to_mbps(units.mbps(3.2)) == pytest.approx(3.2)
-    assert units.bps_to_kbps(units.kbps(42)) == pytest.approx(42)
-
-
-def test_bytes_conversions():
-    assert units.bytes_to_kb(1500) == pytest.approx(1.5)
-    assert units.bytes_to_mb(2_500_000) == pytest.approx(2.5)
-
-
-def test_transfer_rate_bps():
-    # 1 MB in 8 seconds is 1 Mb/s.
-    assert units.transfer_rate_bps(1_000_000, 8.0) == pytest.approx(1_000_000)
-
-
-def test_transfer_rate_bps_handles_zero_duration():
-    assert units.transfer_rate_bps(1000, 0.0) == 0.0
-    assert units.transfer_rate_bps(1000, -1.0) == 0.0
 
 
 def test_minutes():
     assert units.minutes(16) == 960.0
 
 
-def test_format_bytes_scales():
-    assert units.format_bytes(500) == "500 B"
-    assert units.format_bytes(10_000) == "10.0 kB"
-    assert units.format_bytes(1_000_000) == "1.00 MB"
-    assert units.format_bytes(2_000_000_000) == "2.00 GB"
+@pytest.mark.parametrize(
+    "size, text",
+    [
+        (500, "500 B"),
+        (999, "999 B"),
+        (units.KB, "1.0 kB"),
+        (10_000, "10.0 kB"),
+        (units.MB - 1, "1000.0 kB"),
+        (units.MB, "1.00 MB"),
+        (units.GB, "1.00 GB"),
+        (2_000_000_000, "2.00 GB"),
+    ],
+)
+def test_format_bytes_scales(size, text):
+    # The unit switches exactly at each decimal multiple.
+    assert units.format_bytes(size) == text
 
 
-def test_format_rate_scales():
-    assert units.format_rate(82) == "82 b/s"
-    assert units.format_rate(6000) == "6.0 kb/s"
-    assert units.format_rate(26_490_000) == "26.49 Mb/s"
+@pytest.mark.parametrize(
+    "rate, text",
+    [
+        (82, "82 b/s"),
+        (999, "999 b/s"),
+        (1000, "1.0 kb/s"),
+        (6000, "6.0 kb/s"),
+        (units.mbps(1), "1.00 Mb/s"),
+        (26_490_000, "26.49 Mb/s"),
+    ],
+)
+def test_format_rate_scales(rate, text):
+    assert units.format_rate(rate) == text
 
 
-def test_format_duration_scales():
-    assert units.format_duration(0.3) == "300 ms"
-    assert units.format_duration(4.25) == "4.25 s"
-    assert "min" in units.format_duration(75)
+@pytest.mark.parametrize(
+    "seconds, text",
+    [
+        (0.3, "300 ms"),
+        (1.0, "1.00 s"),
+        (4.25, "4.25 s"),
+        (59.99, "59.99 s"),
+        (75, "1 min 15 s"),
+        (units.minutes(16), "16 min 0 s"),
+    ],
+)
+def test_format_duration_scales(seconds, text):
+    assert units.format_duration(seconds) == text
