@@ -10,7 +10,7 @@ methodology faithful to the paper.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import CaptureError
 from repro.netsim.packet import PacketDirection, TCPFlags

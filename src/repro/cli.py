@@ -89,7 +89,7 @@ from repro.netsim.scenario import ScenarioSpec, get_scenario, register_scenarios
 from repro.obs.logconfig import configure_logging
 from repro.randomness import DEFAULT_SEED
 from repro.services.registry import SERVICE_NAMES, register_services_from_file
-from repro.units import format_population, minutes, parse_duration, parse_populations, parse_seeds, unit_sort_key
+from repro.units import format_population, minutes, parse_duration, parse_populations, parse_seeds
 
 if TYPE_CHECKING:
     from repro.core.store import ResultStore
@@ -602,17 +602,12 @@ def _campaign_runner(
 
 
 def store_listing_rows(store: ResultStore) -> List[dict]:
-    """`cache ls` rows in deterministic order: (stage, service, unit, seed).
+    """`cache ls` rows, in the store's listing order: (stage, service, unit, seed).
 
-    Stages sort in campaign order (unknown stages last, alphabetically), so
-    two listings of equal stores are byte-identical and diffable in CI like
-    the results documents.  Units sort via
-    :func:`repro.units.unit_sort_key`: the load stage's population labels
-    compare numerically (1k < 10k < 100k < 1M, where lexical order would
-    interleave them) and per-repetition performance units by repetition
-    number.
+    See :meth:`ResultStore.native_entries <repro.core.store.ResultStore.native_entries>`;
+    `trace ls` lists flight records in the same order.
     """
-    rows = [
+    return [
         {
             "stage": entry["stage"],
             "service": entry["service"],
@@ -623,15 +618,6 @@ def store_listing_rows(store: ResultStore) -> List[dict]:
         }
         for entry in store.native_entries()
     ]
-    rows.sort(
-        key=lambda row: (
-            (STAGES.index(row["stage"]), "") if row["stage"] in STAGES else (len(STAGES), row["stage"]),
-            row["service"],
-            unit_sort_key(row["unit"]),
-            row["seed"],
-        )
-    )
-    return rows
 
 
 def _emit_sweep_artifacts(sweep: SweepResult, args: argparse.Namespace) -> None:

@@ -34,3 +34,8 @@ DEFAULT_RESOLVER_COUNT = 300
 #: PlanetLab vantage points of the data-center discovery: the default of
 #: ``build_world``.
 DEFAULT_PLANETLAB_COUNT = 300
+
+#: The two services the paper plots in Fig. 3, the ones with per-file
+#: connections: the fixed slots of ``syn_series_services`` in
+#: :mod:`repro.core.campaign` and the default of ``SynSeriesExperiment``.
+SYN_SERIES_SERVICES = ("clouddrive", "googledrive")

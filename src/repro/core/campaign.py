@@ -60,7 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import DEFAULT_REPETITIONS, DEFAULT_RESOLVER_COUNT
+from repro.core import DEFAULT_REPETITIONS, DEFAULT_RESOLVER_COUNT, SYN_SERIES_SERVICES
 from repro.errors import ConfigurationError, UnknownServiceError
 from repro.netsim.scenario import BASELINE, ScenarioSpec
 from repro.obs.recorder import campaign_trace_document, cell_flight_record, harness_record
@@ -79,7 +79,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "STAGES",
-    "SYN_SERIES_SERVICES",
     "syn_series_services",
     "WHOLE_SERVICE_UNIT",
     "RESULTS_DOC_VERSION",
@@ -105,9 +104,6 @@ __all__ = [
 #: (plan, seed, config) — so a sharded multi-runner campaign merged from the
 #: store serializes byte-identically to a sequential ``cloudbench all`` run.
 RESULTS_DOC_VERSION = 1
-
-#: Fig. 3 is only plotted for the two services with per-file connections.
-SYN_SERIES_SERVICES = ("clouddrive", "googledrive")
 
 
 def syn_series_services(services: Sequence[str]) -> List[str]:

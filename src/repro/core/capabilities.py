@@ -14,16 +14,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.capture import analysis
 from repro.core.workloads import BUNDLING_TOTAL_BYTES, DELTA_CHANGE_BYTES
-from repro.filegen.batch import generate_batch, generate_file
+from repro.filegen.batch import generate_batch
 from repro.filegen.binary import generate_binary
 from repro.filegen.jpeg import generate_fake_jpeg
-from repro.filegen.model import FileKind, GeneratedFile
+from repro.filegen.model import FileKind
 from repro.filegen.text import generate_text
 from repro.netsim.scenario import ScenarioSpec
 from repro.randomness import DEFAULT_SEED, derive_seed
 from repro.services.registry import SERVICE_NAMES
 from repro.testbed.controller import Observation, TestbedController
-from repro.units import KB, MB
+from repro.units import MB
 
 __all__ = [
     "ChunkingResult",

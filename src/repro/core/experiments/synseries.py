@@ -12,15 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.capture import analysis
+from repro.core import SYN_SERIES_SERVICES
 from repro.core.workloads import WorkloadSpec, workload_by_name
 from repro.netsim.scenario import ScenarioSpec
 from repro.randomness import DEFAULT_SEED
 from repro.testbed.controller import TestbedController
 
 __all__ = ["SynSeriesServiceResult", "SynSeriesResult", "SynSeriesExperiment"]
-
-#: The two services the paper plots in Fig. 3.
-DEFAULT_SERVICES = ["clouddrive", "googledrive"]
 
 
 @dataclass
@@ -67,7 +65,7 @@ class SynSeriesExperiment:
         seed: int = DEFAULT_SEED,
         scenario: Optional[ScenarioSpec] = None,
     ) -> None:
-        self.services = list(services) if services is not None else list(DEFAULT_SERVICES)
+        self.services = list(services) if services is not None else list(SYN_SERIES_SERVICES)
         self.workload = workload if workload is not None else workload_by_name("100x10kB")
         self.seed = seed
         self.scenario = scenario

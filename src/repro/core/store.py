@@ -47,10 +47,11 @@ import os
 import re
 import tempfile
 import time
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.obs.export import to_canonical_json
 from repro.obs.tracer import current_tracer
+from repro.units import unit_sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.core.campaign import CampaignCell, CellResult
@@ -164,6 +165,36 @@ def _is_native(entry: dict) -> bool:
     return entry["schema"] == STORE_SCHEMA_VERSION and entry["code"] == model_fingerprint()
 
 
+def _listing_key(entry: dict) -> tuple:
+    """Listing order of store entries: (stage, service, unit, seed).
+
+    Stages sort in campaign order (unknown ones last, alphabetically), so
+    two listings of equal stores are byte-identical.  Units sort via
+    :func:`repro.units.unit_sort_key`: population labels compare
+    numerically (1k < 10k < 100k < 1M, where text order would interleave
+    them) and per-repetition units by repetition number.
+    """
+    from repro.core.campaign import STAGES  # deferred: campaign imports this module
+
+    stage = entry["stage"]
+    return (
+        (STAGES.index(stage), "") if stage in STAGES else (len(STAGES), stage),
+        entry["service"],
+        unit_sort_key(entry["unit"]),
+        entry["seed"],
+    )
+
+
+def _read_sidecar(path: str) -> Optional[dict]:
+    """A flight-record sidecar's JSON object, or ``None`` if it is missing or unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def _write_atomically(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and ``os.replace``."""
     fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -238,12 +269,7 @@ class ResultStore:
 
     def _load_trace(self, cell: "CampaignCell") -> Optional[dict]:
         """The cell's flight-record sidecar, if a traced run persisted one."""
-        try:
-            with open(self.trace_path_for(cell), "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return record if isinstance(record, dict) else None
+        return _read_sidecar(self.trace_path_for(cell))
 
     def _read_entry(self, path: str) -> Optional[dict]:
         """Parse one entry file; corrupt files are logged, deleted and miss.
@@ -351,17 +377,32 @@ class ResultStore:
         """Paths of every entry currently in the store."""
         return self._files(_ENTRY_SUFFIX)
 
-    def native_entries(self) -> Iterator[dict]:
-        """Every entry this schema and model code wrote, sorted walk order.
+    def _native(self) -> List[Tuple[str, dict]]:
+        """``(path, entry)`` of every entry this schema and model code wrote, in listing order.
 
+        Listing order is ``cache ls`` order (see :func:`_listing_key`).
         Corrupt files encountered along the way are logged and deleted
         (exactly as :meth:`load` would); foreign entries are skipped but
         kept on disk.
         """
-        for path in list(self.entries()):
-            entry = self._native_entry(path)
-            if entry is not None:
-                yield entry
+        found = [(path, self._native_entry(path)) for path in list(self.entries())]
+        native = [(path, entry) for path, entry in found if entry is not None]
+        return sorted(native, key=lambda item: _listing_key(item[1]))
+
+    def native_entries(self) -> Iterator[dict]:
+        """Every entry this schema and model code wrote, in listing order (see :meth:`_native`)."""
+        return (entry for _, entry in self._native())
+
+    def flight_records(self) -> Iterator[dict]:
+        """The flight record of every native entry that has one, in listing order.
+
+        Sidecars without a native entry (orphans, or another schema's or
+        model code's) are not listed: :meth:`load` never reads them either.
+        """
+        for path, _ in self._native():
+            record = _read_sidecar(path[: -len(_ENTRY_SUFFIX)] + _TRACE_SUFFIX)
+            if record is not None:
+                yield record
 
     def orphan_sidecars(self) -> Iterator[str]:
         """Flight-record sidecars whose entry no longer exists.

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.geo.datacenters import DataCenter, DataCenterRole
+from repro.geo.datacenters import DataCenter
 from repro.geo.locations import Location, all_locations
 
 __all__ = [

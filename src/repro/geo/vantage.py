@@ -11,7 +11,7 @@ stretch factor, plus a small last-mile constant and deterministic jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.errors import GeolocationError
 from repro.geo.locations import Location, all_locations

@@ -26,9 +26,9 @@ class NetworkSimulator:
     crossing that interface — exactly the capture point of the testbed.
     """
 
-    def __init__(self, client: Endpoint = CLIENT_ENDPOINT, start_time: float = 0.0) -> None:
-        self.client = client
-        self.clock = SimClock(start_time)
+    def __init__(self) -> None:
+        self.client: Endpoint = CLIENT_ENDPOINT
+        self.clock = SimClock()
         #: The tracer active at construction time (the per-cell tracer when a
         #: traced campaign built this simulator, else the zero-cost null
         #: tracer).  Captured once so the hot paths below never do a lookup.

@@ -1,11 +1,13 @@
 """Execution of the ``cloudbench trace`` sub-commands.
 
-``trace ls`` inventories the flight-record sidecars of a result store,
+``trace ls`` inventories the flight records of a result store,
 ``trace show`` summarizes one record (or a whole campaign trace), and
 ``trace export`` converts either into Chrome trace-event form for
 Perfetto or canonical JSON for diffing — ``--sim-only`` strips the
 run-specific wall half first, yielding the byte-comparable form CI
-diffs across ``--jobs`` values.
+diffs across ``--jobs`` values.  A store's records are those of its
+native entries (:meth:`~repro.core.store.ResultStore.flight_records`),
+in ``cache ls`` order.
 
 Kept apart from :mod:`repro.cli` so the trace machinery never loads for
 ordinary campaign runs, as ``cloudbench lint`` loads
@@ -17,10 +19,10 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from repro.core.campaign import STAGES
 from repro.core.report import render_table
+from repro.core.store import ResultStore
 from repro.errors import ConfigurationError
 from repro.obs.export import chrome_trace, to_canonical_json
 from repro.obs.recorder import (
@@ -30,21 +32,7 @@ from repro.obs.recorder import (
     strip_wall,
 )
 
-__all__ = ["TRACE_SIDECAR_SUFFIX", "sidecar_paths", "load_trace_file", "execute_ls", "execute_show", "execute_export"]
-
-#: Flight-record sidecars live next to their store entry ``<base>.cell.json``: ``<base>.trace.json``.
-TRACE_SIDECAR_SUFFIX = ".trace.json"
-
-
-def sidecar_paths(store_dir: str) -> List[str]:
-    """Every flight-record sidecar under a store directory, sorted walk order."""
-    found: List[str] = []
-    for dirpath, dirnames, filenames in os.walk(store_dir):
-        dirnames[:] = sorted(name for name in dirnames if name != ".claims")
-        for filename in sorted(filenames):
-            if filename.endswith(TRACE_SIDECAR_SUFFIX):
-                found.append(os.path.join(dirpath, filename))
-    return found
+__all__ = ["load_trace_file", "execute_ls", "execute_show", "execute_export"]
 
 
 def load_trace_file(path: str) -> Dict[str, object]:
@@ -59,29 +47,6 @@ def load_trace_file(path: str) -> Dict[str, object]:
     if not isinstance(document, dict) or document.get("kind") not in (FLIGHT_RECORD_KIND, TRACE_KIND):
         raise ConfigurationError(f"{path}: not a cloudbench trace or flight-record document")
     return document
-
-
-def _cell_sort_key(record: Dict[str, object]):
-    cell = record.get("cell", {})
-    stage = cell.get("stage", "")
-    return (
-        (STAGES.index(stage), "") if stage in STAGES else (len(STAGES), str(stage)),
-        str(cell.get("service", "")),
-        str(cell.get("unit", "")),
-        cell.get("seed", 0),
-    )
-
-
-def _store_records(store_dir: str) -> List[Dict[str, object]]:
-    """Every readable flight record in a store, campaign plan order."""
-    records = []
-    for path in sidecar_paths(store_dir):
-        try:
-            records.append(load_trace_file(path))
-        except ConfigurationError:
-            continue  # a foreign .trace.json is not ours to choke on
-    records.sort(key=_cell_sort_key)
-    return records
 
 
 def _record_row(record: Dict[str, object]) -> Dict[str, object]:
@@ -104,8 +69,7 @@ def _record_row(record: Dict[str, object]) -> Dict[str, object]:
 
 def execute_ls(store_dir: str) -> int:
     """``cloudbench trace ls``: one row per flight record in the store."""
-    records = _store_records(store_dir)
-    rows = [_record_row(record) for record in records]
+    rows = [_record_row(record) for record in ResultStore(store_dir).flight_records()]
     print(render_table(rows, title=f"Flight records in {store_dir} ({len(rows)} cell(s))"))
     return 0
 
@@ -143,7 +107,7 @@ def execute_show(target: str, *, error: Callable[[str], None]) -> int:
     """``cloudbench trace show``: summarize one record, or every cell of a trace."""
     try:
         if os.path.isdir(target):
-            records = _store_records(target)
+            records = list(ResultStore(target).flight_records())
             if not records:
                 error(f"no flight records under {target}")
                 return 2
@@ -176,7 +140,7 @@ def execute_export(
             if document.get("kind") == FLIGHT_RECORD_KIND:
                 document = campaign_trace_document([document])
         elif store_dir is not None:
-            document = campaign_trace_document(_store_records(store_dir))
+            document = campaign_trace_document(list(ResultStore(store_dir).flight_records()))
         else:
             error("trace export needs --input FILE or --store DIR")
             return 2

@@ -19,7 +19,7 @@ two documents diffable regardless of assembly order.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.errors import ConfigurationError
 from repro.perf.benchmarks import BenchmarkResult

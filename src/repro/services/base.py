@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ServiceError
 from repro.filegen.model import GeneratedFile
 from repro.netsim.events import ScheduledEvent
-from repro.netsim.http import HTTPChannel, HTTPExchange
+from repro.netsim.http import HTTPChannel
 from repro.netsim.simulator import NetworkSimulator
 from repro.netsim.tls import TLSParameters
 from repro.services.backend import StorageBackend
@@ -32,7 +32,7 @@ from repro.sync.delta import DeltaCodec
 from repro.sync.encryption import ConvergentEncryptor, ENCRYPTION_HEADER_BYTES
 from repro.sync.protocol import ChunkUploadMessage, CommitMessage, FileMetadataMessage, ListChangesMessage
 
-__all__ = ["ChunkUpload", "PreparedFile", "SyncSummary", "CloudStorageClient"]
+__all__ = ["ChunkUpload", "PreparedFile", "CloudStorageClient"]
 
 
 @dataclass
@@ -43,8 +43,6 @@ class ChunkUpload:
     logical_bytes: int
     transmit_bytes: int
     duplicate: bool = False
-    compressed: bool = False
-    via_delta: bool = False
 
 
 @dataclass
@@ -53,7 +51,6 @@ class PreparedFile:
 
     file: GeneratedFile
     chunk_uploads: List[ChunkUpload] = field(default_factory=list)
-    used_delta: bool = False
 
     @property
     def logical_size(self) -> int:
@@ -61,43 +58,9 @@ class PreparedFile:
         return self.file.size
 
     @property
-    def transmit_bytes(self) -> int:
-        """Bytes that will actually be pushed to the storage servers."""
-        return sum(upload.transmit_bytes for upload in self.chunk_uploads if not upload.duplicate)
-
-    @property
     def chunk_digests(self) -> List[str]:
         """Digests of every chunk (uploaded or deduplicated), in file order."""
         return [upload.digest for upload in self.chunk_uploads]
-
-
-@dataclass
-class SyncSummary:
-    """Client-side summary of one synchronization batch.
-
-    The benchmark metrics themselves are computed from the captured traffic;
-    this summary exists for examples, logging and for tests that validate
-    the client's internal decisions (e.g. how many chunks were deduplicated).
-    """
-
-    service: str
-    started_at: float
-    finished_at: float
-    file_count: int
-    logical_bytes: int
-    transmitted_payload_bytes: int
-    chunks_uploaded: int = 0
-    chunks_deduplicated: int = 0
-    used_delta: bool = False
-    used_bundling: bool = False
-    bundles: int = 0
-    storage_connections_opened: int = 0
-    control_connections_opened: int = 0
-
-    @property
-    def duration(self) -> float:
-        """Client-side elapsed time of the batch."""
-        return self.finished_at - self.started_at
 
 
 class CloudStorageClient:
@@ -123,8 +86,6 @@ class CloudStorageClient:
         self._storage_channel: Optional[HTTPChannel] = None
         self._polling_event: Optional[ScheduledEvent] = None
         self._logged_in = False
-        self.control_connections_opened = 0
-        self.storage_connections_opened = 0
 
     # ------------------------------------------------------------------ #
     # Connection management
@@ -142,7 +103,6 @@ class CloudStorageClient:
         """Return the control channel, opening it if necessary."""
         if self._control_channel is None or not self._control_channel.connection.is_open:
             self._control_channel = self._open_channel(self.profile.primary_control)
-            self.control_connections_opened += 1
         return self._control_channel
 
     def _notification(self) -> HTTPChannel:
@@ -152,21 +112,13 @@ class CloudStorageClient:
             return self._control()
         if self._notification_channel is None or not self._notification_channel.connection.is_open:
             self._notification_channel = self._open_channel(server)
-            self.control_connections_opened += 1
         return self._notification_channel
 
     def _storage(self) -> HTTPChannel:
         """Return the persistent storage channel, opening it if necessary."""
         if self._storage_channel is None or not self._storage_channel.connection.is_open:
             self._storage_channel = self._open_channel(self.profile.primary_storage)
-            self.storage_connections_opened += 1
         return self._storage_channel
-
-    def _open_storage_channel(self) -> HTTPChannel:
-        """Open a fresh storage connection (per-file connection policies)."""
-        channel = self._open_channel(self.profile.primary_storage)
-        self.storage_connections_opened += 1
-        return channel
 
     # ------------------------------------------------------------------ #
     # Lifecycle: login, polling, disconnect
@@ -185,7 +137,6 @@ class CloudStorageClient:
         per_server = max(spec.total_bytes // max(spec.server_count, 1), 500)
         for index, server in enumerate(self.profile.login_servers):
             channel = self._open_channel(server)
-            self.control_connections_opened += 1
             # Roughly one quarter of the login volume goes up (credentials,
             # device state), the rest comes down (account metadata, file list).
             channel.post(per_server // 4, per_server - per_server // 4, note=f"login-{index}")
@@ -238,7 +189,6 @@ class CloudStorageClient:
         polling = self.profile.polling
         if polling.new_connection_per_poll:
             channel = self._open_channel(self.profile.primary_control)
-            self.control_connections_opened += 1
             channel.post(polling.request_bytes, polling.response_bytes, note="poll")
             channel.close()
         else:
@@ -263,13 +213,15 @@ class CloudStorageClient:
     # ------------------------------------------------------------------ #
     # Synchronization
     # ------------------------------------------------------------------ #
-    def sync_files(self, files: Sequence[GeneratedFile]) -> SyncSummary:
+    def sync_files(self, files: Sequence[GeneratedFile]) -> None:
         """Synchronize a batch of new or modified files to the cloud.
 
         This is the client reacting to local file-system changes: it detects
         the change, pre-processes the content (hashing, optional encryption),
         exchanges metadata with the control plane, pushes the required bytes
-        to the storage plane and commits the result.
+        to the storage plane and commits the result.  It returns nothing:
+        what the client sent is in the traffic a
+        :class:`~repro.capture.sniffer.Sniffer` on the simulator captures.
         """
         if not files:
             raise ServiceError("sync_files() requires at least one file")
@@ -293,7 +245,10 @@ class CloudStorageClient:
                 files=len(files),
             )
         upload_started = self._sim.now
-        summary = self._upload_prepared(prepared)
+        if self.profile.capabilities.bundling:
+            self._upload_bundled(prepared)
+        else:
+            self._upload_per_file(prepared)
         if tracer.enabled:
             tracer.sim_span(
                 "sync.upload",
@@ -303,8 +258,6 @@ class CloudStorageClient:
                 service=self.profile.name,
                 files=len(prepared),
             )
-        summary.started_at = started
-        summary.finished_at = self._sim.now
         finalize_started = self._sim.now
         self._finalize(prepared)
         if tracer.enabled:
@@ -323,7 +276,6 @@ class CloudStorageClient:
                 service=self.profile.name,
                 files=len(files),
             )
-        return summary
 
     def delete_files(self, names: Sequence[str]) -> None:
         """Delete files from the synced folder (content stays server-side)."""
@@ -364,7 +316,7 @@ class CloudStorageClient:
         size = result.transmitted_size
         if self._encryptor is not None:
             size += ENCRYPTION_HEADER_BYTES
-        return ChunkUpload(digest="", logical_bytes=len(piece), transmit_bytes=size, compressed=result.compressed)
+        return ChunkUpload(digest="", logical_bytes=len(piece), transmit_bytes=size)
 
     def _prepare_file(self, file: GeneratedFile, batch_digests: Optional[set] = None) -> PreparedFile:
         """Apply chunking, deduplication, delta encoding and compression to one file.
@@ -397,7 +349,7 @@ class CloudStorageClient:
             uploads.append(upload)
             if batch_digests is not None:
                 batch_digests.add(identity)
-        return PreparedFile(file=file, chunk_uploads=uploads, used_delta=use_delta and any(u.via_delta for u in uploads))
+        return PreparedFile(file=file, chunk_uploads=uploads)
 
     def _delta_upload(self, new_piece: bytes, old_content: bytes, old_chunk) -> ChunkUpload:
         """Delta-encode one chunk against the corresponding chunk of the old revision.
@@ -414,46 +366,12 @@ class CloudStorageClient:
         delta_size = compressed_literal + 12 * len(delta.ops)
         full = self._transmit_size(new_piece)
         if delta_size < full.transmit_bytes:
-            return ChunkUpload(
-                digest="",
-                logical_bytes=len(new_piece),
-                transmit_bytes=delta_size,
-                compressed=True,
-                via_delta=True,
-            )
+            return ChunkUpload(digest="", logical_bytes=len(new_piece), transmit_bytes=delta_size)
         return full
 
     # ------------------------------------------------------------------ #
     # Upload engine
     # ------------------------------------------------------------------ #
-    def _upload_prepared(self, prepared: List[PreparedFile]) -> SyncSummary:
-        """Push prepared files to the cloud according to the connection policy."""
-        control_before = self.control_connections_opened
-        storage_before = self.storage_connections_opened
-        if self.profile.capabilities.bundling:
-            bundles = self._upload_bundled(prepared)
-            used_bundling = True
-        else:
-            bundles = 0
-            used_bundling = False
-            self._upload_per_file(prepared)
-        uploads = [upload for item in prepared for upload in item.chunk_uploads]
-        return SyncSummary(
-            service=self.profile.name,
-            started_at=0.0,
-            finished_at=0.0,
-            file_count=len(prepared),
-            logical_bytes=sum(item.logical_size for item in prepared),
-            transmitted_payload_bytes=sum(item.transmit_bytes for item in prepared),
-            chunks_uploaded=sum(1 for upload in uploads if not upload.duplicate),
-            chunks_deduplicated=sum(1 for upload in uploads if upload.duplicate),
-            used_delta=any(item.used_delta for item in prepared),
-            used_bundling=used_bundling,
-            bundles=bundles,
-            storage_connections_opened=self.storage_connections_opened - storage_before,
-            control_connections_opened=self.control_connections_opened - control_before,
-        )
-
     def _batch_metadata_exchange(self, prepared: List[PreparedFile]) -> None:
         """Register the whole batch (names, sizes, chunk digests) with the control plane."""
         sizes = self.profile.message_sizes
@@ -470,7 +388,7 @@ class CloudStorageClient:
             extra = self.profile.per_sync_control_overhead_bytes
             self._control().post(extra // 2, extra - extra // 2, note="capability-signalling")
 
-    def _upload_bundled(self, prepared: List[PreparedFile]) -> int:
+    def _upload_bundled(self, prepared: List[PreparedFile]) -> None:
         """Bundled upload path (Dropbox): few large storage requests, one commit."""
         self._batch_metadata_exchange(prepared)
         entries = [
@@ -490,7 +408,6 @@ class CloudStorageClient:
                 self._sim.run_for(timing.per_file_storage_commit * len(bundle))
         commit = CommitMessage(file_count=len(prepared), sizes=sizes)
         self._control().post(commit.request_bytes, commit.response_bytes, note="batch-commit")
-        return len(bundles)
 
     def _upload_per_file(self, prepared: List[PreparedFile]) -> None:
         """Per-file upload path, honouring the service's connection policy."""
@@ -505,12 +422,11 @@ class CloudStorageClient:
             # Extra throw-away control connections per file operation (Cloud Drive).
             for index in range(policy.control_connections_per_file):
                 channel = self._open_channel(self.profile.primary_control)
-                self.control_connections_opened += 1
                 message = ListChangesMessage(sizes=sizes)
                 channel.post(message.request_bytes, message.response_bytes, note=f"per-file-control-{index}")
                 channel.close()
             if policy.new_storage_connection_per_file:
-                storage = self._open_storage_channel()
+                storage = self._open_channel(self.profile.primary_storage)
             else:
                 storage = self._storage()
             for upload in item.chunk_uploads:

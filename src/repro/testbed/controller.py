@@ -1,32 +1,43 @@
-"""The testbed controller: one instance per (service, experiment run).
+"""The testbed of §2 in one object: one instance per (service, experiment run).
 
-The controller wires together the simulator, the sniffer, the storage
-backend, the client under test and the FTP driver, and exposes the
-operations experiments are composed of: start the session, place files,
-synchronize, modify, delete, stay idle.  Every operation returns an
-:class:`Observation` carrying the information needed to compute the paper's
-metrics *from the captured trace*.
+The paper's testing application writes files over FTP into the synced
+folder of a test computer, the client under test synchronizes them, and
+a sniffer on the test computer's interface captures every packet.  The
+controller is all of that: the simulated network (the test computer's
+interface), the sniffer, the storage backend, the client under test and
+the synced folder, which the FTP writes reach after a small LAN delay.
+It exposes the operations experiments are composed of: start the
+session, place files, synchronize, delete, stay idle.  Every operation
+returns an :class:`Observation` carrying the information needed to
+compute the paper's metrics *from the captured trace*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.capture.sniffer import Sniffer
 from repro.capture.trace import PacketTrace
+from repro.errors import ConfigurationError
 from repro.filegen.model import GeneratedFile
 from repro.netsim.scenario import ScenarioSpec
 from repro.netsim.simulator import NetworkSimulator
 from repro.randomness import DEFAULT_SEED
 from repro.services.backend import StorageBackend
-from repro.services.base import CloudStorageClient, SyncSummary
-from repro.services.registry import create_client, get_profile
-from repro.testbed.folder import SyncedFolder
-from repro.testbed.ftp import FTPDriver
-from repro.testbed.testcomputer import TestComputer
+from repro.services.base import CloudStorageClient
+from repro.services.registry import create_client
+from repro.units import mbps
 
-__all__ = ["Observation", "TestbedController"]
+__all__ = ["FTP_OPERATION_DELAY", "FTP_LAN_RATE_BPS", "Observation", "TestbedController"]
+
+#: Command overhead of one FTP operation of the testing application.  The
+#: paper notes that this artifact is part of the start-up metric but
+#: affects every service equally (§5.1, footnote 5).
+FTP_OPERATION_DELAY = 0.005
+
+#: Rate of the testbed LAN that carries the FTP transfers.
+FTP_LAN_RATE_BPS = mbps(400.0)
 
 
 @dataclass
@@ -41,7 +52,6 @@ class Observation:
     benchmark_bytes: int
     storage_hostnames: List[str]
     control_hostnames: List[str]
-    summary: Optional[SyncSummary] = None
     trace: PacketTrace = field(default_factory=PacketTrace)
 
     def storage_trace(self) -> PacketTrace:
@@ -50,7 +60,12 @@ class Observation:
 
 
 class TestbedController:
-    """Drives one service through one experiment run.
+    """Drives one service through one experiment run on the §2 testbed.
+
+    ``folder`` maps the name of every file in the synced folder to its
+    content.  Each FTP write costs :data:`FTP_OPERATION_DELAY` plus the
+    file's transfer time at :data:`FTP_LAN_RATE_BPS`, and each deleted name
+    one :data:`FTP_OPERATION_DELAY`.
 
     ``scenario`` overlays a network condition
     (:class:`~repro.netsim.scenario.ScenarioSpec`) on every path the client
@@ -67,22 +82,17 @@ class TestbedController:
         self,
         service: str,
         *,
-        start_time: float = 0.0,
         scenario: Optional["ScenarioSpec"] = None,
         seed: int = DEFAULT_SEED,
     ) -> None:
         self.service = service.lower()
-        self.profile = get_profile(self.service)
-        self.simulator = NetworkSimulator(start_time=start_time)
-        self.scenario = scenario
+        self.simulator = NetworkSimulator()
         if scenario is not None and not scenario.is_identity():
             self.simulator.path_warp = scenario.bind(seed)
         self.sniffer = Sniffer(self.simulator)
         self.backend = StorageBackend(self.service)
         self.client: CloudStorageClient = create_client(self.service, self.simulator, self.backend)
-        self.test_computer = TestComputer(SyncedFolder())
-        self.test_computer.install_client(self.client)
-        self.ftp = FTPDriver(self.simulator, self.test_computer)
+        self.folder: Dict[str, GeneratedFile] = {}
         self._session_started = False
 
     # ------------------------------------------------------------------ #
@@ -102,10 +112,6 @@ class TestbedController:
         self.client.disconnect()
         self._session_started = False
 
-    def wait(self, seconds: float) -> None:
-        """Let simulated time pass (background polling keeps running)."""
-        self.simulator.run_for(seconds)
-
     def idle(self, seconds: float) -> Observation:
         """Observe the client while idle for ``seconds`` (Fig. 1's scenario)."""
         window_start = self.simulator.now
@@ -116,11 +122,12 @@ class TestbedController:
     # Workload operations
     # ------------------------------------------------------------------ #
     def sync_upload(self, files: Sequence[GeneratedFile], label: str = "upload") -> Observation:
-        """Place a batch of files in the synced folder and synchronize it.
+        """Write a batch of files into the synced folder over FTP and synchronize it.
 
         The modification time recorded in the observation is the moment the
         first file of the batch lands in the folder — the reference point of
-        the start-up metric (§5.1), testing-application artifact included.
+        the start-up metric (§5.1), FTP transfer included.  An empty batch
+        raises the client's :class:`~repro.errors.ServiceError`.
         """
         self._ensure_session()
         # The window opens an instant after "now" so that packets stamped at
@@ -128,24 +135,37 @@ class TestbedController:
         # this one (relevant for services whose control and storage share
         # the same servers, e.g. Wuala).
         window_start = self.simulator.now + 1e-9
-        self.ftp.put_files(files)
-        modification_time = min(
-            event.timestamp for event in self.test_computer.folder.events if event.timestamp >= window_start
-        )
-        summary = self.test_computer.synchronize(files)
+        modification_time = None
+        for file in files:
+            self.simulator.run_for(FTP_OPERATION_DELAY + file.size * 8.0 / FTP_LAN_RATE_BPS)
+            self.folder[file.name] = file
+            if modification_time is None:
+                modification_time = self.simulator.now
+        self.client.sync_files(files)
         return self._observation(
             label,
             window_start,
             modification_time=modification_time,
             benchmark_bytes=sum(file.size for file in files),
-            summary=summary,
         )
 
     def delete(self, names: Sequence[str], label: str = "delete") -> Observation:
-        """Delete files from the synced folder."""
+        """Delete files from the synced folder over FTP.
+
+        Every name must be in the folder (a repeated name counts as unknown
+        the second time); otherwise :class:`~repro.errors.ConfigurationError`
+        is raised before the clock or the folder changes.
+        """
+        remaining = dict(self.folder)
+        for name in names:
+            if remaining.pop(name, None) is None:
+                raise ConfigurationError(f"cannot delete unknown file {name!r}")
         self._ensure_session()
         window_start = self.simulator.now + 1e-9
-        self.ftp.delete_files(names)
+        for _ in names:
+            self.simulator.run_for(FTP_OPERATION_DELAY)
+        self.folder = remaining
+        self.client.delete_files(names)
         return self._observation(label, window_start, modification_time=window_start, benchmark_bytes=0)
 
     def pause_between_experiments(self, seconds: float = 300.0) -> None:
@@ -166,7 +186,6 @@ class TestbedController:
         *,
         modification_time: Optional[float],
         benchmark_bytes: int,
-        summary: Optional[SyncSummary] = None,
     ) -> Observation:
         window_end = self.simulator.now
         return Observation(
@@ -178,6 +197,5 @@ class TestbedController:
             benchmark_bytes=benchmark_bytes,
             storage_hostnames=self.client.storage_hostnames,
             control_hostnames=self.client.control_hostnames,
-            summary=summary,
             trace=self.sniffer.trace.between(window_start, window_end + 1.0),
         )

@@ -3,11 +3,13 @@
 Every ``cloudbench`` process, shard runner and benchmark set-up imports
 only the layers its stages run.  The subprocess tests pin that: a fresh
 interpreter runs one cell (or ``--help``) and reports which ``repro``
-modules it imported.
+modules it imported.  An AST pass holds every module-level import of
+``src/repro`` to a name its module reads.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -127,3 +129,63 @@ def test_shard_help_states_the_lease_timeout_default(capsys):
     with pytest.raises(SystemExit):
         main(["shard", "--help"])
     assert f"(default: {DEFAULT_LEASE_TIMEOUT:g})" in " ".join(capsys.readouterr().out.split())
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Names a module reads: loaded names, names in string annotations and in ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            every = arguments.posonlyargs + arguments.args + arguments.kwonlyargs + [arguments.vararg, arguments.kwarg]
+            annotations += [argument.annotation for argument in every if argument is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:  # a Literal["..."] string, not a name
+                    continue
+                names |= {name.id for name in ast.walk(parsed) if isinstance(name, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            names |= {item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant)}
+    return names
+
+
+def _module_level_imports(body: list):
+    """``(line, bound name)`` of every import at module level, ``if``/``try`` blocks included."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+        elif isinstance(node, (ast.If, ast.Try)):
+            yield from _module_level_imports(node.body + node.orelse + getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                yield from _module_level_imports(handler.body)
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    package = os.path.join(SRC_DIR, "repro")
+    unread = []
+    for directory, subdirectories, filenames in os.walk(package):
+        subdirectories.sort()
+        for filename in sorted(name for name in filenames if name.endswith(".py")):
+            path = os.path.join(directory, filename)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            names = _read_names(tree)
+            unread += [
+                f"{os.path.relpath(path, SRC_DIR)}:{line}: {name}"
+                for line, name in _module_level_imports(tree.body)
+                if name not in names
+            ]
+    assert unread == []

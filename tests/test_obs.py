@@ -338,6 +338,45 @@ class TestCli:
         with open(out_path, "r", encoding="utf-8") as handle:
             assert handle.read().startswith("{")
 
+    def test_trace_reads_the_store_in_cache_ls_order(self, tmp_path, capsys):
+        # Population units sort by value, not as text, as `cache ls` sorts
+        # them; a sidecar without a native entry (an orphan, or one of
+        # another model code's entry) is never loaded, so no trace command
+        # lists it.
+        store_dir = str(tmp_path / "store")
+        argv = ["--services", "dropbox", "all", "--stages", "load", "--populations", "2k,10k,1k",
+                "--jobs", "1", "--cache-dir", store_dir, "--trace", str(tmp_path / "trace.json")]
+        assert self.run_main(argv) == 0
+        sidecars = sorted(os.listdir(os.path.join(store_dir, "load")))
+        source = os.path.join(store_dir, "load", next(name for name in sidecars if name.endswith(".trace.json")))
+        with open(source, "r", encoding="utf-8") as handle:
+            orphan = json.load(handle)
+        orphan["cell"]["unit"] = "5k"
+        with open(os.path.join(store_dir, "load", "dropbox.5k.0000000000000000.trace.json"), "w") as handle:
+            json.dump(orphan, handle, sort_keys=True)
+        capsys.readouterr()
+
+        def listed_units(argv):
+            assert self.run_main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line.split("|")[2].strip() for line in lines if line.startswith("load ")]
+
+        assert listed_units(["cache", "ls", "--store", store_dir]) == ["1k", "2k", "10k"]
+        assert listed_units(["trace", "ls", "--store", store_dir]) == ["1k", "2k", "10k"]
+        out_path = str(tmp_path / "export.json")
+        assert self.run_main(["trace", "export", "--store", store_dir, "--format", "json", "--output", out_path]) == 0
+        with open(out_path, "r", encoding="utf-8") as handle:
+            exported = json.load(handle)
+        assert [record["cell"]["unit"] for record in exported["cells"]] == ["1k", "2k", "10k"]
+        # An entry written by other model code keeps its sidecar out too.
+        entry_path = source[: -len(".trace.json")] + ".cell.json"
+        with open(entry_path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["code"] = "other-model-code"
+        with open(entry_path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle, sort_keys=False)
+        assert listed_units(["trace", "ls", "--store", store_dir]) == ["1k", "2k"]
+
     def test_trace_export_sim_only_is_jobs_invariant(self, tmp_path):
         paths = {}
         for jobs in (1, 2):

@@ -1,80 +1,20 @@
-"""Tests for the testbed: folder, FTP driver, test computer, controller."""
+"""Tests for the testbed controller: FTP writes, synced folder, observations."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServiceError
 from repro.filegen.batch import generate_batch
 from repro.filegen.binary import generate_binary
 from repro.filegen.model import FileKind
-from repro.netsim.simulator import NetworkSimulator
-from repro.testbed.controller import TestbedController
-from repro.testbed.folder import SyncedFolder
-from repro.testbed.ftp import FTPDriver
-from repro.testbed.testcomputer import TestComputer
+from repro.testbed.controller import FTP_LAN_RATE_BPS, FTP_OPERATION_DELAY, TestbedController
 from repro.units import KB
 
 
-class TestSyncedFolder:
-    def test_put_and_get(self):
-        folder = SyncedFolder()
-        file = generate_binary(1000, name="a.bin")
-        event = folder.put(file, timestamp=1.0)
-        assert event.operation == "create"
-        assert folder.get("a.bin").content == file.content
-        assert folder.total_bytes() == 1000
-        assert "a.bin" in folder
-
-    def test_overwrite_is_a_modify_event(self):
-        folder = SyncedFolder()
-        file = generate_binary(1000, name="a.bin")
-        folder.put(file, timestamp=1.0)
-        event = folder.put(file.with_content(b"new"), timestamp=2.0)
-        assert event.operation == "modify"
-        assert len(folder) == 1
-
-    def test_delete(self):
-        folder = SyncedFolder()
-        folder.put(generate_binary(10, name="a.bin"), timestamp=1.0)
-        folder.delete("a.bin", timestamp=2.0)
-        assert len(folder) == 0
-        assert folder.events[-1].operation == "delete"
-        with pytest.raises(ConfigurationError):
-            folder.delete("missing.bin", timestamp=3.0)
-
-    def test_events_record_each_operation_in_order(self):
-        folder = SyncedFolder()
-        folder.put(generate_binary(10, name="a.bin"), timestamp=5.0)
-        folder.put(generate_binary(30, name="a.bin"), timestamp=6.0)
-        folder.put(generate_binary(20, name="b.bin"), timestamp=7.0)
-        folder.delete("a.bin", timestamp=8.0)
-        assert [(e.timestamp, e.operation, e.name, e.size) for e in folder.events] == [
-            (5.0, "create", "a.bin", 10),
-            (6.0, "modify", "a.bin", 30),
-            (7.0, "create", "b.bin", 20),
-            (8.0, "delete", "a.bin", 30),
-        ]
-        assert folder.total_bytes() == 20
-
-
-class TestTestComputerAndFTP:
-    def test_client_required_before_sync(self):
-        computer = TestComputer()
-        with pytest.raises(ConfigurationError):
-            _ = computer.client
-
-    def test_ftp_put_advances_clock_and_records_events(self):
-        simulator = NetworkSimulator()
-        computer = TestComputer()
-        driver = FTPDriver(simulator, computer)
-        files = generate_batch(FileKind.BINARY, 5, 100 * KB, prefix="ftp")
-        before = simulator.now
-        names = driver.put_files(files)
-        assert len(names) == 5
-        assert simulator.now > before
-        assert len(computer.folder.events) == 5
-        assert computer.folder.events[0].timestamp <= computer.folder.events[-1].timestamp
+def ftp_delay(file):
+    """What the FTP write of ``file`` costs, in the controller's own float expression."""
+    return FTP_OPERATION_DELAY + file.size * 8.0 / FTP_LAN_RATE_BPS
 
 
 class TestController:
@@ -88,13 +28,13 @@ class TestController:
         assert observation.modification_time is not None
         assert observation.window_start < observation.window_end
         assert not observation.trace.is_empty()
-        assert observation.summary is not None
         assert not observation.storage_trace().is_empty()
 
     def test_session_starts_lazily(self):
         controller = TestbedController("dropbox")
         observation = controller.sync_upload([generate_binary(10 * KB, name="lazy.bin")])
-        assert observation.summary.file_count == 1
+        assert observation.storage_trace().uploaded_payload_bytes() >= 10 * KB
+        assert [record.name for record in controller.backend.list_files(controller.client.user)] == ["lazy.bin"]
 
     def test_idle_observation_with_polling(self):
         controller = TestbedController("clouddrive")
@@ -122,30 +62,71 @@ class TestController:
         controller = TestbedController("googledrive")
         controller.start_session()
         first_files = generate_batch(FileKind.BINARY, 3, 20 * KB, prefix="one")
-        second_files = generate_batch(FileKind.BINARY, 2, 20 * KB, prefix="two")
+        second_files = generate_batch(FileKind.BINARY, 2, 30 * KB, prefix="two")
+        before_first = controller.simulator.now
         first = controller.sync_upload(first_files)
+        before_second = controller.simulator.now
         second = controller.sync_upload(second_files)
-        events = controller.test_computer.folder.events
-        assert [event.name for event in events] == [file.name for file in first_files + second_files]
         # The FTP transfer of the first file is part of start-up (§5.1), and
         # the second batch's reference ignores the first batch's writes.
-        assert first.window_start < first.modification_time == events[0].timestamp
-        assert second.window_start < second.modification_time == events[3].timestamp
+        assert first.window_start == before_first + 1e-9
+        assert first.modification_time == before_first + ftp_delay(first_files[0])
+        assert second.window_start == before_second + 1e-9
+        assert second.modification_time == before_second + ftp_delay(second_files[0])
         assert first.window_end <= second.window_start
 
-    def test_delete_goes_through_the_ftp_channel(self):
+    def test_the_folder_holds_what_ftp_wrote(self):
+        controller = TestbedController("wuala")
+        files = generate_batch(FileKind.BINARY, 2, 10 * KB, prefix="folder")
+        controller.sync_upload(files)
+        assert controller.folder == {file.name: file for file in files}
+        rewritten = files[0].with_content(b"new")
+        controller.sync_upload([rewritten])
+        assert controller.folder == {files[0].name: rewritten, files[1].name: files[1]}
+
+    def test_delete_goes_through_the_ftp_channel(self, monkeypatch):
         controller = TestbedController("dropbox")
-        controller.start_session()
         files = generate_batch(FileKind.BINARY, 2, 10 * KB, prefix="del")
         controller.sync_upload(files)
+        names = [file.name for file in files]
+        told = []
+        monkeypatch.setattr(
+            controller.client, "delete_files", lambda deleted: told.append((list(deleted), controller.simulator.now))
+        )
         before = controller.simulator.now
-        controller.delete([file.name for file in files])
-        deletes = controller.test_computer.folder.events[-2:]
-        assert [event.operation for event in deletes] == ["delete", "delete"]
-        # One remote command per file, then the folder changes at once.
-        expected = before + 2 * controller.ftp.per_operation_delay
-        assert all(event.timestamp == pytest.approx(expected) for event in deletes)
-        assert len(controller.test_computer.folder) == 0
+        observation = controller.delete(names)
+        # One remote command per name, then the folder changes and the
+        # client hears of it, all at once.
+        assert told == [(names, before + FTP_OPERATION_DELAY + FTP_OPERATION_DELAY)]
+        assert observation.modification_time == observation.window_start == before + 1e-9
+        assert controller.folder == {}
+
+    def test_empty_batch_raises_the_clients_service_error(self):
+        controller = TestbedController("dropbox")
+        controller.start_session()
+        before = controller.simulator.now
+        with pytest.raises(ServiceError):
+            controller.sync_upload([])
+        assert controller.simulator.now == before
+        assert controller.folder == {}
+
+    @pytest.mark.parametrize(
+        "names",
+        [["missing.bin"], ["kept.bin", "missing.bin"], ["kept.bin", "kept.bin"]],
+        ids=["unknown", "known-then-unknown", "repeated"],
+    )
+    def test_deleting_an_unknown_name_changes_nothing(self, names):
+        controller = TestbedController("dropbox")
+        kept = generate_binary(10 * KB, name="kept.bin")
+        controller.sync_upload([kept])
+        before = controller.simulator.now
+        packets = len(controller.sniffer.trace)
+        with pytest.raises(ConfigurationError, match="missing.bin|kept.bin"):
+            controller.delete(names)
+        assert controller.simulator.now == before
+        assert controller.folder == {"kept.bin": kept}
+        assert len(controller.sniffer.trace) == packets
+        assert [record.name for record in controller.backend.list_files(controller.client.user)] == ["kept.bin"]
 
     def test_pause_between_experiments_advances_time(self):
         controller = TestbedController("wuala")
