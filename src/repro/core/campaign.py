@@ -52,7 +52,6 @@ to a cache-served re-run for the same seed.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -72,7 +71,7 @@ from repro.services.registry import (
     install_registered_specs,
     registry_sync_payload,
 )
-from repro.units import format_population, minutes, parse_population
+from repro.units import format_population, minutes, parse_population, usable_cpus
 
 if TYPE_CHECKING:
     from repro.core.store import ResultStore
@@ -133,8 +132,8 @@ WHOLE_SERVICE_UNIT = "-"
 
 
 def default_jobs() -> int:
-    """Default worker count: one per CPU."""
-    return os.cpu_count() or 1
+    """Default worker count: one per CPU this process may use."""
+    return usable_cpus()
 
 
 @dataclass(frozen=True)

@@ -231,12 +231,16 @@ class CapabilityProber:
         controller = self._controller(service)
         controller.start_session()
         burst_size_lists: List[List[int]] = []
+        files = []
         for index, size in enumerate(list(sizes) + [sizes[0]] * (same_size_repeats - 1)):
             file = generate_binary(size, name=f"chunkprobe_{index}.bin", seed=derive_seed(self._seed, service, "chunk", index))
+            controller.client.prepare_ahead([file])
+            files.append(file)
+        for index, file in enumerate(files):
             observation = controller.sync_upload([file], label=f"chunking-{index}")
-            bursts = _storage_burst_sizes(observation) or [size]
+            bursts = _storage_burst_sizes(observation) or [file.size]
             burst_size_lists.append(bursts)
-            result.observations.append((size, len(bursts)))
+            result.observations.append((file.size, len(bursts)))
             controller.pause_between_experiments(60.0)
         # Keep only data bursts: TLS handshakes, application acknowledgements
         # and other small control exchanges on the storage connection show up
@@ -283,6 +287,7 @@ class CapabilityProber:
                 prefix=f"bundle_{count}",
                 seed=derive_seed(self._seed, service, "bundling", count),
             )
+            controller.client.prepare_ahead(files)
             observation = controller.sync_upload(files, label=f"bundling-{count}")
             result.per_file_count[count] = {
                 "storage_bursts": float(_storage_bursts(observation)),
@@ -301,6 +306,7 @@ class CapabilityProber:
         controller = self._controller(service)
         controller.start_session()
         original = generate_binary(file_size, name="folder1/original.bin", seed=derive_seed(self._seed, service, "dedup"))
+        controller.client.prepare_ahead([original])
 
         step1 = controller.sync_upload([original], label="dedup-original")
         result.step_upload_bytes["original"] = _storage_upload_bytes(step1)
@@ -342,20 +348,21 @@ class CapabilityProber:
         controller.start_session()
         seed = derive_seed(self._seed, service, "delta")
         base = generate_binary(file_size, name="delta/document.bin", seed=seed)
-        controller.sync_upload([base], label="delta-base")
-        controller.pause_between_experiments(60.0)
-
         appended = base.with_content(base.content + generate_binary(change_bytes, seed=seed + 1).content)
-        append_obs = controller.sync_upload([appended], label="delta-append")
-        result.append_upload_bytes = _storage_upload_bytes(append_obs)
-        controller.pause_between_experiments(60.0)
-
         insert_at = file_size // 3
         inserted = appended.with_content(
             appended.content[:insert_at]
             + generate_binary(change_bytes, seed=seed + 2).content
             + appended.content[insert_at:]
         )
+        controller.client.prepare_ahead([base, appended, inserted])
+        controller.sync_upload([base], label="delta-base")
+        controller.pause_between_experiments(60.0)
+
+        append_obs = controller.sync_upload([appended], label="delta-append")
+        result.append_upload_bytes = _storage_upload_bytes(append_obs)
+        controller.pause_between_experiments(60.0)
+
         random_obs = controller.sync_upload([inserted], label="delta-random")
         result.random_upload_bytes = _storage_upload_bytes(random_obs)
 
@@ -369,18 +376,19 @@ class CapabilityProber:
         controller = self._controller(service)
         controller.start_session()
         seed = derive_seed(self._seed, service, "compression")
-
         text = generate_text(file_size, name="compress/readable.txt", seed=seed)
+        binary = generate_binary(file_size, name="compress/random.bin", seed=seed + 1)
+        fake = generate_fake_jpeg(file_size, name="compress/fake.jpg", seed=seed + 2)
+        controller.client.prepare_ahead([text, binary, fake])
+
         text_obs = controller.sync_upload([text], label="compression-text")
         result.text_upload_bytes = _storage_upload_bytes(text_obs)
         controller.pause_between_experiments(60.0)
 
-        binary = generate_binary(file_size, name="compress/random.bin", seed=seed + 1)
         binary_obs = controller.sync_upload([binary], label="compression-binary")
         result.binary_upload_bytes = _storage_upload_bytes(binary_obs)
         controller.pause_between_experiments(60.0)
 
-        fake = generate_fake_jpeg(file_size, name="compress/fake.jpg", seed=seed + 2)
         fake_obs = controller.sync_upload([fake], label="compression-fake-jpeg")
         result.fake_jpeg_upload_bytes = _storage_upload_bytes(fake_obs)
 

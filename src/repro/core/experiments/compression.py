@@ -106,11 +106,14 @@ class CompressionExperiment:
         each content class gets its own fresh testbed session (independent
         tests, as §2.3 prescribes), and the file contents are seeded per
         (seed, service, kind, size), so a class's points are independent of
-        which other classes run and of scheduling.
+        which other classes run and of scheduling.  Each file is handed to
+        the client as soon as it is generated, so its deflate overlaps the
+        next file's generation.
         """
         points: List[CompressionPoint] = []
         controller = TestbedController(service, scenario=self.scenario, seed=self.seed)
         controller.start_session()
+        files = []
         for size in self.sizes:
             file = generate_file(
                 kind,
@@ -118,6 +121,9 @@ class CompressionExperiment:
                 name=f"compression/{kind.value}_{size}{kind.extension}",
                 seed=derive_seed(self.seed, service, kind.value, size),
             )
+            controller.client.prepare_ahead([file])
+            files.append(file)
+        for size, file in zip(self.sizes, files):
             observation = controller.sync_upload([file], label=f"compression-{kind.value}-{size}")
             uploaded = observation.storage_trace().uploaded_payload_bytes()
             points.append(CompressionPoint(service=service, kind=kind, file_size=size, uploaded_bytes=uploaded))

@@ -101,14 +101,15 @@ class DeltaEncodingExperiment:
         controller = TestbedController(service, scenario=self.scenario, seed=self.seed)
         controller.start_session()
         base = generate_binary(size, name=f"delta_{case}_{size}.bin", seed=seed)
-        controller.sync_upload([base], label=f"delta-{case}-base")
-        controller.pause_between_experiments(60.0)
         change = generate_binary(self.change_bytes, seed=seed + 1).content
         if case == "append":
             modified = base.with_content(base.content + change)
         else:
             offset = make_rng(seed, "offset").randrange(0, max(size - 1, 1))
             modified = base.with_content(base.content[:offset] + change + base.content[offset:])
+        controller.client.prepare_ahead([base, modified])
+        controller.sync_upload([base], label=f"delta-{case}-base")
+        controller.pause_between_experiments(60.0)
         observation = controller.sync_upload([modified], label=f"delta-{case}-modified")
         uploaded = observation.storage_trace().uploaded_payload_bytes()
         return DeltaPoint(

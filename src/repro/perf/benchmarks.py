@@ -386,7 +386,7 @@ def bench_compressor(repeats: int) -> BenchmarkResult:
     """
     from repro.core.workloads import COMPRESSION_SIZES
     from repro.filegen.text import generate_text
-    from repro.sync.compression import CompressionPolicy, Compressor
+    from repro.sync.compression import COMPRESSION_LEVEL, CompressionPolicy, Compressor
 
     sizes = tuple(COMPRESSION_SIZES)
     contents = [generate_text(size, seed=DEFAULT_SEED).content for size in sizes]
@@ -408,7 +408,7 @@ def bench_compressor(repeats: int) -> BenchmarkResult:
             "sizes": ",".join(str(size) for size in sizes),
             "seed": DEFAULT_SEED,
             "policy": compressor.policy.value,
-            "level": compressor.level,
+            "level": COMPRESSION_LEVEL,
         },
         value=round(measured.best, 3),
         samples=tuple(round(sample, 3) for sample in measured.samples),

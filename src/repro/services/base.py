@@ -15,7 +15,7 @@ traffic: handshakes, per-request headers, payload bursts, polling beacons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import ServiceError
 from repro.filegen.model import GeneratedFile
@@ -27,10 +27,14 @@ from repro.services.backend import StorageBackend
 from repro.services.profile import ServerSpec, ServiceProfile
 from repro.sync.bundling import BundleBuilder, BundleEntry
 from repro.sync.chunking import make_chunker
-from repro.sync.compression import Compressor
+from repro.sync.compression import CompressionPolicy, Compressor
 from repro.sync.delta import DeltaCodec
 from repro.sync.encryption import ConvergentEncryptor, ENCRYPTION_HEADER_BYTES
 from repro.sync.protocol import ChunkUploadMessage, CommitMessage, FileMetadataMessage, ListChangesMessage
+from repro.units import usable_cpus
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = ["ChunkUpload", "PreparedFile", "CloudStorageClient"]
 
@@ -81,6 +85,9 @@ class CloudStorageClient:
         self._bundler = BundleBuilder(profile.max_bundle_bytes, profile.max_bundle_files)
         self._tls = TLSParameters()
         self._revisions: Dict[str, bytes] = {}
+        # Plain chunk digest -> its transmit size, computed ahead on a worker
+        # (prepare_ahead).  Only the simulation thread reads or writes it.
+        self._sizes: Dict[str, "Future[int]"] = {}
         self._control_channel: Optional[HTTPChannel] = None
         self._notification_channel: Optional[HTTPChannel] = None
         self._storage_channel: Optional[HTTPChannel] = None
@@ -277,6 +284,42 @@ class CloudStorageClient:
                 files=len(files),
             )
 
+    def prepare_ahead(self, files: Sequence[GeneratedFile]) -> None:
+        """Start sizing the chunks of files this client will sync next.
+
+        An experiment that knows its next uploads hands them over here.  The
+        transmit size of every chunk digest the client has not sized yet is
+        then computed on worker threads, one per usable CPU at most, while
+        the caller goes on; zlib releases the GIL, so the deflates overlap
+        the simulation.  The sync reads each size by digest and waits for it
+        if need be; an error raised while sizing surfaces from that sync.
+        Dedup, delta and every packet stay on the simulation thread, so the
+        traffic is the same whether or not the files were handed over.
+
+        With one usable CPU, or a client that never compresses (a size is
+        the length plus a header), this returns at once and the sync sizes
+        every chunk inline.
+        """
+        if self._compressor.policy is CompressionPolicy.NEVER:
+            return
+        cpus = usable_cpus()
+        if cpus < 2:
+            return
+        pieces: Dict[str, bytes] = {}
+        for file in files:
+            content = file.content
+            for chunk in self._chunker.chunk(content):
+                if chunk.digest not in self._sizes:
+                    pieces.setdefault(chunk.digest, content[chunk.offset:chunk.offset + chunk.length])
+        if not pieces:
+            return
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=min(cpus, len(pieces)))
+        for digest, piece in pieces.items():
+            self._sizes[digest] = pool.submit(self._size, piece)
+        pool.shutdown(wait=False)
+
     def delete_files(self, names: Sequence[str]) -> None:
         """Delete files from the synced folder (content stays server-side)."""
         if not names:
@@ -310,12 +353,21 @@ class CloudStorageClient:
             return self._encryptor.encrypt(piece).digest
         return plain_digest
 
-    def _transmit_size(self, piece: bytes) -> ChunkUpload:
-        """Transmission size of one chunk after compression/encryption."""
-        result = self._compressor.process(piece)
-        size = result.transmitted_size
+    def _size(self, piece: bytes) -> int:
+        """Bytes one chunk puts on the wire: compressed (or raw), plus any encryption header."""
+        size = self._compressor.process(piece).transmitted_size
         if self._encryptor is not None:
             size += ENCRYPTION_HEADER_BYTES
+        return size
+
+    def _transmit_size(self, piece: bytes, digest: str) -> ChunkUpload:
+        """Transmission size of one chunk after compression/encryption.
+
+        A size computed ahead (:meth:`prepare_ahead`) is read by the chunk's
+        plain ``digest``; any other chunk is sized inline.
+        """
+        future = self._sizes.get(digest)
+        size = future.result() if future is not None else self._size(piece)
         return ChunkUpload(digest="", logical_bytes=len(piece), transmit_bytes=size)
 
     def _prepare_file(self, file: GeneratedFile, batch_digests: Optional[set] = None) -> PreparedFile:
@@ -342,16 +394,16 @@ class CloudStorageClient:
                 uploads.append(ChunkUpload(digest=identity, logical_bytes=len(piece), transmit_bytes=0, duplicate=True))
                 continue
             if use_delta and index < len(old_chunks):
-                upload = self._delta_upload(piece, old_content, old_chunks[index])
+                upload = self._delta_upload(piece, chunk.digest, old_content, old_chunks[index])
             else:
-                upload = self._transmit_size(piece)
+                upload = self._transmit_size(piece, chunk.digest)
             upload.digest = identity
             uploads.append(upload)
             if batch_digests is not None:
                 batch_digests.add(identity)
         return PreparedFile(file=file, chunk_uploads=uploads)
 
-    def _delta_upload(self, new_piece: bytes, old_content: bytes, old_chunk) -> ChunkUpload:
+    def _delta_upload(self, new_piece: bytes, new_digest: str, old_content: bytes, old_chunk) -> ChunkUpload:
         """Delta-encode one chunk against the corresponding chunk of the old revision.
 
         Dropbox computes deltas chunk-by-chunk, which is why modifications
@@ -364,7 +416,7 @@ class CloudStorageClient:
         literal = b"".join(op.data for op in delta.ops if op.kind.value == "literal")
         compressed_literal = self._compressor.process(literal).transmitted_size if literal else 0
         delta_size = compressed_literal + 12 * len(delta.ops)
-        full = self._transmit_size(new_piece)
+        full = self._transmit_size(new_piece, new_digest)
         if delta_size < full.transmit_bytes:
             return ChunkUpload(digest="", logical_bytes=len(new_piece), transmit_bytes=delta_size)
         return full

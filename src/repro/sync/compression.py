@@ -11,7 +11,11 @@ import enum
 import zlib
 from dataclasses import dataclass
 
-__all__ = ["CompressionPolicy", "CompressionResult", "Compressor", "looks_compressed"]
+__all__ = ["COMPRESSION_LEVEL", "CompressionPolicy", "CompressionResult", "Compressor", "looks_compressed"]
+
+#: The zlib level every compressing client deflates at.  One level for all
+#: clients is what lets a client size a chunk once per digest.
+COMPRESSION_LEVEL = 6
 
 #: Magic numbers of formats that are already compressed; a smart policy
 #: refuses to recompress payloads starting with any of these signatures.
@@ -72,9 +76,8 @@ def looks_compressed(data: bytes) -> bool:
 class Compressor:
     """Applies a :class:`CompressionPolicy` to payloads before transmission."""
 
-    def __init__(self, policy: CompressionPolicy, level: int = 6) -> None:
+    def __init__(self, policy: CompressionPolicy) -> None:
         self.policy = policy
-        self.level = level
 
     def process(self, data: bytes) -> CompressionResult:
         """Return the transmission size decision for ``data``.
@@ -90,7 +93,7 @@ class Compressor:
             return CompressionResult(original_size=original, transmitted_size=original, compressed=False)
         if self.policy is CompressionPolicy.SMART and looks_compressed(data):
             return CompressionResult(original_size=original, transmitted_size=original, compressed=False)
-        compressed_size = len(zlib.compress(data, self.level))
+        compressed_size = len(zlib.compress(data, COMPRESSION_LEVEL))
         if compressed_size >= original:
             return CompressionResult(original_size=original, transmitted_size=original, compressed=False)
         return CompressionResult(original_size=original, transmitted_size=compressed_size, compressed=True)

@@ -13,11 +13,14 @@ those canonical units and format them back for reporting.  This module also host
 the small CLI-value grammars shared across subcommands —
 :func:`parse_seeds` for ``--seeds`` sweep specs and :func:`parse_duration`
 for ``--older-than`` store-GC ages — so ``all``/``shard``/``merge`` and
-``cache rm`` cannot drift apart in what they accept.
+``cache rm`` cannot drift apart in what they accept.  :func:`usable_cpus`
+is the one count of CPUs this process may run on, shared by the default
+``--jobs`` and the client's deflate-ahead gate.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from typing import List
 
@@ -265,6 +268,17 @@ KB = 1000
 MB = 1000 * 1000
 #: Bytes in a gigabyte.
 GB = 1000 * 1000 * 1000
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one.
+
+    ``os.cpu_count()`` counts the machine's CPUs, which over-counts a
+    process pinned to fewer (``taskset -c 0`` on a two-CPU machine).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mbps(value: float) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.capture.sniffer import Sniffer
@@ -53,3 +55,13 @@ def tls() -> TLSParameters:
 def backend() -> StorageBackend:
     """A fresh storage backend."""
     return StorageBackend("testservice")
+
+
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """``pin_cpus(n)`` makes this process report ``n`` usable CPUs, as ``taskset`` would."""
+
+    def pin(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return pin

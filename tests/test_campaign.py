@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 
 import pytest
 
@@ -131,6 +132,15 @@ class TestCampaignPlan:
 
     def test_default_jobs_is_positive(self):
         assert default_jobs() >= 1
+
+    def test_default_jobs_counts_the_cpus_this_process_may_use(self, monkeypatch, pin_cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pin_cpus(1)
+        assert default_jobs() == 1
+        pin_cpus(3)
+        assert default_jobs() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_jobs() == 2
 
     def test_experiment_defaults_match_campaign_config(self):
         # One defaults table: an experiment built without arguments runs

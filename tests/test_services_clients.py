@@ -10,17 +10,27 @@ servers carry none of its control traffic, it uploads exactly nothing.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from repro.capture import analysis
 from repro.capture.sniffer import Sniffer
+from repro.core.workloads import COMPRESSION_SIZES
 from repro.errors import ServiceError
-from repro.filegen.batch import generate_batch
+from repro.filegen.batch import generate_batch, generate_file
 from repro.filegen.binary import generate_binary
 from repro.filegen.model import FileKind
 from repro.filegen.text import generate_text
 from repro.netsim.simulator import NetworkSimulator
-from repro.services.registry import SERVICE_NAMES, create_client
+from repro.services.registry import SERVICE_NAMES, create_client, register_service_spec, temporary_services
+from repro.services.spec import ServiceSpec, builtin_spec
+from repro.sync import compression
+from repro.sync.chunking import FixedChunker
 from repro.units import KB, MB
 
 
@@ -251,3 +261,131 @@ class TestWuala:
         rate = sniffer.trace.total_bytes() * 8 / 900.0
         assert rate < 150.0
         client.stop_polling()
+
+
+def session_rows(service, batches, ahead):
+    """Every trace row of a fresh client syncing ``batches`` in order.
+
+    With ``ahead``, every file of every batch is handed to ``prepare_ahead``
+    before the first sync, as the experiments do.
+    """
+    simulator, sniffer, client = make_client(service)
+    if ahead:
+        client.prepare_ahead([file for batch in batches for file in batch])
+    for batch in batches:
+        client.sync_files(batch)
+        simulator.run_for(60.0)
+    return sniffer.trace.sorted_columns()
+
+
+def delta_pair(size, insert_at):
+    """A base file and the same file with 100 kB of new bytes inserted at ``insert_at``."""
+    base = generate_binary(size, name="delta/document.bin", seed=3)
+    change = generate_binary(100 * KB, seed=4).content
+    return base, base.with_content(base.content[:insert_at] + change + base.content[insert_at:])
+
+
+def ahead_cases():
+    """The three upload patterns the experiments hand over ahead, as lists of batches."""
+    kinds = itertools.cycle([FileKind.TEXT, FileKind.BINARY, FileKind.FAKE_JPEG])
+    fig5 = [
+        [generate_file(kind, size, name=f"fig5/{size}{kind.extension}", seed=size)]
+        for kind, size in zip(kinds, COMPRESSION_SIZES)
+    ]
+    base, modified = delta_pair(int(2.5 * MB), MB)
+    original = generate_binary(1 * MB, name="folder1/original.bin", seed=5)
+    return {
+        "fig5": fig5,
+        "delta": [[base], [modified]],
+        "dedup": [[original], [original.renamed("folder2/replica.bin")]],
+    }
+
+
+def _ahead_variant(policy, chunking, encrypted=False):
+    """Dropbox's spec with 1 MB chunks, so a few MB make several of them."""
+    document = builtin_spec("dropbox").to_dict()
+    name = f"ahead-{policy}-{chunking}" + ("-encrypted" if encrypted else "")
+    document["name"] = document["display_name"] = name
+    document["capabilities"].update(compression=policy, chunking=chunking, chunk_size=1_000_000)
+    if encrypted:
+        document["capabilities"]["client_side_encryption"] = True
+    return ServiceSpec.from_dict(document)
+
+
+#: Every compression policy under fixed and variable chunking, plus one
+#: client that both compresses and encrypts.
+AHEAD_VARIANTS = [
+    _ahead_variant(policy, chunking)
+    for policy, chunking in itertools.product(("always", "smart", "never"), ("fixed", "variable"))
+] + [_ahead_variant("always", "fixed", encrypted=True)]
+
+
+class TestPrepareAhead:
+    @pytest.fixture(scope="class", autouse=True)
+    def variants(self):
+        with temporary_services():
+            for spec in AHEAD_VARIANTS:
+                register_service_spec(spec)
+            yield
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return ahead_cases()
+
+    @pytest.mark.parametrize("case", ["dedup", "delta", "fig5"])
+    @pytest.mark.parametrize("service", SERVICE_NAMES + [spec.name for spec in AHEAD_VARIANTS])
+    def test_sizing_ahead_captures_the_same_trace(self, pin_cpus, cases, service, case):
+        pin_cpus(2)
+        batches = cases[case]
+        assert session_rows(service, batches, ahead=True) == session_rows(service, batches, ahead=False)
+
+    def test_each_distinct_digest_is_deflated_once(self, monkeypatch, pin_cpus):
+        deflated = []
+        real = compression.zlib
+
+        class CountingZlib:
+            @staticmethod
+            def compress(data, level):
+                deflated.append(hashlib.sha256(data).hexdigest())
+                return real.compress(data, level)
+
+        monkeypatch.setattr(compression, "zlib", CountingZlib)
+        pin_cpus(2)
+        # Dropbox's first 4 MB chunk is the same in both files; the second differs.
+        base, modified = delta_pair(5 * MB, int(4.5 * MB))
+        session_rows("dropbox", [[base], [modified]], ahead=False)
+        inline = list(deflated)
+        deflated.clear()
+        session_rows("dropbox", [[base], [modified]], ahead=True)
+        chunker = FixedChunker(4 * MB)
+        digests = {chunk.digest for file in (base, modified) for chunk in chunker.chunk(file.content)}
+        assert len(digests) == 3
+        sized = Counter(digest for digest in deflated if digest in digests)
+        assert sized == Counter(digest for digest in inline if digest in digests) == dict.fromkeys(digests, 1)
+        assert len(deflated) == len(inline)
+
+    def test_more_workers_than_cores_size_every_chunk_as_inline(self, pin_cpus):
+        # Google Drive sends each file on its own connection, so a size read
+        # under the wrong digest, or before its worker finished, moves a row.
+        pin_cpus(8)
+        files = [generate_text((10 + index) * KB, name=f"many/{index}.txt", seed=index) for index in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = session_rows("googledrive", [files], ahead=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ahead == session_rows("googledrive", [files], ahead=False)
+
+    @pytest.mark.parametrize("service, cpus", [("dropbox", 1), ("googledrive", 1), ("skydrive", 2), ("wuala", 2)])
+    def test_no_thread_starts_with_one_cpu_or_a_client_that_never_compresses(self, pin_cpus, cases, service, cpus):
+        pin_cpus(cpus)
+        batches = cases["delta"]
+        simulator, sniffer, client = make_client(service)
+        before = set(threading.enumerate())
+        client.prepare_ahead([file for batch in batches for file in batch])
+        assert set(threading.enumerate()) - before == set()
+        for batch in batches:
+            client.sync_files(batch)
+            simulator.run_for(60.0)
+        assert sniffer.trace.sorted_columns() == session_rows(service, batches, ahead=False)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.core.campaign import WHOLE_SERVICE_UNIT, CampaignConfig, CampaignRunner, run_cell
 from repro.errors import ConfigurationError, ServiceError
 from repro.filegen.batch import generate_batch
 from repro.filegen.binary import generate_binary
 from repro.filegen.model import FileKind
+from repro.filegen.text import generate_text
+from repro.sync.compression import Compressor
 from repro.testbed.controller import FTP_LAN_RATE_BPS, FTP_OPERATION_DELAY, TestbedController
 from repro.units import KB
 
@@ -134,3 +139,59 @@ class TestController:
         before = controller.simulator.now
         controller.pause_between_experiments(300.0)
         assert controller.simulator.now == pytest.approx(before + 300.0)
+
+
+class SizingError(Exception):
+    """What a broken compressor raises."""
+
+
+def one_cell(stage, unit, service="dropbox"):
+    """The campaign cell of ``stage`` x ``service`` x ``unit`` at seed 7."""
+    cells = CampaignRunner([service], [stage], seed=7, jobs=1, config=CampaignConfig(repetitions=1)).cells()
+    return next(cell for cell in cells if cell.unit == unit)
+
+
+class TestDeflateAhead:
+    """Chunks handed over with ``prepare_ahead`` are sized on worker threads."""
+
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_a_sizing_error_surfaces_from_the_sync_that_reads_it(self, monkeypatch, pin_cpus, ahead):
+        def broken(self, data):
+            raise SizingError("deflate failed")
+
+        monkeypatch.setattr(Compressor, "process", broken)
+        pin_cpus(2)
+        controller = TestbedController("dropbox")
+        controller.start_session()
+        file = generate_text(100 * KB, name="broken.txt")
+        if ahead:
+            controller.client.prepare_ahead([file])
+        with pytest.raises(SizingError, match="deflate failed"):
+            controller.sync_upload([file])
+
+    def test_a_sizing_error_fails_the_cell(self, monkeypatch, pin_cpus):
+        def broken(self, data):
+            raise SizingError("deflate failed")
+
+        monkeypatch.setattr(Compressor, "process", broken)
+        pin_cpus(2)
+        result = run_cell(one_cell("compression", "text"))
+        assert result.failure is not None and result.records == []
+        assert (result.failure.error_type, result.failure.message) == ("SizingError", "deflate failed")
+
+    def test_no_sizing_thread_outlives_its_cell(self, monkeypatch, pin_cpus):
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        pin_cpus(2)
+        for stage, unit in (("compression", "text"), ("delta", "append"), ("capabilities", WHOLE_SERVICE_UNIT)):
+            assert run_cell(one_cell(stage, unit)).failure is None
+        assert started
+        for thread in started:
+            thread.join(timeout=10.0)
+        assert [thread for thread in started if thread.is_alive()] == []
