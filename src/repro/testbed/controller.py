@@ -113,8 +113,12 @@ class TestbedController:
         self._session_started = False
 
     def idle(self, seconds: float) -> Observation:
-        """Observe the client while idle for ``seconds`` (Fig. 1's scenario)."""
-        window_start = self.simulator.now
+        """Observe the client while idle for ``seconds`` (Fig. 1's scenario).
+
+        The window opens an instant after "now", as :meth:`sync_upload`'s
+        does, so the login's last response is not counted as idle traffic.
+        """
+        window_start = self.simulator.now + 1e-9
         self.simulator.run_for(seconds)
         return self._observation("idle", window_start, modification_time=None, benchmark_bytes=0)
 

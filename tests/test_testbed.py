@@ -12,6 +12,7 @@ from repro.filegen.batch import generate_batch
 from repro.filegen.binary import generate_binary
 from repro.filegen.model import FileKind
 from repro.filegen.text import generate_text
+from repro.services.registry import SERVICE_NAMES
 from repro.sync.compression import Compressor
 from repro.testbed.controller import FTP_LAN_RATE_BPS, FTP_OPERATION_DELAY, TestbedController
 from repro.units import KB
@@ -47,6 +48,15 @@ class TestController:
         observation = controller.idle(120.0)
         assert observation.trace.total_bytes() > 0
         controller.end_session()
+
+    @pytest.mark.parametrize("service", SERVICE_NAMES)
+    def test_idle_window_leaves_the_last_login_packets_to_the_login(self, service):
+        # The login's last response is stamped exactly at its window's end.
+        controller = TestbedController(service)
+        login = controller.start_session(polling=True)
+        idle = controller.idle(600.0)
+        assert not idle.trace.is_empty()
+        assert idle.trace.first_timestamp() > login.window_end
 
     def test_login_observation_contains_login_traffic(self):
         controller = TestbedController("skydrive")
