@@ -317,7 +317,7 @@ class CloudStorageClient:
 
         pool = ThreadPoolExecutor(max_workers=min(cpus, len(pieces)))
         for digest, piece in pieces.items():
-            self._sizes[digest] = pool.submit(self._size, piece)
+            self._sizes[digest] = pool.submit(self._transmit_bytes, piece)
         pool.shutdown(wait=False)
 
     def delete_files(self, names: Sequence[str]) -> None:
@@ -353,7 +353,7 @@ class CloudStorageClient:
             return self._encryptor.encrypt(piece).digest
         return plain_digest
 
-    def _size(self, piece: bytes) -> int:
+    def _transmit_bytes(self, piece: bytes) -> int:
         """Bytes one chunk puts on the wire: compressed (or raw), plus any encryption header."""
         size = self._compressor.process(piece).transmitted_size
         if self._encryptor is not None:
@@ -367,7 +367,7 @@ class CloudStorageClient:
         plain ``digest``; any other chunk is sized inline.
         """
         future = self._sizes.get(digest)
-        size = future.result() if future is not None else self._size(piece)
+        size = future.result() if future is not None else self._transmit_bytes(piece)
         return ChunkUpload(digest="", logical_bytes=len(piece), transmit_bytes=size)
 
     def _prepare_file(self, file: GeneratedFile, batch_digests: Optional[set] = None) -> PreparedFile:
