@@ -71,7 +71,7 @@ from repro.services.registry import (
     install_registered_specs,
     registry_sync_payload,
 )
-from repro.units import format_population, minutes, parse_population, usable_cpus
+from repro.units import format_population, minutes, parse_population, share_cpus, usable_cpus
 
 if TYPE_CHECKING:
     from repro.core.store import ResultStore
@@ -82,7 +82,7 @@ __all__ = [
     "WHOLE_SERVICE_UNIT",
     "RESULTS_DOC_VERSION",
     "worker_service_payload",
-    "init_worker_services",
+    "init_pool_worker",
     "CampaignConfig",
     "CampaignCell",
     "CellFailure",
@@ -150,7 +150,7 @@ class CampaignConfig:
     :data:`~repro.netsim.scenario.BASELINE` — under which all outputs stay
     byte-identical to the pre-scenario era.  (Runtime-registered *services*,
     by contrast, are addressed by name; pools replicate them into workers
-    via :func:`init_worker_services`.)
+    via :func:`init_pool_worker`.)
     """
 
     repetitions: int = DEFAULT_REPETITIONS
@@ -555,19 +555,25 @@ def run_cell(cell: CampaignCell, trace: bool = False) -> CellResult:
 def worker_service_payload(cells: Sequence[CampaignCell]) -> List[dict]:
     """The registry state a worker pool needs to run ``cells``.
 
-    Pass the result as ``initargs`` with :func:`init_worker_services` as the
-    pool ``initializer``: services registered at runtime (``--services-file``,
-    ablation variants) then exist in every worker even under the
-    ``spawn``/``forkserver`` start methods, where workers do not inherit
-    the parent registry.  Under ``fork`` the install is a content-matched
-    no-op.
+    Pass the result as the first of ``initargs`` with
+    :func:`init_pool_worker` as the pool ``initializer``: services
+    registered at runtime (``--services-file``, ablation variants) then
+    exist in every worker even under the ``spawn``/``forkserver`` start
+    methods, where workers do not inherit the parent registry.  Under
+    ``fork`` the install is a content-matched no-op.
     """
     return registry_sync_payload(cell.service for cell in cells)
 
 
-def init_worker_services(payload: Sequence[dict]) -> None:
-    """Process-pool initializer: install the parent's service registrations."""
+def init_pool_worker(payload: Sequence[dict], workers: int) -> None:
+    """Process-pool initializer: install the parent's service registrations.
+
+    It also records that the pool's ``workers`` processes share the CPUs
+    (:func:`~repro.units.share_cpus`), so the threads a cell starts do not
+    multiply with ``--jobs``.
+    """
     install_registered_specs(payload)
+    share_cpus(workers)
 
 
 @dataclass
@@ -786,10 +792,11 @@ class CampaignRunner:
                     for index in pending:
                         results[index] = self._completed(run_cell(plan[index], *cell_args))
                 else:
+                    workers = min(self.jobs, len(pending))
                     with ProcessPoolExecutor(
-                        max_workers=min(self.jobs, len(pending)),
-                        initializer=init_worker_services,
-                        initargs=(worker_service_payload([plan[index] for index in pending]),),
+                        max_workers=workers,
+                        initializer=init_pool_worker,
+                        initargs=(worker_service_payload([plan[index] for index in pending]), workers),
                     ) as pool:
                         futures = {pool.submit(run_cell, plan[index], *cell_args): index for index in pending}
                         # Persist in completion order (resume granularity); results

@@ -41,7 +41,7 @@ from repro.core.campaign import (
     CampaignCell,
     CampaignRunner,
     CellResult,
-    init_worker_services,
+    init_pool_worker,
     run_cell,
     worker_service_payload,
 )
@@ -152,8 +152,8 @@ class ShardWorker:
         try:
             with ProcessPoolExecutor(
                 max_workers=self.runner.jobs,
-                initializer=init_worker_services,
-                initargs=(worker_service_payload(plan),),
+                initializer=init_pool_worker,
+                initargs=(worker_service_payload(plan), self.runner.jobs),
             ) as pool:
                 while in_flight or (pending and not broken):
                     progressed = False

@@ -31,7 +31,7 @@ from repro.sync.compression import CompressionPolicy, Compressor
 from repro.sync.delta import DeltaCodec
 from repro.sync.encryption import ConvergentEncryptor, ENCRYPTION_HEADER_BYTES
 from repro.sync.protocol import ChunkUploadMessage, CommitMessage, FileMetadataMessage, ListChangesMessage
-from repro.units import usable_cpus
+from repro.units import cpu_share
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -289,21 +289,20 @@ class CloudStorageClient:
 
         An experiment that knows its next uploads hands them over here.  The
         transmit size of every chunk digest the client has not sized yet is
-        then computed on worker threads, one per usable CPU at most, while
-        the caller goes on; zlib releases the GIL, so the deflates overlap
-        the simulation.  The sync reads each size by digest and waits for it
-        if need be; an error raised while sizing surfaces from that sync.
-        Dedup, delta and every packet stay on the simulation thread, so the
-        traffic is the same whether or not the files were handed over.
+        then computed on worker threads while the caller goes on: up to one
+        thread per call for each CPU of this process's share
+        (:func:`~repro.units.cpu_share`; a campaign pool worker counts only
+        its part of the CPUs).  zlib releases the GIL, so the deflates
+        overlap the simulation.  The sync reads each size by digest and
+        waits for it if need be; an error raised while sizing surfaces from
+        that sync.  Dedup, delta and every packet stay on the simulation
+        thread, so the traffic is the same whether or not the files were
+        handed over.
 
-        With one usable CPU, or a client that never compresses (a size is
-        the length plus a header), this returns at once and the sync sizes
-        every chunk inline.
+        A client that never compresses (a size is the length plus a header)
+        returns at once, and the sync sizes every chunk inline.
         """
         if self._compressor.policy is CompressionPolicy.NEVER:
-            return
-        cpus = usable_cpus()
-        if cpus < 2:
             return
         pieces: Dict[str, bytes] = {}
         for file in files:
@@ -315,7 +314,7 @@ class CloudStorageClient:
             return
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=min(cpus, len(pieces)))
+        pool = ThreadPoolExecutor(max_workers=min(cpu_share(), len(pieces)))
         for digest, piece in pieces.items():
             self._sizes[digest] = pool.submit(self._transmit_bytes, piece)
         pool.shutdown(wait=False)

@@ -14,8 +14,9 @@ the small CLI-value grammars shared across subcommands —
 :func:`parse_seeds` for ``--seeds`` sweep specs and :func:`parse_duration`
 for ``--older-than`` store-GC ages — so ``all``/``shard``/``merge`` and
 ``cache rm`` cannot drift apart in what they accept.  :func:`usable_cpus`
-is the one count of CPUs this process may run on, shared by the default
-``--jobs`` and the client's deflate-ahead gate.
+is the one count of CPUs this process may run on, which the default
+``--jobs`` reads; :func:`cpu_share` is this process's part of it, which
+bounds the client's deflate-ahead threads.
 """
 
 from __future__ import annotations
@@ -270,6 +271,11 @@ MB = 1000 * 1000
 GB = 1000 * 1000 * 1000
 
 
+#: Processes sharing the CPUs this process may use: 1, or the size of the
+#: campaign pool this process works in (set by :func:`share_cpus`).
+_cpu_sharers = 1
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one.
 
@@ -279,6 +285,21 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def share_cpus(processes: int) -> None:
+    """Record that this process is one of ``processes`` pool workers sharing its CPUs.
+
+    A campaign's pool initializer calls it in every worker, so the threads
+    a cell starts do not multiply with ``--jobs``.
+    """
+    global _cpu_sharers
+    _cpu_sharers = max(1, processes)
+
+
+def cpu_share() -> int:
+    """CPUs this process may count on for itself: its part of :func:`usable_cpus`, at least one."""
+    return max(1, usable_cpus() // _cpu_sharers)
 
 
 def mbps(value: float) -> float:

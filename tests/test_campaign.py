@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import inspect
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro import units
 from repro.core import DEFAULT_PLANETLAB_COUNT
 from repro.core.campaign import (
     STAGES,
@@ -16,6 +19,7 @@ from repro.core.campaign import (
     CampaignConfig,
     CampaignRunner,
     default_jobs,
+    init_pool_worker,
     merge_cell_results,
     run_cell,
     suite_stage_rows,
@@ -141,6 +145,19 @@ class TestCampaignPlan:
         assert default_jobs() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         assert default_jobs() == 2
+
+    def test_a_pool_worker_counts_its_part_of_the_cpus(self, monkeypatch, pin_cpus):
+        monkeypatch.setattr(units, "_cpu_sharers", 1)
+        pin_cpus(8)
+        assert units.cpu_share() == 8
+        init_pool_worker([], 4)
+        assert units.cpu_share() == 2
+        init_pool_worker([], 16)
+        assert units.cpu_share() == 1
+        # A forked worker inherits the pinned affinity; its initializer sets its share.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(2, mp_context=fork, initializer=init_pool_worker, initargs=([], 2)) as pool:
+            assert pool.submit(units.cpu_share).result() == 4
 
     def test_experiment_defaults_match_campaign_config(self):
         # One defaults table: an experiment built without arguments runs

@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+from repro import units
 from repro.capture import analysis
 from repro.capture.sniffer import Sniffer
 from repro.core.workloads import COMPRESSION_SIZES
@@ -312,11 +313,13 @@ def _ahead_variant(policy, chunking, encrypted=False):
     return ServiceSpec.from_dict(document)
 
 
-#: Every compression policy under fixed and variable chunking, plus one
-#: client that both compresses and encrypts.
+#: Both compressing policies under fixed and variable chunking, plus one
+#: client that both compresses and encrypts.  A client that never
+#: compresses hands nothing to a thread, so its trace cannot differ (the
+#: no-thread test covers it).
 AHEAD_VARIANTS = [
     _ahead_variant(policy, chunking)
-    for policy, chunking in itertools.product(("always", "smart", "never"), ("fixed", "variable"))
+    for policy, chunking in itertools.product(("always", "smart"), ("fixed", "variable"))
 ] + [_ahead_variant("always", "fixed", encrypted=True)]
 
 
@@ -377,9 +380,28 @@ class TestPrepareAhead:
             sys.setswitchinterval(interval)
         assert ahead == session_rows("googledrive", [files], ahead=False)
 
-    @pytest.mark.parametrize("service, cpus", [("dropbox", 1), ("googledrive", 1), ("skydrive", 2), ("wuala", 2)])
-    def test_no_thread_starts_with_one_cpu_or_a_client_that_never_compresses(self, pin_cpus, cases, service, cpus):
+    @pytest.mark.parametrize("cpus, workers, most", [(8, 1, 8), (8, 4, 2), (8, 8, 1), (1, 1, 1)])
+    def test_a_call_starts_at_most_one_thread_per_cpu_of_its_share(self, monkeypatch, pin_cpus, cpus, workers, most):
+        # A campaign pool worker counts only its part of the CPUs, so the
+        # sizing threads do not multiply with --jobs.
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        monkeypatch.setattr(units, "_cpu_sharers", 1)
         pin_cpus(cpus)
+        units.share_cpus(workers)
+        files = [generate_text((10 + index) * KB, name=f"many/{index}.txt", seed=index) for index in range(48)]
+        assert session_rows("googledrive", [files], ahead=True) == session_rows("googledrive", [files], ahead=False)
+        assert 1 <= len(started) <= most
+
+    @pytest.mark.parametrize("service", ["skydrive", "wuala", "clouddrive"])
+    def test_no_thread_starts_for_a_client_that_never_compresses(self, pin_cpus, cases, service):
+        pin_cpus(2)
         batches = cases["delta"]
         simulator, sniffer, client = make_client(service)
         before = set(threading.enumerate())

@@ -165,12 +165,11 @@ class TestDeflateAhead:
     """Chunks handed over with ``prepare_ahead`` are sized on worker threads."""
 
     @pytest.mark.parametrize("ahead", [False, True])
-    def test_a_sizing_error_surfaces_from_the_sync_that_reads_it(self, monkeypatch, pin_cpus, ahead):
+    def test_a_sizing_error_surfaces_from_the_sync_that_reads_it(self, monkeypatch, ahead):
         def broken(self, data):
             raise SizingError("deflate failed")
 
         monkeypatch.setattr(Compressor, "process", broken)
-        pin_cpus(2)
         controller = TestbedController("dropbox")
         controller.start_session()
         file = generate_text(100 * KB, name="broken.txt")
@@ -179,17 +178,16 @@ class TestDeflateAhead:
         with pytest.raises(SizingError, match="deflate failed"):
             controller.sync_upload([file])
 
-    def test_a_sizing_error_fails_the_cell(self, monkeypatch, pin_cpus):
+    def test_a_sizing_error_fails_the_cell(self, monkeypatch):
         def broken(self, data):
             raise SizingError("deflate failed")
 
         monkeypatch.setattr(Compressor, "process", broken)
-        pin_cpus(2)
         result = run_cell(one_cell("compression", "text"))
         assert result.failure is not None and result.records == []
         assert (result.failure.error_type, result.failure.message) == ("SizingError", "deflate failed")
 
-    def test_no_sizing_thread_outlives_its_cell(self, monkeypatch, pin_cpus):
+    def test_no_sizing_thread_outlives_its_cell(self, monkeypatch):
         started = []
         start = threading.Thread.start
 
@@ -198,7 +196,6 @@ class TestDeflateAhead:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", record)
-        pin_cpus(2)
         for stage, unit in (("compression", "text"), ("delta", "append"), ("capabilities", WHOLE_SERVICE_UNIT)):
             assert run_cell(one_cell(stage, unit)).failure is None
         assert started
